@@ -8,8 +8,8 @@ the level table.  LH/HL bits are kept for the key, LL/HH discarded.
 
 import numpy as np
 
-from kljnsim import SessionConfig, classic_kljn, filter_secure_bits, level_table, run_session
-from kljnsim.protocol import secure_bit_value
+from kljnsim import SessionConfig, classic_kljn, level_table, run_session
+from kljnsim.protocol import CASES, secure_bit_value
 
 scheme = classic_kljn(1e3, 1e4, 1.0, 500.0)
 config = SessionConfig(
@@ -22,23 +22,22 @@ config = SessionConfig(
 )
 print(f"simulating {config.runs} runs x {config.bits_per_run} bits "
       f"({config.samples_per_bit} samples/bit at {config.sample_rate:g} Hz)")
-results = run_session(config)
+session = run_session(config)
 
-records = [rec for run in results for rec in run.records]
-secure = filter_secure_bits(records)
-errors = sum(r.classification_error_count for r in results)
-print(f"secure fraction: {len(secure)/len(records):.3f} (expected 0.5)")
-print(f"classification errors: {errors} of {len(records)} bits")
+bits = session.bits
+secure = bits.secure
+errors = session.misclassified.sum()
+print(f"secure fraction: {secure.sum()/secure.size:.3f} (expected 0.5)")
+print(f"classification errors: {errors} of {secure.size} bits")
 
 lt = level_table(scheme)
 print("\nmeasured wire mean-square voltage by case (vs analytic level):")
-for case in ("LL", "LH", "HL", "HH"):
-    vals = [r.moments.u2 for r in records if r.case.label == case]
+for tag, case in enumerate(CASES):
+    vals = bits.u2[bits.case == tag]
     print(f"  {case}: {np.mean(vals):.4f} V^2 over {len(vals):3d} bits "
           f"(level {lt[case].u2:.4f})")
 
-key = [secure_bit_value(r.case.label) for r in secure[:32]]
+key = [secure_bit_value(CASES[c]) for c in bits.case[secure][:32]]
 print(f"\nfirst {len(key)} key bits (HL=1 convention): {''.join(map(str, key))}")
-agreed = all(r.alice_inference == r.case.bob and r.bob_inference == r.case.alice
-             for r in secure)
+agreed = not session.misclassified[secure].any()
 print(f"every secure bit classified correctly by both parties: {agreed}")

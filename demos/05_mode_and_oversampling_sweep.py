@@ -11,9 +11,8 @@ moment, so LH and HL means coincide at any mode and oversampling ratio.
 
 import numpy as np
 
-from kljnsim import benchmark_scheme, conditional_zc_variance, level_table
-from kljnsim.attack import detect_zero_crossings, zc_mean_square
-from kljnsim.protocol import case_wire
+from kljnsim import benchmark_scheme, conditional_zc_variance, level_table, simulate_bits
+from kljnsim.protocol import CASES
 
 scheme = benchmark_scheme("vmg2")   # 46.4k / 278 / 278 / 100
 lh = level_table(scheme)["LH"]
@@ -33,15 +32,11 @@ for mode in ("interpolated", "sample_after", "sample_before", "nearest"):
         means = {}
         crossings = 0
         for case_idx, case in enumerate(("LH", "HL")):
-            vals = []
-            for bit in range(N_BITS):
-                wire = case_wire(scheme, case, SAMPLES, fs, (88, case_idx, bit))
-                cs = detect_zero_crossings(wire, mode)
-                crossings += cs.values.size
-                v = zc_mean_square(cs)
-                if v is not None:
-                    vals.append(v)
-            means[case] = np.mean(vals)
+            bits = simulate_bits(scheme, [CASES.index(case)] * N_BITS,
+                                 [(88, case_idx, bit) for bit in range(N_BITS)],
+                                 SAMPLES, fs, mode)
+            crossings += bits.n_zc.sum()
+            means[case] = np.mean(bits.u_zc2[bits.n_zc > 0])
         print(f"{mode:<15}{gamma:>6}{means['LH']:>12.4f}{means['HL']:>12.4f}"
               f"{crossings/(2*N_BITS):>15.1f}")
 

@@ -52,14 +52,11 @@ from .noise import (
     synthesize,
 )
 from .protocol import (
-    BitCase,
-    ExchangeRecord,
-    RunResult,
+    BitColumns,
     SessionConfig,
-    classify_partner_choice,
-    filter_secure_bits,
     run_session,
     secure_bit_value,
+    simulate_bits,
 )
 from .schemes import (
     SchemeConfig,

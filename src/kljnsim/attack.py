@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CalibrationError
 from .noise import derive_seed
-from .schemes import SchemeConfig
+from .schemes import CASES, SchemeConfig
 
 #: How the voltage at a detected crossing is read off.  A crossing exists
 #: between samples k and k+1 iff i[k] * i[k+1] < 0 (an exact zero sample is
@@ -144,7 +144,7 @@ def calibrate(
     the arithmetic midpoint.  Polarity is "indistinct" when the two means
     differ by less than ``POLARITY_SIGMAS`` combined standard errors.
     """
-    from .protocol import case_wire  # deferred: protocol imports this module
+    from .protocol import simulate_bits  # deferred: protocol imports this module
 
     if calibration_bits < 100:
         raise ValueError(f"calibration_bits must be >= 100, got {calibration_bits}")
@@ -153,22 +153,17 @@ def calibrate(
     std_errs = {}
     total_crossings = 0
     for case_idx, case in enumerate(("LH", "HL")):
-        per_bit = []
-        for bit in range(calibration_bits):
-            wire = case_wire(
-                scheme, case, samples_per_bit, sample_rate,
-                (seed, STREAM_CALIBRATION, case_idx, bit),
-            )
-            crossings = detect_zero_crossings(wire, zc_mode)
-            total_crossings += crossings.values.size
-            m = zc_mean_square(crossings)
-            if m is not None:
-                per_bit.append(m)
-        if len(per_bit) < 2:
+        bits = simulate_bits(
+            scheme, [CASES.index(case)] * calibration_bits,
+            [(seed, STREAM_CALIBRATION, case_idx, bit) for bit in range(calibration_bits)],
+            samples_per_bit, sample_rate, zc_mode,
+        )
+        total_crossings += int(bits.n_zc.sum())
+        per_bit = bits.u_zc2[bits.n_zc > 0]
+        if per_bit.size < 2:
             raise CalibrationError(
                 f"case {case}: almost no bits produced crossings; increase samples_per_bit"
             )
-        per_bit = np.asarray(per_bit)
         means[case] = float(per_bit.mean())
         std_errs[case] = float(per_bit.std(ddof=1) / math.sqrt(per_bit.size))
     if total_crossings / (2.0 * calibration_bits) < MIN_CROSSINGS_PER_BIT:
@@ -204,7 +199,7 @@ def eve_guess_bit(u_zc2: float | None, cal: AttackCalibration, tie_seed) -> str:
     return "LH" if u_zc2 > cal.threshold else "HL"
 
 
-def attack_statistics(runs, cal: AttackCalibration, guess_seed: int = 0) -> AttackOutcome:
+def attack_statistics(session, cal: AttackCalibration, guess_seed: int = 0) -> AttackOutcome:
     """Aggregate Eve's per-run success probability over secure bits.
 
     Per run, p is the fraction of secure bits guessed correctly; the overall
@@ -213,26 +208,29 @@ def attack_statistics(runs, cal: AttackCalibration, guess_seed: int = 0) -> Atta
     ``n_excluded_runs``).  Coin-flip guesses draw from a stream disjoint
     from the simulation seeds, namespaced by ``guess_seed``.
     """
+    secure = session.per_run(session.bits.secure)
+    case = session.per_run(session.bits.case)
+    u_zc2 = session.per_run(session.bits.u_zc2)
     per_run_p = []
     n_secure = 0
     excluded = 0
-    for run_idx, run in enumerate(runs):
-        correct = 0
-        n = 0
-        for bit_idx, record in enumerate(run.records):
-            if not record.secure:
-                continue
-            guess = eve_guess_bit(
-                record.u_zc2, cal, derive_seed(guess_seed, run_idx, bit_idx, STREAM_EVE_TIE)
-            )
-            correct += guess == record.case.label
-            n += 1
-        if n == 0:
+    for run_idx, mask in enumerate(secure):
+        bit_indices = np.flatnonzero(mask)
+        if bit_indices.size == 0:
             warnings.warn(f"run {run_idx} has no secure bits; excluded from attack statistics")
             excluded += 1
             continue
-        per_run_p.append(correct / n)
-        n_secure += n
+        correct = 0
+        for bit_idx, c, v in zip(
+            bit_indices.tolist(), case[run_idx, mask].tolist(), u_zc2[run_idx, mask].tolist()
+        ):
+            guess = eve_guess_bit(
+                None if math.isnan(v) else v, cal,
+                derive_seed(guess_seed, run_idx, bit_idx, STREAM_EVE_TIE),
+            )
+            correct += guess == CASES[c]
+        per_run_p.append(correct / bit_indices.size)
+        n_secure += bit_indices.size
     if not per_run_p:
         raise ValueError("no run contained a secure bit")
     p = float(np.mean(per_run_p))

@@ -22,13 +22,10 @@ from .attack import (
     STREAM_EVE_TIE,
     attack_statistics,
     calibrate,
-    detect_zero_crossings,
-    zc_mean_square,
 )
-from .circuit import measure_moments
 from .noise import derive_seed
-from .protocol import CASE_TAGS, SessionConfig, case_wire, run_session
-from .schemes import SchemeConfig, classic_kljn, fck1_kljn, solve_vmg
+from .protocol import SessionConfig, SessionResult, run_session, simulate_bits
+from .schemes import CASES, SchemeConfig, scheme_for_kind
 
 
 @dataclass(frozen=True)
@@ -89,11 +86,7 @@ EQUILIBRIUM_BENCHMARK_NAMES = ("kljn", "fck1")
 def benchmark_scheme(name: str, bandwidth: float = 500.0, u2_la: float = 1.0) -> SchemeConfig:
     """Build the named benchmark configuration."""
     row = BENCHMARKS[name]
-    if row.kind == "classic":
-        return classic_kljn(row.r_la, row.r_ha, u2_la, bandwidth)
-    if row.kind == "fck1":
-        return fck1_kljn(row.r_ha, row.r_la, row.r_hb, u2_la, bandwidth)
-    return solve_vmg(row.r_ha, row.r_la, row.r_hb, row.r_lb, u2_la, bandwidth)
+    return scheme_for_kind(row.kind, row.r_ha, row.r_la, row.r_hb, row.r_lb, u2_la, bandwidth)
 
 
 def match_benchmark(scheme: SchemeConfig) -> BenchmarkRow | None:
@@ -104,6 +97,16 @@ def match_benchmark(scheme: SchemeConfig) -> BenchmarkRow | None:
         if all(math.isclose(a, b, rel_tol=1e-9) for a, b in zip(quad, ref)):
             return row
     return None
+
+
+def _mean_se(values) -> tuple[float, float]:
+    """Mean and its standard error; NaN where fewer than two values leave it undefined."""
+    arr = np.asarray(values, dtype=float)
+    if arr.size == 0:
+        return math.nan, math.nan
+    if arr.size == 1:
+        return float(arr[0]), math.nan
+    return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
 
 
 @dataclass(frozen=True)
@@ -141,31 +144,16 @@ def measure_case_moments(
     samples_per_bit / oversample.
     """
     sample_rate = 2.0 * scheme.bandwidth * oversample
-    u2 = np.empty(n_bits)
-    i2 = np.empty(n_bits)
-    p = np.empty(n_bits)
-    zc_vals = []
-    n_crossings = 0
-    for bit in range(n_bits):
-        wire = case_wire(
-            scheme, case, samples_per_bit, sample_rate, (seed, CASE_TAGS[case], bit)
-        )
-        m = measure_moments(wire)
-        u2[bit], i2[bit], p[bit] = m.u2, m.i2, m.p_ab
-        crossings = detect_zero_crossings(wire, zc_mode)
-        n_crossings += crossings.values.size
-        v = zc_mean_square(crossings)
-        if v is not None:
-            zc_vals.append(v)
-
-    def _mean_se(arr):
-        arr = np.asarray(arr)
-        return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
-
-    u2_m, u2_se = _mean_se(u2)
-    i2_m, i2_se = _mean_se(i2)
-    p_m, p_se = _mean_se(p)
-    if zc_vals:
+    tag = CASES.index(case)
+    bits = simulate_bits(
+        scheme, [tag] * n_bits, [(seed, tag, bit) for bit in range(n_bits)],
+        samples_per_bit, sample_rate, zc_mode,
+    )
+    u2_m, u2_se = _mean_se(bits.u2)
+    i2_m, i2_se = _mean_se(bits.i2)
+    p_m, p_se = _mean_se(bits.p_ab)
+    zc_vals = bits.u_zc2[bits.n_zc > 0]
+    if zc_vals.size:
         zc_m, zc_se = _mean_se(zc_vals)
     else:
         zc_m = zc_se = None
@@ -173,7 +161,7 @@ def measure_case_moments(
         case=case, n_bits=n_bits,
         u2=u2_m, u2_se=u2_se, i2=i2_m, i2_se=i2_se, p_ab=p_m, p_ab_se=p_se,
         u_zc2=zc_m, u_zc2_se=zc_se,
-        mean_crossings=n_crossings / n_bits,
+        mean_crossings=int(bits.n_zc.sum()) / n_bits,
     )
 
 
@@ -187,7 +175,7 @@ def run_attack_experiment(
     runs: int = 10,
     seed: int = 1,
     calibration_bits: int = 200,
-) -> tuple[AttackOutcome, AttackCalibration, list]:
+) -> tuple[AttackOutcome, AttackCalibration, SessionResult]:
     """Calibrate Eve, simulate a session, and score her guesses.
 
     Calibration, the session, and Eve's tie-break coins draw from three

@@ -24,6 +24,7 @@ from . import __version__
 from .attack import ZC_MODES, binomial_ci_halfwidth, histogram
 from .benchmarks import (
     BENCHMARKS,
+    _mean_se,
     benchmark_scheme,
     match_benchmark,
     measure_case_moments,
@@ -33,13 +34,12 @@ from .errors import CalibrationError, ConfigurationError, UnphysicalSchemeError
 from .noise import GENERATOR_ID, derive_seed
 from .protocol import SessionConfig, run_session
 from .schemes import (
+    CASES,
     SchemeConfig,
     branch_temperatures,
-    classic_kljn,
     fck1_fourth_resistor,
-    fck1_kljn,
+    scheme_for_kind,
     security_check,
-    solve_vmg,
 )
 
 STREAM_TABLE = 7
@@ -188,16 +188,9 @@ def config_hash(config: ExperimentConfig) -> str:
 
 
 def build_scheme(config: ExperimentConfig) -> SchemeConfig:
-    if config.kind == "classic":
-        return classic_kljn(config.r_l, config.r_h, config.u_la_sq, config.bandwidth_hz)
-    if config.kind == "fck1":
-        return fck1_kljn(
-            config.r_ha, config.r_la, config.r_hb, config.u_la_sq, config.bandwidth_hz
-        )
-    return solve_vmg(
-        config.r_ha, config.r_la, config.r_hb, config.r_lb,
-        config.u_la_sq, config.bandwidth_hz,
-    )
+    # A classic config names its pair r_l / r_h and leaves r_ha / r_la unset.
+    return scheme_for_kind(config.kind, config.r_ha or config.r_h, config.r_la or config.r_l,
+                           config.r_hb, config.r_lb, config.u_la_sq, config.bandwidth_hz)
 
 
 def _fmt(value) -> str:
@@ -277,27 +270,18 @@ def _session(config: ExperimentConfig, scheme: SchemeConfig) -> SessionConfig:
     )
 
 
-def _mean_se(values) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return math.nan, math.nan
-    if arr.size == 1:
-        return float(arr[0]), math.nan
-    return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
-
-
 def cmd_simulate(config: ExperimentConfig) -> int:
     """Run the session and write one CSV row per exchanged bit."""
     scheme = build_scheme(config)
-    results = run_session(_session(config, scheme))
-    rows = []
-    for run_idx, run in enumerate(results):
-        for bit_idx, rec in enumerate(run.records):
-            rows.append((
-                run_idx, bit_idx, rec.case.alice, rec.case.bob, rec.case.label,
-                rec.moments.u2, rec.moments.i2, rec.moments.p_ab,
-                rec.n_crossings, rec.u_zc2, 1 if rec.secure else 0,
-            ))
+    session = run_session(_session(config, scheme))
+    bits = session.bits
+    columns = zip(bits.case.tolist(), bits.u2.tolist(), bits.i2.tolist(), bits.p_ab.tolist(),
+                  bits.n_zc.tolist(), bits.u_zc2.tolist(), bits.secure.tolist())
+    rows = [
+        (k // config.bits_per_run, k % config.bits_per_run, *CASES[c], CASES[c],
+         u2, i2, p_ab, n_zc, None if n_zc == 0 else u_zc2, secure)
+        for k, (c, u2, i2, p_ab, n_zc, u_zc2, secure) in enumerate(columns)
+    ]
     meta = _base_meta(config, "simulate")
     meta.update(zc_mode=config.zc_mode, oversample=config.oversample,
                 samples_per_bit=config.samples_per_bit)
@@ -307,20 +291,19 @@ def cmd_simulate(config: ExperimentConfig) -> int:
         ["run", "bit", "alice", "bob", "case", "u2", "i2", "p_ab", "n_zc", "u_zc2", "secure"],
         rows,
     )
-    records = [rec for run in results for rec in run.records]
-    print(f"{len(records)} bits simulated "
-          f"({sum(r.secure_count for r in results)} secure, "
-          f"{sum(r.classification_error_count for r in results)} classification errors)")
-    for case in ("LL", "LH", "HL", "HH"):
-        sel = [r for r in records if r.case.label == case]
-        if not sel:
+    print(f"{bits.case.size} bits simulated "
+          f"({int(bits.secure.sum())} secure, "
+          f"{int(session.misclassified.sum())} classification errors)")
+    for tag, case in enumerate(CASES):
+        sel = bits.case == tag
+        if not sel.any():
             continue
-        u2, u2_se = _mean_se([r.moments.u2 for r in sel])
-        i2, i2_se = _mean_se([r.moments.i2 for r in sel])
-        p, p_se = _mean_se([r.moments.p_ab for r in sel])
-        zc, zc_se = _mean_se([r.u_zc2 for r in sel if r.u_zc2 is not None])
+        u2, u2_se = _mean_se(bits.u2[sel])
+        i2, i2_se = _mean_se(bits.i2[sel])
+        p, p_se = _mean_se(bits.p_ab[sel])
+        zc, zc_se = _mean_se(bits.u_zc2[sel & (bits.n_zc > 0)])
         print(
-            f"{case}: n={len(sel):<6d} u2={u2:.4g}+-{u2_se:.2g} V^2  "
+            f"{case}: n={int(sel.sum()):<6d} u2={u2:.4g}+-{u2_se:.2g} V^2  "
             f"i2={i2:.4g}+-{i2_se:.2g} A^2  p={p:.4g}+-{p_se:.2g} W  "
             f"u_zc2={zc:.4g}+-{zc_se:.2g} V^2"
         )
@@ -330,7 +313,7 @@ def cmd_simulate(config: ExperimentConfig) -> int:
 def cmd_attack(config: ExperimentConfig) -> int:
     """Calibrate Eve, attack a session, and report p with its dispersion."""
     scheme = build_scheme(config)
-    outcome, cal, results = run_attack_experiment(
+    outcome, cal, session = run_attack_experiment(
         scheme,
         samples_per_bit=config.samples_per_bit,
         oversample=config.oversample,
@@ -342,17 +325,12 @@ def cmd_attack(config: ExperimentConfig) -> int:
     )
     rows = []
     run_ps = iter(outcome.per_run_p)
-    for run_idx, run in enumerate(results):
-        p_run = next(run_ps) if run.secure_count > 0 else None
-        rows.append((run_idx, run.secure_count, p_run))
+    bits = session.bits
+    for run_idx, n_secure in enumerate(session.per_run(bits.secure).sum(axis=1).tolist()):
+        rows.append((run_idx, n_secure, next(run_ps) if n_secure > 0 else None))
     hw = binomial_ci_halfwidth(outcome.p, outcome.n_secure_bits)
-    zc_counts = {
-        case: [rec.n_crossings for run in results for rec in run.records
-               if rec.case.label == case]
-        for case in ("LH", "HL")
-    }
-    zc_lh, zc_lh_se = _mean_se(zc_counts["LH"])
-    zc_hl, zc_hl_se = _mean_se(zc_counts["HL"])
+    zc_lh, zc_lh_se = _mean_se(bits.n_zc[bits.case == CASES.index("LH")])
+    zc_hl, zc_hl_se = _mean_se(bits.n_zc[bits.case == CASES.index("HL")])
     footer = {
         "p": outcome.p,
         "sigma_p": outcome.sigma_p,
@@ -402,19 +380,14 @@ def cmd_hist(config: ExperimentConfig, statistic: str, bins: int) -> int:
     if bins < 1:
         raise ConfigurationError(f"bins must be >= 1, got {bins}")
     scheme = build_scheme(config)
-    results = run_session(_session(config, scheme))
-    values = {"LH": [], "HL": []}
-    for run in results:
-        for rec in run.records:
-            if not rec.secure:
-                continue
-            v = {"u2": rec.moments.u2, "i2": rec.moments.i2, "u_zc2": rec.u_zc2}[statistic]
-            if v is not None:
-                values[rec.case.label].append(v)
-    combined = values["LH"] + values["HL"]
-    if not combined:
+    bits = run_session(_session(config, scheme)).bits
+    column = getattr(bits, statistic)
+    values = {case: column[(bits.case == CASES.index(case)) & ~np.isnan(column)]
+              for case in ("LH", "HL")}
+    combined = np.concatenate([values["LH"], values["HL"]])
+    if not combined.size:
         raise RuntimeError(f"no per-bit values available for statistic {statistic!r}")
-    lo, hi = min(combined), max(combined)
+    lo, hi = combined.min().item(), combined.max().item()
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
     rows = []

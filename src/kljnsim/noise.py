@@ -14,10 +14,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import k as BOLTZMANN
-from scipy.signal import welch
 
 from .errors import ConfigurationError
+
+#: Boltzmann constant, J/K (exact in the SI since 2019).
+BOLTZMANN = 1.380649e-23
 
 #: Identifier of the pseudo-random generator backing :func:`synthesize`.
 #: Recorded in experiment output metadata so results can be reproduced.
@@ -171,6 +172,8 @@ def estimate_psd(trace: NoiseTrace, segments: int) -> tuple[np.ndarray, np.ndarr
     (frequencies, density) : tuple of ndarray
         Frequencies in Hz and density in V^2/Hz.
     """
+    from scipy.signal import welch  # deferred: costs most of the package's import time
+
     if segments < 1:
         raise ValueError(f"segments must be >= 1, got {segments}")
     nperseg = trace.samples.size // segments

@@ -19,37 +19,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import attack
-from .circuit import MomentSummary, WireTrace, measure_moments, wire_observables
+from .circuit import WireTrace, wire_observables
 from .errors import ConfigurationError
 from .noise import NoiseSpec, derive_seed, synthesize
-from .schemes import SchemeConfig, level_table
-
-CASES = ("LL", "LH", "HL", "HH")
-SECURE_CASES = ("LH", "HL")
+from .schemes import CASES, SchemeConfig, level_table
 
 STREAM_CHOICES = 0
 BRANCH_STREAMS = {"LA": 1, "HA": 2, "LB": 3, "HB": 4}
-CASE_TAGS = {"LL": 0, "LH": 1, "HL": 2, "HH": 3}
-
-
-@dataclass(frozen=True)
-class BitCase:
-    """The two parties' resistor choices for one bit period."""
-
-    alice: str  # "L" or "H"
-    bob: str
-
-    def __post_init__(self):
-        if self.alice not in ("L", "H") or self.bob not in ("L", "H"):
-            raise ValueError(f"choices must be 'L' or 'H', got {self.alice!r}, {self.bob!r}")
-
-    @property
-    def label(self) -> str:
-        return self.alice + self.bob
-
-    @property
-    def secure(self) -> bool:
-        return self.label in SECURE_CASES
 
 
 @dataclass(frozen=True)
@@ -83,24 +59,34 @@ class SessionConfig:
         return 2.0 * self.scheme.bandwidth * self.oversample
 
 
-@dataclass(frozen=True)
-class ExchangeRecord:
-    """Everything observed in one bit period."""
+@dataclass(frozen=True, eq=False)
+class BitColumns:
+    """Per-bit wire statistics, one array element per simulated bit."""
 
-    case: BitCase
-    moments: MomentSummary
-    n_crossings: int
-    u_zc2: float | None          # absent iff n_crossings == 0
-    alice_inference: str         # Alice's guess of Bob's choice
-    bob_inference: str
-    secure: bool
+    case: np.ndarray     # index into CASES
+    u2: np.ndarray       # V^2
+    i2: np.ndarray       # A^2
+    p_ab: np.ndarray     # W
+    n_zc: np.ndarray     # current zero crossings
+    u_zc2: np.ndarray    # V^2, NaN exactly where n_zc == 0
+
+    @property
+    def secure(self) -> np.ndarray:
+        """Mask of the LH and HL bits."""
+        return (self.case == 1) | (self.case == 2)
 
 
-@dataclass(frozen=True)
-class RunResult:
-    records: tuple[ExchangeRecord, ...]
-    secure_count: int
-    classification_error_count: int
+@dataclass(frozen=True, eq=False)
+class SessionResult:
+    """A whole session's bits, run-major: bit k of run r is row r * bits_per_run + k."""
+
+    bits: BitColumns
+    misclassified: np.ndarray    # either party misread the partner's choice
+    bits_per_run: int
+
+    def per_run(self, column: np.ndarray) -> np.ndarray:
+        """``column`` as a (runs, bits_per_run) array."""
+        return column.reshape(-1, self.bits_per_run)
 
 
 def case_wire(
@@ -131,52 +117,61 @@ def case_wire(
     return wire_observables(traced[a_id], traced[b_id])
 
 
-def _infer_partner(own_choice: str, measured_u2: float, levels: dict) -> str:
-    """Nearest-level decision: does the partner share our choice or not?"""
-    same_level = levels["LL" if own_choice == "L" else "HH"].u2
-    secure_level = levels["LH"].u2
-    if same_level == secure_level:
-        warnings.warn("degenerate level table: candidate levels coincide; defaulting to L")
-        return "L"
-    d_same = abs(measured_u2 - same_level)
-    d_secure = abs(measured_u2 - secure_level)
-    if d_same == d_secure:
-        return "L"
-    if d_same < d_secure:
-        return own_choice
-    return "H" if own_choice == "L" else "L"
-
-
-def classify_partner_choice(
-    own_choice: str,
-    own_resistance: float,
-    wire: WireTrace,
+def simulate_bits(
     scheme: SchemeConfig,
-) -> str:
-    """Classify the partner's choice from the measured wire mean-square voltage.
+    cases,
+    entropy_prefixes,
+    samples_per_bit: int,
+    sample_rate: float,
+    zc_mode: str,
+) -> BitColumns:
+    """Simulate one bit per (case, entropy prefix) pair and return its statistics.
 
-    Compares against the two candidate levels consistent with ``own_choice``
-    and returns the nearer level's implied partner choice; ties break toward
-    "L" (a measure-zero event for noisy wires).
+    ``cases`` holds indices into ``CASES``; each bit's branch noise is seeded
+    from its entropy prefix as in :func:`case_wire`.  Per bit: solve the
+    wire, take its second moments, find the current's zero crossings and the
+    mean square of the voltage sampled there.
     """
-    if own_choice not in ("L", "H"):
-        raise ValueError(f"own_choice must be 'L' or 'H', got {own_choice!r}")
-    if wire.u_c.size == 0:
-        raise ValueError("wire trace is empty")
-    candidates = (
-        (scheme.branches["LA"].resistance, scheme.branches["LB"].resistance)
-        if own_choice == "L"
-        else (scheme.branches["HA"].resistance, scheme.branches["HB"].resistance)
-    )
-    if not any(abs(own_resistance - r) <= 1e-12 * max(own_resistance, r) for r in candidates):
-        raise ValueError(
-            f"own_resistance {own_resistance} matches no {own_choice} branch of the scheme"
-        )
-    measured = float(np.mean(wire.u_c * wire.u_c))
-    return _infer_partner(own_choice, measured, level_table(scheme))
+    case = np.asarray(cases, dtype=np.int64)
+    n = len(entropy_prefixes)
+    if case.shape != (n,) or not np.isin(case, np.arange(len(CASES))).all():
+        raise ValueError("cases must hold one index into CASES per entropy prefix")
+    u2 = np.empty(n)
+    i2 = np.empty(n)
+    p_ab = np.empty(n)
+    n_zc = np.empty(n, dtype=np.int64)
+    u_zc2 = np.full(n, np.nan)
+    for k, (c, prefix) in enumerate(zip(case.tolist(), entropy_prefixes)):
+        wire = case_wire(scheme, CASES[c], samples_per_bit, sample_rate, prefix)
+        u, i = wire.u_c, wire.i_c
+        u2[k] = np.mean(u * u)
+        i2[k] = np.mean(i * i)
+        p_ab[k] = np.mean(u * i)
+        v = attack.detect_zero_crossings(wire, zc_mode).values
+        n_zc[k] = v.size
+        if v.size:
+            u_zc2[k] = np.mean(v * v)
+    return BitColumns(case=case, u2=u2, i2=i2, p_ab=p_ab, n_zc=n_zc, u_zc2=u_zc2)
 
 
-def run_session(config: SessionConfig) -> list[RunResult]:
+def _infer_partner(own: np.ndarray, measured_u2: np.ndarray, levels: dict) -> np.ndarray:
+    """Nearest-level decision per bit: does the partner share our choice or not?
+
+    Choices are 0 (L) or 1 (H); returns the inferred partner choices.  Ties
+    break toward L (a measure-zero event for noisy wires).
+    """
+    same_level = np.where(own == 0, levels["LL"].u2, levels["HH"].u2)
+    secure_level = levels["LH"].u2
+    degenerate = same_level == secure_level
+    if degenerate.any():
+        warnings.warn("degenerate level table: candidate levels coincide; defaulting to L")
+    d_same = np.abs(measured_u2 - same_level)
+    d_secure = np.abs(measured_u2 - secure_level)
+    partner = np.where(d_same < d_secure, own, 1 - own)
+    return np.where(degenerate | (d_same == d_secure), 0, partner)
+
+
+def run_session(config: SessionConfig) -> SessionResult:
     """Simulate ``config.runs`` runs of ``config.bits_per_run`` bit exchanges.
 
     Per bit: draw independent fair choices for both parties, synthesize
@@ -184,57 +179,26 @@ def run_session(config: SessionConfig) -> list[RunResult]:
     views, and record the zero-crossing statistics for the attack harness.
     Deterministic for a fixed config.
     """
-    scheme = config.scheme
-    fs = config.sample_rate
-    levels = level_table(scheme)
-    results = []
-    for run_idx in range(config.runs):
-        records = []
-        secure_count = 0
-        error_count = 0
-        for bit_idx in range(config.bits_per_run):
-            rng = np.random.default_rng(
-                derive_seed(config.master_seed, run_idx, bit_idx, STREAM_CHOICES)
-            )
-            pick_a, pick_b = rng.integers(0, 2, size=2)
-            case = BitCase(alice="LH"[pick_a], bob="LH"[pick_b])
-            wire = case_wire(
-                scheme,
-                case.label,
-                config.samples_per_bit,
-                fs,
-                (config.master_seed, run_idx, bit_idx),
-            )
-            moments = measure_moments(wire)
-            crossings = attack.detect_zero_crossings(wire, config.zc_mode)
-            u_zc2 = attack.zc_mean_square(crossings)
-            alice_inf = _infer_partner(case.alice, moments.u2, levels)
-            bob_inf = _infer_partner(case.bob, moments.u2, levels)
-            record = ExchangeRecord(
-                case=case,
-                moments=moments,
-                n_crossings=crossings.values.size,
-                u_zc2=u_zc2,
-                alice_inference=alice_inf,
-                bob_inference=bob_inf,
-                secure=case.secure,
-            )
-            records.append(record)
-            secure_count += case.secure
-            error_count += (alice_inf != case.bob) or (bob_inf != case.alice)
-        results.append(
-            RunResult(
-                records=tuple(records),
-                secure_count=secure_count,
-                classification_error_count=error_count,
-            )
-        )
-    return results
-
-
-def filter_secure_bits(records) -> list[ExchangeRecord]:
-    """Keep only the LH/HL records, preserving order."""
-    return [r for r in records if r.secure]
+    seed = config.master_seed
+    prefixes = [
+        (seed, run_idx, bit_idx)
+        for run_idx in range(config.runs)
+        for bit_idx in range(config.bits_per_run)
+    ]
+    choices = np.array([
+        np.random.default_rng(derive_seed(*prefix, STREAM_CHOICES)).integers(0, 2, size=2)
+        for prefix in prefixes
+    ]).T   # row 0: Alice, row 1: Bob
+    bits = simulate_bits(
+        config.scheme, 2 * choices[0] + choices[1], prefixes,
+        config.samples_per_bit, config.sample_rate, config.zc_mode,
+    )
+    inferred = _infer_partner(choices, bits.u2, level_table(config.scheme))
+    return SessionResult(
+        bits=bits,
+        misclassified=(inferred != choices[::-1]).any(axis=0),
+        bits_per_run=config.bits_per_run,
+    )
 
 
 def secure_bit_value(case_label: str, hl_value: int = 1) -> int:

@@ -27,6 +27,10 @@ from .noise import noise_temperature
 BRANCH_IDS = ("HA", "LA", "HB", "LB")
 SCHEME_KINDS = ("classic", "vmg", "fck1")
 
+#: Resistor pairings, Alice's choice first.  A bit's case is stored as its
+#: index here, 2 * alice + bob with L = 0 and H = 1.
+CASES = ("LL", "LH", "HL", "HH")
+
 #: Relative tolerance for the secure-case equality of u2, i2 and p_ab.
 #: The closed forms are exact, so only rounding noise is tolerated.
 SECURITY_RTOL = 1e-9
@@ -242,6 +246,24 @@ def fck1_kljn(
     """
     r_lb = fck1_fourth_resistor(r_ha, r_la, r_hb)
     return solve_vmg(r_ha, r_la, r_hb, r_lb, u2_la, bandwidth, kind="fck1")
+
+
+def scheme_for_kind(
+    kind: str, r_ha: float, r_la: float, r_hb: float, r_lb: float | None,
+    u2_la: float, bandwidth: float,
+) -> SchemeConfig:
+    """Build a scheme of ``kind`` from its resistor quadruple.
+
+    ``classic`` reads its pair as (r_la, r_ha); ``fck1`` ignores ``r_lb``
+    and derives it.
+    """
+    if kind == "classic":
+        return classic_kljn(r_la, r_ha, u2_la, bandwidth)
+    if kind == "fck1":
+        return fck1_kljn(r_ha, r_la, r_hb, u2_la, bandwidth)
+    if kind == "vmg":
+        return solve_vmg(r_ha, r_la, r_hb, r_lb, u2_la, bandwidth)
+    raise ConfigurationError(f"kind must be one of {SCHEME_KINDS}, got {kind!r}")
 
 
 def branch_temperatures(config: SchemeConfig) -> dict[str, float]:

@@ -23,7 +23,7 @@ from kljnsim.circuit import analytic_moments, conditional_zc_variance, wire_obse
 from kljnsim.cli import main as cli_main
 from kljnsim.errors import ConfigurationError, UnphysicalSchemeError
 from kljnsim.noise import NoiseSpec, estimate_psd, synthesize
-from kljnsim.protocol import case_wire
+from kljnsim.protocol import CASES
 from kljnsim.schemes import (
     branch_temperatures,
     classic_kljn,
@@ -149,7 +149,7 @@ def test_criterion_3_moment_table_reproduction():
 def test_criterion_4_equilibrium_immunity():
     for idx, name in enumerate(EQUILIBRIUM_BENCHMARK_NAMES):
         scheme = benchmark_scheme(name, bandwidth=BANDWIDTH)
-        outcome, cal, results = run_attack_experiment(
+        outcome, cal, session = run_attack_experiment(
             scheme, samples_per_bit=16384, oversample=16.0, zc_mode="sample_after",
             bits_per_run=1000, runs=10, seed=4000 + idx, calibration_bits=200,
         )
@@ -158,8 +158,8 @@ def test_criterion_4_equilibrium_immunity():
             # the well-separated classic levels classify essentially error-free
             # at default sampling; the zero-power row's LL level sits closer to
             # the secure level and legitimately needs longer bit periods
-            n_bits = sum(len(run.records) for run in results)
-            n_errors = sum(run.classification_error_count for run in results)
+            n_bits = session.bits.case.size
+            n_errors = int(session.misclassified.sum())
             assert n_errors / n_bits <= 1e-3, (name, n_errors, n_bits)
         for case in ("LH", "HL"):
             a_id = "LA" if case[0] == "L" else "HA"
@@ -168,8 +168,8 @@ def test_criterion_4_equilibrium_immunity():
                 scheme.branches[a_id].resistance, scheme.branches[a_id].mean_square,
                 scheme.branches[b_id].resistance, scheme.branches[b_id].mean_square,
             ).u2
-            vals = [rec.u_zc2 for run in results for rec in run.records
-                    if rec.case.label == case and rec.u_zc2 is not None]
+            bits = session.bits
+            vals = bits.u_zc2[(bits.case == CASES.index(case)) & (bits.n_zc > 0)]
             mean_zc = float(np.mean(vals))
             assert abs(mean_zc - u2) <= 0.02 * u2, (name, case, mean_zc, u2)
         print(f"\n    {name}: p = {outcome.p:.4f} (sigma {outcome.sigma_p:.4f}), "

@@ -13,9 +13,16 @@ from kljnsim.attack import (
     histogram,
     zc_mean_square,
 )
-from kljnsim.circuit import MomentSummary, WireTrace, analytic_moments
+from kljnsim.circuit import WireTrace, analytic_moments
 from kljnsim.errors import CalibrationError
-from kljnsim.protocol import BitCase, ExchangeRecord, RunResult, SessionConfig, case_wire, run_session
+from kljnsim.protocol import (
+    CASES,
+    BitColumns,
+    SessionConfig,
+    SessionResult,
+    case_wire,
+    run_session,
+)
 from kljnsim.schemes import classic_kljn, solve_vmg
 
 
@@ -151,34 +158,26 @@ class TestEveGuess:
         assert guesses == {"LH", "HL"}
 
 
-def _record(case, u_zc2):
-    return ExchangeRecord(
-        case=BitCase(case[0], case[1]),
-        moments=MomentSummary(1.0, 1.0, 0.0, 0.0),
-        n_crossings=0 if u_zc2 is None else 5,
+def _session(*runs):
+    """A session of equally long runs, each a list of (case, u_zc2) bits."""
+    bits = [bit for run in runs for bit in run]
+    u_zc2 = np.array([math.nan if v is None else v for _, v in bits])
+    ones = np.ones(len(bits))
+    columns = BitColumns(
+        case=np.array([CASES.index(case) for case, _ in bits]),
+        u2=ones, i2=ones, p_ab=0.0 * ones,
+        n_zc=np.where(np.isnan(u_zc2), 0, 5),
         u_zc2=u_zc2,
-        alice_inference=case[1],
-        bob_inference=case[0],
-        secure=case in ("LH", "HL"),
     )
-
-
-def _run(records):
-    return RunResult(
-        records=tuple(records),
-        secure_count=sum(r.secure for r in records),
-        classification_error_count=0,
-    )
+    return SessionResult(bits=columns, misclassified=np.zeros(len(bits), dtype=bool),
+                         bits_per_run=len(runs[0]))
 
 
 class TestAttackStatistics:
     CAL = AttackCalibration(0.3, 0.6, 0.45, "hl_above")
 
     def test_all_correct(self):
-        runs = [
-            _run([_record("HL", 0.55), _record("LH", 0.31)]),
-            _run([_record("HL", 0.62), _record("LH", 0.29)]),
-        ]
+        runs = _session([("HL", 0.55), ("LH", 0.31)], [("HL", 0.62), ("LH", 0.29)])
         out = attack_statistics(runs, self.CAL)
         assert out.p == 1.0
         assert out.sigma_p == 0.0
@@ -186,23 +185,23 @@ class TestAttackStatistics:
         assert out.n_runs == 2
 
     def test_insecure_bits_ignored(self):
-        runs = [_run([_record("HH", 0.99), _record("HL", 0.55)])]
+        runs = _session([("HH", 0.99), ("HL", 0.55)])
         out = attack_statistics(runs, self.CAL)
         assert out.n_secure_bits == 1
         assert out.p == 1.0
 
     def test_run_without_secure_bits_excluded(self):
-        runs = [_run([_record("HL", 0.55)]), _run([_record("LL", 0.2)])]
+        runs = _session([("HL", 0.55)], [("LL", 0.2)])
         with pytest.warns(UserWarning, match="no secure bits"):
             out = attack_statistics(runs, self.CAL)
         assert out.n_runs == 1
         assert out.n_excluded_runs == 1
 
     def test_per_run_mean_and_std(self):
-        runs = [
-            _run([_record("HL", 0.55), _record("HL", 0.20)]),  # p = 0.5
-            _run([_record("LH", 0.31), _record("LH", 0.30)]),  # p = 1.0
-        ]
+        runs = _session(
+            [("HL", 0.55), ("HL", 0.20)],  # p = 0.5
+            [("LH", 0.31), ("LH", 0.30)],  # p = 1.0
+        )
         out = attack_statistics(runs, self.CAL)
         assert out.p == pytest.approx(0.75)
         assert out.sigma_p == pytest.approx(np.std([0.5, 1.0], ddof=1))
@@ -210,7 +209,7 @@ class TestAttackStatistics:
     def test_no_secure_bits_anywhere(self):
         with pytest.raises(ValueError):
             with pytest.warns(UserWarning):
-                attack_statistics([_run([_record("LL", 0.2)])], self.CAL)
+                attack_statistics(_session([("LL", 0.2)]), self.CAL)
 
 
 class TestEndToEndEquilibrium:

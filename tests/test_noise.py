@@ -24,6 +24,11 @@ def n_eff(spec: NoiseSpec) -> float:
 
 
 class TestJohnsonFormulas:
+    def test_boltzmann_is_the_si_value(self):
+        from scipy.constants import k
+
+        assert BOLTZMANN == k
+
     def test_fig5_level(self):
         # 1.3033e17 K at 278 ohm / 500 Hz is the unit-level operating point
         assert johnson_mean_square(1.3033e17, 278.0, 500.0) == pytest.approx(1.000, rel=1e-3)

@@ -6,17 +6,19 @@ from scipy.stats import chi2
 
 from kljnsim.circuit import MomentSummary
 from kljnsim.errors import ConfigurationError
+from kljnsim.attack import ZC_MODES, detect_zero_crossings, zc_mean_square
+from kljnsim import protocol
+from kljnsim.circuit import WireTrace, measure_moments
 from kljnsim.protocol import (
-    BitCase,
+    CASES,
     SessionConfig,
     _infer_partner,
     case_wire,
-    classify_partner_choice,
-    filter_secure_bits,
     run_session,
     secure_bit_value,
+    simulate_bits,
 )
-from kljnsim.schemes import classic_kljn, level_table
+from kljnsim.schemes import classic_kljn, level_table, solve_vmg
 
 
 @pytest.fixture(scope="module")
@@ -25,19 +27,53 @@ def classic_scheme():
 
 
 class TestBitCase:
-    def test_labels(self):
-        assert BitCase("L", "H").label == "LH"
-        assert BitCase("H", "L").label == "HL"
+    def test_labels(self, classic_scheme):
+        bits = simulate_bits(classic_scheme, [1, 2], [(9, 0, 0), (9, 0, 1)],
+                             64, 16000.0, "sample_after")
+        assert [CASES[c] for c in bits.case] == ["LH", "HL"]
 
-    def test_secure_flag(self):
-        assert BitCase("L", "H").secure
-        assert BitCase("H", "L").secure
-        assert not BitCase("L", "L").secure
-        assert not BitCase("H", "H").secure
+    def test_secure_flag(self, classic_scheme):
+        bits = simulate_bits(classic_scheme, [0, 1, 2, 3], [(9, 0, k) for k in range(4)],
+                             64, 16000.0, "sample_after")
+        assert bits.secure.tolist() == [False, True, True, False]
 
-    def test_validation(self):
+    def test_validation(self, classic_scheme):
         with pytest.raises(ValueError):
-            BitCase("X", "L")
+            simulate_bits(classic_scheme, [4], [(9, 0, 0)], 64, 16000.0, "sample_after")
+        with pytest.raises(ValueError):
+            simulate_bits(classic_scheme, [-1], [(9, 0, 0)], 64, 16000.0, "sample_after")
+        with pytest.raises(ValueError):
+            simulate_bits(classic_scheme, [1, 2], [(9, 0, 0)], 64, 16000.0, "sample_after")
+
+
+@pytest.mark.parametrize("mode", ZC_MODES)
+def test_simulate_bits_matches_per_bit_primitives(mode, monkeypatch):
+    # A zero-mean current always crosses zero, so every odd bit gets a
+    # constant-sign current to exercise the NaN <-> None path of u_zc2.
+    def wire_without_crossings_on_odd_bits(scheme, case, n, fs, prefix):
+        wire = case_wire(scheme, case, n, fs, prefix)
+        if prefix[-1] % 2:
+            return WireTrace(u_c=wire.u_c, i_c=np.abs(wire.i_c) + 1.0, sample_rate=fs)
+        return wire
+
+    monkeypatch.setattr(protocol, "case_wire", wire_without_crossings_on_odd_bits)
+    scheme = solve_vmg(46416.0, 278.0, 278.0, 100.0, 1.0, 500.0)
+    cases = [0, 1, 2, 3] * 5
+    prefixes = [(21, 0, k) for k in range(len(cases))]
+    bits = simulate_bits(scheme, cases, prefixes, 256, 8000.0, mode)
+    for k, (case, prefix) in enumerate(zip(cases, prefixes)):
+        wire = wire_without_crossings_on_odd_bits(scheme, CASES[case], 256, 8000.0, prefix)
+        m = measure_moments(wire)
+        crossings = detect_zero_crossings(wire, mode)
+        u_zc2 = zc_mean_square(crossings)
+        assert bits.case[k] == case
+        assert (bits.u2[k], bits.i2[k], bits.p_ab[k]) == (m.u2, m.i2, m.p_ab)
+        assert bits.n_zc[k] == crossings.values.size
+        if u_zc2 is None:
+            assert math.isnan(bits.u_zc2[k])
+        else:
+            assert bits.u_zc2[k] == u_zc2
+    assert np.array_equal(bits.n_zc == 0, np.arange(len(cases)) % 2 == 1)
 
 
 class TestSessionConfig:
@@ -71,43 +107,43 @@ class TestRunSession:
     def test_determinism(self, classic_scheme):
         cfg = SessionConfig(scheme=classic_scheme, samples_per_bit=2048,
                             bits_per_run=20, runs=2, master_seed=5)
-        assert run_session(cfg) == run_session(cfg)
+        a, b = run_session(cfg), run_session(cfg)
+        for name in ("case", "u2", "i2", "p_ab", "n_zc", "u_zc2"):
+            assert np.array_equal(getattr(a.bits, name), getattr(b.bits, name), equal_nan=True)
+        assert np.array_equal(a.misclassified, b.misclassified)
 
     def test_secure_fraction(self, classic_scheme):
         cfg = SessionConfig(scheme=classic_scheme, samples_per_bit=64, oversample=1,
                             bits_per_run=1000, runs=1, master_seed=17)
-        res = run_session(cfg)[0]
-        fraction = res.secure_count / 1000
+        res = run_session(cfg)
+        fraction = res.bits.secure.sum() / 1000
         assert abs(fraction - 0.5) < 4 * math.sqrt(0.25 / 1000)
 
     def test_choice_independence_chi2(self, classic_scheme):
         # choices do not depend on trace length, so keep the traces tiny
         cfg = SessionConfig(scheme=classic_scheme, samples_per_bit=64, oversample=1,
                             bits_per_run=10_000, runs=1, master_seed=23)
-        res = run_session(cfg)[0]
-        counts = {c: 0 for c in ("LL", "LH", "HL", "HH")}
-        for rec in res.records:
-            counts[rec.case.label] += 1
-        n = len(res.records)
-        stat = sum((c - n / 4) ** 2 / (n / 4) for c in counts.values())
+        res = run_session(cfg)
+        counts = np.bincount(res.bits.case, minlength=4)
+        n = res.bits.case.size
+        stat = sum((c - n / 4) ** 2 / (n / 4) for c in counts)
         assert stat < chi2.ppf(1 - 1e-3, df=3)
 
     def test_classification_accuracy(self, classic_scheme):
         cfg = SessionConfig(scheme=classic_scheme, samples_per_bit=16384, oversample=16,
                             bits_per_run=2000, runs=2, master_seed=31)
         results = run_session(cfg)
-        bits = sum(len(r.records) for r in results)
-        errors = sum(r.classification_error_count for r in results)
+        bits = results.bits.case.size
+        errors = results.misclassified.sum()
         assert errors / bits <= 1e-3
 
     def test_record_invariants(self, classic_scheme):
         cfg = SessionConfig(scheme=classic_scheme, samples_per_bit=2048,
                             bits_per_run=50, runs=1, master_seed=2)
-        res = run_session(cfg)[0]
-        assert res.secure_count == sum(r.secure for r in res.records)
-        for rec in res.records:
-            assert rec.secure == (rec.case.label in ("LH", "HL"))
-            assert (rec.u_zc2 is None) == (rec.n_crossings == 0)
+        bits = run_session(cfg).bits
+        assert bits.case.size == 50
+        assert np.array_equal(bits.secure, np.isin(bits.case, [CASES.index("LH"), CASES.index("HL")]))
+        assert np.array_equal(np.isnan(bits.u_zc2), bits.n_zc == 0)
 
     def test_no_cross_bit_leakage(self, classic_scheme):
         cfg = SessionConfig(scheme=classic_scheme, samples_per_bit=2**14, oversample=4,
@@ -127,50 +163,48 @@ class TestRunSession:
 class TestClassification:
     def test_exact_secure_level_with_own_h_means_partner_l(self, classic_scheme):
         lt = level_table(classic_scheme)
-        inferred = _infer_partner("H", lt["HL"].u2, lt)
-        assert inferred == "L"
+        inferred = _infer_partner(np.array([1]), np.array([lt["HL"].u2]), lt)
+        assert inferred.tolist() == [0]
 
     def test_tie_breaks_toward_l(self):
         def level(u2):
             return MomentSummary(u2=u2, i2=1.0, p_ab=0.0, rho=0.0)
 
         levels = {"LL": level(1.0), "LH": level(3.0), "HL": level(3.0), "HH": level(9.0)}
-        assert _infer_partner("L", 2.0, levels) == "L"   # exact tie
-        assert _infer_partner("H", 6.0, levels) == "L"   # exact tie, own H
+        # exact ties, own L then own H
+        assert _infer_partner(np.array([0, 1]), np.array([2.0, 6.0]), levels).tolist() == [0, 0]
 
     def test_degenerate_levels_warn_and_default_l(self):
         m = MomentSummary(u2=1.0, i2=1.0, p_ab=0.0, rho=0.0)
         levels = {"LL": m, "LH": m, "HL": m, "HH": m}
-        with pytest.warns(UserWarning, match="degenerate"):
-            assert _infer_partner("H", 1.0, levels) == "L"
+        with pytest.warns(UserWarning, match="degenerate") as warned:
+            inferred = _infer_partner(np.array([1, 0, 1]), np.array([1.0, 0.5, 2.0]), levels)
+        assert inferred.tolist() == [0, 0, 0]
+        assert len(warned) == 1
 
     def test_classify_full_wire(self, classic_scheme):
         wire = case_wire(classic_scheme, "LH", 16384, 16000.0, (3, 0, 0))
-        partner = classify_partner_choice("L", 1e3, wire, classic_scheme)
-        assert partner == "H"
-
-    def test_wrong_resistance_rejected(self, classic_scheme):
-        wire = case_wire(classic_scheme, "LH", 1024, 16000.0, (3, 0, 0))
-        with pytest.raises(ValueError, match="resistance"):
-            classify_partner_choice("L", 555.0, wire, classic_scheme)
+        u2 = np.mean(wire.u_c * wire.u_c)
+        partner = _infer_partner(np.array([0]), np.array([u2]), level_table(classic_scheme))
+        assert partner.tolist() == [1]
 
 
 class TestSecureBitHandling:
     def test_filter_all_insecure(self, classic_scheme):
         cfg = SessionConfig(scheme=classic_scheme, samples_per_bit=512, oversample=1,
                             bits_per_run=30, runs=1, master_seed=8)
-        records = run_session(cfg)[0].records
-        hh_only = [r for r in records if r.case.label == "HH"]
-        assert filter_secure_bits(hh_only) == []
+        bits = run_session(cfg).bits
+        hh_only = bits.case == CASES.index("HH")
+        assert hh_only.any()
+        assert not (bits.secure & hh_only).any()
 
     def test_filter_preserves_order_and_count(self, classic_scheme):
         cfg = SessionConfig(scheme=classic_scheme, samples_per_bit=512, oversample=1,
                             bits_per_run=200, runs=1, master_seed=8)
-        records = run_session(cfg)[0].records
-        secure = filter_secure_bits(records)
-        assert len(secure) == sum(1 for r in records if r.case.label in ("LH", "HL"))
-        indices = [records.index(r) for r in secure]
-        assert indices == sorted(indices)
+        bits = run_session(cfg).bits
+        secure = bits.case[bits.secure]
+        assert secure.size == sum(1 for c in bits.case if CASES[c] in ("LH", "HL"))
+        assert secure.tolist() == [c for c in bits.case.tolist() if c in (1, 2)]
 
     def test_bit_value_convention(self):
         assert secure_bit_value("HL") == 1

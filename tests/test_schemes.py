@@ -13,6 +13,7 @@ from kljnsim.schemes import (
     fck1_fourth_resistor,
     fck1_kljn,
     level_table,
+    scheme_for_kind,
     security_check,
     solve_vmg,
     vmg_noise_levels,
@@ -164,6 +165,20 @@ class TestFck1:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             fck1_fourth_resistor(0.0, 1.0, 1.0)
+
+
+class TestSchemeForKind:
+    def test_dispatch_matches_builders(self):
+        assert scheme_for_kind("classic", 1e4, 1e3, None, None, 1.0, 500.0) == classic_kljn(
+            1e3, 1e4, 1.0, 500.0)
+        assert scheme_for_kind("fck1", 1e5, 1e4, 1e4, None, 1.0, 500.0) == fck1_kljn(
+            1e5, 1e4, 1e4, 1.0, 500.0)
+        assert scheme_for_kind("vmg", 46416.0, 278.0, 278.0, 100.0, 1.0, 500.0) == solve_vmg(
+            46416.0, 278.0, 278.0, 100.0, 1.0, 500.0)
+
+    def test_unknown_kind(self):
+        with pytest.raises(ConfigurationError, match="kind"):
+            scheme_for_kind("other", 1e4, 1e3, 1e4, 1e3, 1.0, 500.0)
 
 
 class TestBranchTemperatures:
