@@ -36,7 +36,7 @@ for mode in ("interpolated", "sample_after", "sample_before", "nearest"):
                                  [(88, case_idx, bit) for bit in range(N_BITS)],
                                  SAMPLES, fs, mode)
             crossings += bits.n_zc.sum()
-            means[case] = np.mean(bits.u_zc2[bits.n_zc > 0])
+            means[case] = np.mean(bits.u_zc2)
         print(f"{mode:<15}{gamma:>6}{means['LH']:>12.4f}{means['HL']:>12.4f}"
               f"{crossings/(2*N_BITS):>15.1f}")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CalibrationError
+from .errors import CalibrationError, ConfigurationError
 from .noise import derive_seed
 from .schemes import CASES, SchemeConfig
 
@@ -122,6 +122,9 @@ def zc_mean_square(crossings: CrossingSampleSet) -> float | None:
 #: Calibration aborts when crossings are scarcer than this per bit on average.
 MIN_CROSSINGS_PER_BIT = 10.0
 
+#: Fewest known-case bits Eve may rehearse each secure hypothesis with.
+MIN_CALIBRATION_BITS = 100
+
 #: The two hypothesis means count as distinct beyond this many combined
 #: standard errors; below it Eve cannot orient a threshold.
 POLARITY_SIGMAS = 4.0
@@ -146,8 +149,10 @@ def calibrate(
     """
     from .protocol import simulate_bits  # deferred: protocol imports this module
 
-    if calibration_bits < 100:
-        raise ValueError(f"calibration_bits must be >= 100, got {calibration_bits}")
+    if calibration_bits < MIN_CALIBRATION_BITS:
+        raise ConfigurationError(
+            f"calibration_bits must be >= {MIN_CALIBRATION_BITS}, got {calibration_bits}"
+        )
     sample_rate = 2.0 * scheme.bandwidth * oversample
     means = {}
     std_errs = {}
@@ -159,13 +164,8 @@ def calibrate(
             samples_per_bit, sample_rate, zc_mode,
         )
         total_crossings += int(bits.n_zc.sum())
-        per_bit = bits.u_zc2[bits.n_zc > 0]
-        if per_bit.size < 2:
-            raise CalibrationError(
-                f"case {case}: almost no bits produced crossings; increase samples_per_bit"
-            )
-        means[case] = float(per_bit.mean())
-        std_errs[case] = float(per_bit.std(ddof=1) / math.sqrt(per_bit.size))
+        means[case] = float(bits.u_zc2.mean())
+        std_errs[case] = float(bits.u_zc2.std(ddof=1) / math.sqrt(calibration_bits))
     if total_crossings / (2.0 * calibration_bits) < MIN_CROSSINGS_PER_BIT:
         raise CalibrationError(
             "average crossings per bit below "
@@ -185,13 +185,13 @@ def calibrate(
     )
 
 
-def eve_guess_bit(u_zc2: float | None, cal: AttackCalibration, tie_seed) -> str:
+def eve_guess_bit(u_zc2: float, cal: AttackCalibration, tie_seed) -> str:
     """Guess the secure case from one bit's zero-crossing statistic.
 
-    Indistinct calibration or a bit without crossings falls back to a
-    seeded fair coin; otherwise it is a threshold comparison.
+    Indistinct calibration falls back to a seeded fair coin; otherwise it is
+    a threshold comparison.
     """
-    if cal.polarity == "indistinct" or u_zc2 is None:
+    if cal.polarity == "indistinct":
         rng = np.random.default_rng(tie_seed)
         return "HL" if rng.integers(0, 2) else "LH"
     if cal.polarity == "hl_above":
@@ -225,8 +225,7 @@ def attack_statistics(session, cal: AttackCalibration, guess_seed: int = 0) -> A
             bit_indices.tolist(), case[run_idx, mask].tolist(), u_zc2[run_idx, mask].tolist()
         ):
             guess = eve_guess_bit(
-                None if math.isnan(v) else v, cal,
-                derive_seed(guess_seed, run_idx, bit_idx, STREAM_EVE_TIE),
+                v, cal, derive_seed(guess_seed, run_idx, bit_idx, STREAM_EVE_TIE)
             )
             correct += guess == CASES[c]
         per_run_p.append(correct / bit_indices.size)

@@ -121,8 +121,8 @@ class CaseMoments:
     i2_se: float
     p_ab: float
     p_ab_se: float
-    u_zc2: float | None
-    u_zc2_se: float | None
+    u_zc2: float
+    u_zc2_se: float
     mean_crossings: float
 
 
@@ -152,11 +152,7 @@ def measure_case_moments(
     u2_m, u2_se = _mean_se(bits.u2)
     i2_m, i2_se = _mean_se(bits.i2)
     p_m, p_se = _mean_se(bits.p_ab)
-    zc_vals = bits.u_zc2[bits.n_zc > 0]
-    if zc_vals.size:
-        zc_m, zc_se = _mean_se(zc_vals)
-    else:
-        zc_m = zc_se = None
+    zc_m, zc_se = _mean_se(bits.u_zc2)
     return CaseMoments(
         case=case, n_bits=n_bits,
         u2=u2_m, u2_se=u2_se, i2=i2_m, i2_se=i2_se, p_ab=p_m, p_ab_se=p_se,

@@ -17,11 +17,12 @@ import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
 from . import __version__
-from .attack import ZC_MODES, binomial_ci_halfwidth, histogram
+from .attack import MIN_CALIBRATION_BITS, binomial_ci_halfwidth, histogram
 from .benchmarks import (
     BENCHMARKS,
     _mean_se,
@@ -68,23 +69,24 @@ class ExperimentConfig:
     output_prefix: str = "kljn"
 
 
-_FLOAT_KEYS = ("r_l", "r_h", "r_ha", "r_la", "r_hb", "r_lb",
-               "u_la_sq", "bandwidth_hz", "oversample")
-_INT_KEYS = ("samples_per_bit", "bits_per_run", "runs", "seed", "calibration_bits")
-_STR_KEYS = ("kind", "zc_mode", "output_prefix")
-
 _RESISTANCES_BY_KIND = {
     "classic": ("r_l", "r_h"),
     "vmg": ("r_ha", "r_la", "r_hb", "r_lb"),
     "fck1": ("r_ha", "r_la", "r_hb"),  # r_lb optional, derived
 }
 
+#: Value parser of each config key, taken from ExperimentConfig's annotations.
+_PARSERS = {
+    name: next(t for t in get_args(hint) or (hint,) if t is not type(None))
+    for name, hint in get_type_hints(ExperimentConfig).items()
+}
+
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse flat ``key = value`` config text ('#' starts a comment).
 
-    Unknown keys, unparsable values, and invariant violations raise
-    ConfigurationError naming the key and line.
+    Unknown keys, unparsable or non-finite values, and invariant violations
+    raise ConfigurationError naming the key (and the line, for the first two).
     """
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -98,68 +100,45 @@ def parse_config(text: str) -> ExperimentConfig:
         value = value.strip()
         if key in values:
             raise ConfigurationError(f"line {lineno}: duplicate key {key!r}")
-        if key in _FLOAT_KEYS:
-            try:
-                values[key] = float(value)
-            except ValueError:
-                raise ConfigurationError(
-                    f"line {lineno}: key {key!r}: cannot parse {value!r} as a number"
-                ) from None
-        elif key in _INT_KEYS:
-            try:
-                values[key] = int(value)
-            except ValueError:
-                raise ConfigurationError(
-                    f"line {lineno}: key {key!r}: cannot parse {value!r} as an integer"
-                ) from None
-        elif key in _STR_KEYS:
-            values[key] = value
-        else:
+        if key not in _PARSERS:
             raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
+        parse = _PARSERS[key]
+        try:
+            values[key] = parse(value)
+        except ValueError:
+            raise ConfigurationError(
+                f"line {lineno}: key {key!r}: cannot parse {value!r} as {parse.__name__}"
+            ) from None
+        if parse is float and not math.isfinite(values[key]):
+            raise ConfigurationError(f"line {lineno}: key {key!r}: must be finite, got {value!r}")
     config = ExperimentConfig(**values)
     validate_config(config)
     return config
 
 
 def validate_config(config: ExperimentConfig) -> None:
+    """Check the rules of the file format, then build the scheme and session.
+
+    The library constructors check every value's range.  A resistor set
+    without a physical solution is left to the commands that solve it
+    (exit 3); ``table1`` and ``table2`` never do.
+    """
     if config.kind not in _RESISTANCES_BY_KIND:
         raise ConfigurationError(
             f"key 'kind': must be one of {tuple(_RESISTANCES_BY_KIND)}, got {config.kind!r}"
         )
     required = _RESISTANCES_BY_KIND[config.kind]
     allowed = set(required) | ({"r_lb"} if config.kind == "fck1" else set())
-    all_resistance_keys = ("r_l", "r_h", "r_ha", "r_la", "r_hb", "r_lb")
-    for key in all_resistance_keys:
+    for key in ("r_l", "r_h", "r_ha", "r_la", "r_hb", "r_lb"):
         value = getattr(config, key)
         if key in required and value is None:
             raise ConfigurationError(f"key {key!r}: required for kind {config.kind!r}")
         if value is not None and key not in allowed:
             raise ConfigurationError(f"key {key!r}: not applicable to kind {config.kind!r}")
-        if value is not None and value <= 0:
-            raise ConfigurationError(f"key {key!r}: must be > 0, got {value}")
-    if config.u_la_sq <= 0:
-        raise ConfigurationError(f"key 'u_la_sq': must be > 0, got {config.u_la_sq}")
-    if config.bandwidth_hz <= 0:
-        raise ConfigurationError(f"key 'bandwidth_hz': must be > 0, got {config.bandwidth_hz}")
-    if config.oversample < 1:
-        raise ConfigurationError(f"key 'oversample': must be >= 1, got {config.oversample}")
-    if config.samples_per_bit < 2:
+    if config.calibration_bits < MIN_CALIBRATION_BITS:
         raise ConfigurationError(
-            f"key 'samples_per_bit': must be >= 2, got {config.samples_per_bit}"
-        )
-    if config.bits_per_run < 1:
-        raise ConfigurationError(f"key 'bits_per_run': must be >= 1, got {config.bits_per_run}")
-    if config.runs < 1:
-        raise ConfigurationError(f"key 'runs': must be >= 1, got {config.runs}")
-    if config.seed < 0:
-        raise ConfigurationError(f"key 'seed': must be >= 0, got {config.seed}")
-    if config.zc_mode not in ZC_MODES:
-        raise ConfigurationError(
-            f"key 'zc_mode': must be one of {ZC_MODES}, got {config.zc_mode!r}"
-        )
-    if config.calibration_bits < 100:
-        raise ConfigurationError(
-            f"key 'calibration_bits': must be >= 100, got {config.calibration_bits}"
+            f"key 'calibration_bits': must be >= {MIN_CALIBRATION_BITS}, "
+            f"got {config.calibration_bits}"
         )
     if config.kind == "fck1" and config.r_lb is not None:
         derived = fck1_fourth_resistor(config.r_ha, config.r_la, config.r_hb)
@@ -168,6 +147,11 @@ def validate_config(config: ExperimentConfig) -> None:
                 f"key 'r_lb': {config.r_lb} violates the zero-power condition "
                 f"(expected {derived!r})"
             )
+    try:
+        scheme = build_scheme(config)
+    except UnphysicalSchemeError:
+        scheme = None  # reported, after every range fault, by the commands that solve it
+    _session(config, scheme)
 
 
 def serialize_config(config: ExperimentConfig) -> str:
@@ -189,7 +173,9 @@ def config_hash(config: ExperimentConfig) -> str:
 
 def build_scheme(config: ExperimentConfig) -> SchemeConfig:
     # A classic config names its pair r_l / r_h and leaves r_ha / r_la unset.
-    return scheme_for_kind(config.kind, config.r_ha or config.r_h, config.r_la or config.r_l,
+    classic = config.kind == "classic"
+    return scheme_for_kind(config.kind, config.r_h if classic else config.r_ha,
+                           config.r_l if classic else config.r_la,
                            config.r_hb, config.r_lb, config.u_la_sq, config.bandwidth_hz)
 
 
@@ -279,7 +265,7 @@ def cmd_simulate(config: ExperimentConfig) -> int:
                   bits.n_zc.tolist(), bits.u_zc2.tolist(), bits.secure.tolist())
     rows = [
         (k // config.bits_per_run, k % config.bits_per_run, *CASES[c], CASES[c],
-         u2, i2, p_ab, n_zc, None if n_zc == 0 else u_zc2, secure)
+         u2, i2, p_ab, n_zc, u_zc2, secure)
         for k, (c, u2, i2, p_ab, n_zc, u_zc2, secure) in enumerate(columns)
     ]
     meta = _base_meta(config, "simulate")
@@ -301,7 +287,7 @@ def cmd_simulate(config: ExperimentConfig) -> int:
         u2, u2_se = _mean_se(bits.u2[sel])
         i2, i2_se = _mean_se(bits.i2[sel])
         p, p_se = _mean_se(bits.p_ab[sel])
-        zc, zc_se = _mean_se(bits.u_zc2[sel & (bits.n_zc > 0)])
+        zc, zc_se = _mean_se(bits.u_zc2[sel])
         print(
             f"{case}: n={int(sel.sum()):<6d} u2={u2:.4g}+-{u2_se:.2g} V^2  "
             f"i2={i2:.4g}+-{i2_se:.2g} A^2  p={p:.4g}+-{p_se:.2g} W  "
@@ -382,8 +368,7 @@ def cmd_hist(config: ExperimentConfig, statistic: str, bins: int) -> int:
     scheme = build_scheme(config)
     bits = run_session(_session(config, scheme)).bits
     column = getattr(bits, statistic)
-    values = {case: column[(bits.case == CASES.index(case)) & ~np.isnan(column)]
-              for case in ("LH", "HL")}
+    values = {case: column[bits.case == CASES.index(case)] for case in ("LH", "HL")}
     combined = np.concatenate([values["LH"], values["HL"]])
     if not combined.size:
         raise RuntimeError(f"no per-bit values available for statistic {statistic!r}")
@@ -439,7 +424,7 @@ def cmd_table1(config: ExperimentConfig) -> int:
             print(f"{name:<7}{case:<6}{m.u2:>12.4g}{bench.u2_ref:>9.3g}"
                   f"{m.i2:>13.4g}{bench.i2_ref:>11.3g}"
                   f"{m.p_ab:>13.4g}{bench.p_ref:>10.3g}"
-                  f"{m.u_zc2 if m.u_zc2 is not None else math.nan:>12.4g}{zc_ref:>10.3g}")
+                  f"{m.u_zc2:>12.4g}{zc_ref:>10.3g}")
     meta = _base_meta(config, "table1")
     meta.update(zc_mode=config.zc_mode, oversample=config.oversample,
                 samples_per_bit=config.samples_per_bit, n_bits_per_case=config.bits_per_run)

@@ -45,8 +45,10 @@ class SessionConfig:
             raise ConfigurationError(f"samples_per_bit must be >= 2, got {self.samples_per_bit}")
         if self.oversample < 1:
             raise ConfigurationError(f"oversample must be >= 1, got {self.oversample}")
-        if self.bits_per_run < 1 or self.runs < 1:
-            raise ConfigurationError("bits_per_run and runs must be >= 1")
+        if self.bits_per_run < 1:
+            raise ConfigurationError(f"bits_per_run must be >= 1, got {self.bits_per_run}")
+        if self.runs < 1:
+            raise ConfigurationError(f"runs must be >= 1, got {self.runs}")
         if self.master_seed < 0:
             raise ConfigurationError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.zc_mode not in attack.ZC_MODES:
@@ -68,7 +70,7 @@ class BitColumns:
     i2: np.ndarray       # A^2
     p_ab: np.ndarray     # W
     n_zc: np.ndarray     # current zero crossings
-    u_zc2: np.ndarray    # V^2, NaN exactly where n_zc == 0
+    u_zc2: np.ndarray    # V^2, mean square of the voltage at the crossings
 
     @property
     def secure(self) -> np.ndarray:
@@ -130,7 +132,8 @@ def simulate_bits(
     ``cases`` holds indices into ``CASES``; each bit's branch noise is seeded
     from its entropy prefix as in :func:`case_wire`.  Per bit: solve the
     wire, take its second moments, find the current's zero crossings and the
-    mean square of the voltage sampled there.
+    mean square of the voltage sampled there.  The noise has no DC bin, so
+    the current is zero-mean and crosses zero in every bit (n_zc >= 1).
     """
     case = np.asarray(cases, dtype=np.int64)
     n = len(entropy_prefixes)
@@ -140,7 +143,7 @@ def simulate_bits(
     i2 = np.empty(n)
     p_ab = np.empty(n)
     n_zc = np.empty(n, dtype=np.int64)
-    u_zc2 = np.full(n, np.nan)
+    u_zc2 = np.empty(n)
     for k, (c, prefix) in enumerate(zip(case.tolist(), entropy_prefixes)):
         wire = case_wire(scheme, CASES[c], samples_per_bit, sample_rate, prefix)
         u, i = wire.u_c, wire.i_c
@@ -149,8 +152,7 @@ def simulate_bits(
         p_ab[k] = np.mean(u * i)
         v = attack.detect_zero_crossings(wire, zc_mode).values
         n_zc[k] = v.size
-        if v.size:
-            u_zc2[k] = np.mean(v * v)
+        u_zc2[k] = np.mean(v * v)
     return BitColumns(case=case, u2=u2, i2=i2, p_ab=p_ab, n_zc=n_zc, u_zc2=u_zc2)
 
 

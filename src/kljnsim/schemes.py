@@ -52,6 +52,13 @@ def _pair_moments(branches: dict[str, Branch]) -> tuple[MomentSummary, MomentSum
     return lh, hl
 
 
+def _require_positive(**values: float) -> None:
+    """Raise ConfigurationError naming the first argument that is not > 0."""
+    for name, value in values.items():
+        if not value > 0:
+            raise ConfigurationError(f"{name} must be > 0, got {value}")
+
+
 def _relative(a: float, b: float) -> float:
     scale = max(abs(a), abs(b))
     return abs(a - b) / scale if scale > 0 else 0.0
@@ -135,12 +142,9 @@ def classic_kljn(r_l: float, r_h: float, u2_ref: float, bandwidth: float) -> Sch
     the high resistor's level scales with r_h / r_l so all four branches
     share the same noise temperature.
     """
-    if r_l <= 0 or r_h <= 0:
-        raise ConfigurationError(f"resistances must be > 0, got r_l={r_l}, r_h={r_h}")
+    _require_positive(r_l=r_l, r_h=r_h, u2_ref=u2_ref)
     if r_l >= r_h:
         raise ConfigurationError(f"level ordering requires r_l < r_h, got {r_l} >= {r_h}")
-    if u2_ref <= 0:
-        raise ConfigurationError(f"u2_ref must be > 0, got {u2_ref}")
     u2_h = u2_ref * r_h / r_l
     branches = {
         "LA": Branch(r_l, u2_ref),
@@ -207,11 +211,7 @@ def solve_vmg(
     Raises UnphysicalSchemeError (naming the branches) when any solved mean
     square is non-positive; never clamps.
     """
-    for name, value in (("r_ha", r_ha), ("r_la", r_la), ("r_hb", r_hb), ("r_lb", r_lb)):
-        if value <= 0:
-            raise ConfigurationError(f"{name} must be > 0, got {value}")
-    if u2_la <= 0:
-        raise ConfigurationError(f"u2_la must be > 0, got {u2_la}")
+    _require_positive(r_ha=r_ha, r_la=r_la, r_hb=r_hb, r_lb=r_lb, u2_la=u2_la)
     u2_ha, u2_hb, u2_lb = vmg_noise_levels(r_ha, r_la, r_hb, r_lb, u2_la)
     bad = [bid for bid, u2 in (("HA", u2_ha), ("HB", u2_hb), ("LB", u2_lb)) if u2 <= 0]
     if bad:
@@ -230,8 +230,7 @@ def fck1_fourth_resistor(r_ha: float, r_la: float, r_hb: float) -> float:
 
     r_lb = r_hb * r_la / r_ha, so sqrt(r_ha * r_lb) = sqrt(r_la * r_hb).
     """
-    if r_ha <= 0 or r_la <= 0 or r_hb <= 0:
-        raise ValueError(f"resistances must be > 0, got {r_ha}, {r_la}, {r_hb}")
+    _require_positive(r_ha=r_ha, r_la=r_la, r_hb=r_hb)
     return r_hb * r_la / r_ha
 
 

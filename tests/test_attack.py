@@ -153,21 +153,16 @@ class TestEveGuess:
         rate = guesses.count("HL") / len(guesses)
         assert abs(rate - 0.5) < 4 * math.sqrt(0.25 / 2000)
 
-    def test_missing_statistic_is_coin(self):
-        guesses = {eve_guess_bit(None, self.CAL, tie_seed=s) for s in range(20)}
-        assert guesses == {"LH", "HL"}
-
 
 def _session(*runs):
     """A session of equally long runs, each a list of (case, u_zc2) bits."""
     bits = [bit for run in runs for bit in run]
-    u_zc2 = np.array([math.nan if v is None else v for _, v in bits])
     ones = np.ones(len(bits))
     columns = BitColumns(
         case=np.array([CASES.index(case) for case, _ in bits]),
         u2=ones, i2=ones, p_ab=0.0 * ones,
-        n_zc=np.where(np.isnan(u_zc2), 0, 5),
-        u_zc2=u_zc2,
+        n_zc=np.full(len(bits), 5),
+        u_zc2=np.array([v for _, v in bits]),
     )
     return SessionResult(bits=columns, misclassified=np.zeros(len(bits), dtype=bool),
                          bits_per_run=len(runs[0]))

@@ -71,6 +71,10 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match="line 2.*r_x"):
             parse_config("kind = classic\nr_x = 12\n")
 
+    def test_non_finite_value_names_line(self):
+        with pytest.raises(ConfigurationError, match="line 3: key 'r_l': must be finite"):
+            parse_config("kind = classic\nr_h = 1e4\nr_l = nan\n")
+
     def test_unparsable_value(self):
         with pytest.raises(ConfigurationError, match="r_l"):
             parse_config("kind = classic\nr_l = twelve\nr_h = 1e4\n")
@@ -142,6 +146,51 @@ class TestSolveCommand:
 
     def test_missing_config_exit_2(self):
         assert main(["solve", "/nonexistent/path.cfg"]) == 2
+
+
+BASE_CONFIGS = {
+    "classic": {"kind": "classic", "r_l": "1e3", "r_h": "1e4"},
+    "vmg": {"kind": "vmg", "r_ha": "46416", "r_la": "278", "r_hb": "278", "r_lb": "100"},
+    "fck1": {"kind": "fck1", "r_ha": "1e5", "r_la": "1e4", "r_hb": "1e4"},
+}
+
+#: Library argument names that differ from the config key they check.
+LIBRARY_NAMES = {"u_la_sq": "u2_la", "bandwidth_hz": "bandwidth"}
+
+#: (base kind, overridden keys, exit code of ``main``, name the error must carry)
+SINGLE_FAULTS = [
+    *[(kind, {key: value}, 2, key)
+      for kind, keys in (("classic", ("r_l", "r_h")),
+                         ("vmg", ("r_ha", "r_la", "r_hb", "r_lb")),
+                         ("fck1", ("r_ha", "r_la", "r_hb", "r_lb")))
+      for key in keys for value in ("0", "-1")],
+    *[("vmg", {key: value}, 2, key)
+      for key in ("u_la_sq", "bandwidth_hz", "oversample", "samples_per_bit",
+                  "bits_per_run", "runs", "seed", "calibration_bits")
+      for value in ("0", "-1") if (key, value) != ("seed", "0")],
+    ("vmg", {"zc_mode": "bogus"}, 2, "zc_mode"),
+    ("vmg", {"calibration_bits": "99"}, 2, "calibration_bits"),
+    ("fck1", {"r_lb": "2e3"}, 2, "r_lb"),
+    ("classic", {"kind": "bogus"}, 2, "kind"),
+    ("classic", {"r_l": "1e4"}, 2, "r_l"),
+    ("vmg", {"r_la": "46416"}, 2, "r_la"),
+    ("vmg", {"r_ha": "1000", "r_la": "100", "r_hb": "100", "r_lb": "200"}, 3, "HB"),
+    ("classic", {"r_l": "nan"}, 2, "r_l"),
+    ("vmg", {"bandwidth_hz": "nan"}, 2, "bandwidth_hz"),
+    ("vmg", {"oversample": "inf"}, 2, "oversample"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, overrides, code, name", SINGLE_FAULTS,
+    ids=[f"{kind}-" + ",".join(f"{k}={v}" for k, v in o.items()) for kind, o, _, _ in SINGLE_FAULTS],
+)
+def test_single_fault_exit_code_names_parameter(tmp_path, capsys, kind, overrides, code, name):
+    entries = {**BASE_CONFIGS[kind], **overrides, "output_prefix": str(tmp_path / "out")}
+    cfg_path = write_config(tmp_path, "".join(f"{k} = {v}\n" for k, v in entries.items()))
+    assert main(["solve", cfg_path]) == code
+    err = capsys.readouterr().err
+    assert name in err or LIBRARY_NAMES.get(name, name) in err, err
 
 
 class TestSimulateCommand:
