@@ -205,8 +205,9 @@ def attack_statistics(session, cal: AttackCalibration, guess_seed: int = 0) -> A
     Per run, p is the fraction of secure bits guessed correctly; the overall
     p is the unweighted mean of the per-run values and sigma_p their sample
     standard deviation.  Runs without secure bits are excluded (counted in
-    ``n_excluded_runs``).  Coin-flip guesses draw from a stream disjoint
-    from the simulation seeds, namespaced by ``guess_seed``.
+    ``n_excluded_runs``); RuntimeError when no run has one.  Coin-flip
+    guesses draw from a stream disjoint from the simulation seeds,
+    namespaced by ``guess_seed``.
     """
     secure = session.per_run(session.bits.secure)
     case = session.per_run(session.bits.case)
@@ -231,7 +232,7 @@ def attack_statistics(session, cal: AttackCalibration, guess_seed: int = 0) -> A
         per_run_p.append(correct / bit_indices.size)
         n_secure += bit_indices.size
     if not per_run_p:
-        raise ValueError("no run contained a secure bit")
+        raise RuntimeError("no run contained a secure bit; increase bits_per_run or runs")
     p = float(np.mean(per_run_p))
     sigma_p = float(np.std(per_run_p, ddof=1)) if len(per_run_p) > 1 else 0.0
     return AttackOutcome(

@@ -117,6 +117,34 @@ def _in_band_bin_count(num_samples: int, sample_rate: float, bandwidth: float) -
     return min(k_max, num_samples // 2)
 
 
+def fill_band(band: np.ndarray, num_samples: int, mean_square: float, seed: int) -> None:
+    """Draw one trace's in-band DFT coefficients into ``band``.
+
+    ``band`` is the complex slice of bins 1..k_max of a length
+    ``num_samples // 2 + 1`` spectrum; every element of it is overwritten.
+    The draws are the real parts, then the imaginary parts, then the real
+    Nyquist coefficient when the Nyquist bin is in band, all from one
+    generator seeded with ``seed``.  The scale makes the expected sample
+    mean-square of the inverse transform equal ``mean_square``.
+    """
+    n = num_samples
+    k_max = band.size
+    has_nyquist = (n % 2 == 0) and (k_max == n // 2)
+    m = k_max - 1 if has_nyquist else k_max
+    weight = 2 * m + (1 if has_nyquist else 0)
+    # With X_k = s * z_k and E|z_k|^2 = 1, the expected sample mean-square
+    # is s^2 * weight / n^2 (Parseval); solve for s.
+    scale = n * math.sqrt(mean_square / weight)
+    rng = np.random.default_rng(seed)
+    parts = band.view(np.float64)  # real and imaginary parts interleaved
+    np.multiply(rng.standard_normal(m), scale / math.sqrt(2.0), out=parts[0 : 2 * m : 2])
+    np.multiply(rng.standard_normal(m), scale / math.sqrt(2.0), out=parts[1 : 2 * m : 2])
+    if has_nyquist:
+        # Nyquist coefficient must be real for a real-valued trace.
+        parts[2 * m] = scale * rng.standard_normal()
+        parts[2 * m + 1] = 0.0
+
+
 def synthesize(spec: NoiseSpec) -> NoiseTrace:
     """Generate one band-limited Gaussian noise trace.
 
@@ -142,20 +170,7 @@ def synthesize(spec: NoiseSpec) -> NoiseTrace:
             raise ConfigurationError(
                 "no DFT bin falls inside the noise band; increase num_samples"
             )
-        has_nyquist = (n % 2 == 0) and (k_max == n // 2)
-        m = k_max - 1 if has_nyquist else k_max
-        weight = 2 * m + (1 if has_nyquist else 0)
-        # With X_k = s * z_k and E|z_k|^2 = 1, the expected sample mean-square
-        # is s^2 * weight / n^2 (Parseval); solve for s.
-        scale = n * math.sqrt(spec.mean_square / weight)
-        rng = np.random.default_rng(spec.seed)
-        if m > 0:
-            re = rng.standard_normal(m)
-            im = rng.standard_normal(m)
-            coeffs[1 : 1 + m] = (scale / math.sqrt(2.0)) * (re + 1j * im)
-        if has_nyquist:
-            # Nyquist coefficient must be real for a real-valued trace.
-            coeffs[n // 2] = scale * rng.standard_normal()
+        fill_band(coeffs[1 : k_max + 1], n, spec.mean_square, spec.seed)
     samples = np.fft.irfft(coeffs, n=n)
     return NoiseTrace(samples=samples, sample_rate=float(spec.sample_rate))
 

@@ -14,14 +14,14 @@ bits.  Stream tags 0-4 are used here; the attack module uses higher tags.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import attack
-from .circuit import WireTrace, wire_observables
+from .circuit import WireTrace
 from .errors import ConfigurationError
-from .noise import NoiseSpec, derive_seed, synthesize
+from .noise import _in_band_bin_count, derive_seed, fill_band
 from .schemes import CASES, SchemeConfig, level_table
 
 STREAM_CHOICES = 0
@@ -45,6 +45,12 @@ class SessionConfig:
             raise ConfigurationError(f"samples_per_bit must be >= 2, got {self.samples_per_bit}")
         if self.oversample < 1:
             raise ConfigurationError(f"oversample must be >= 1, got {self.oversample}")
+        # The band edge falls at bin samples_per_bit / (2 * oversample).
+        if _in_band_bin_count(self.samples_per_bit, 2.0 * self.oversample, 1.0) == 0:
+            raise ConfigurationError(
+                f"samples_per_bit ({self.samples_per_bit}) must be >= 2 * oversample "
+                f"({self.oversample:g}), or no DFT bin falls inside the noise band"
+            )
         if self.bits_per_run < 1:
             raise ConfigurationError(f"bits_per_run must be >= 1, got {self.bits_per_run}")
         if self.runs < 1:
@@ -91,32 +97,9 @@ class SessionResult:
         return column.reshape(-1, self.bits_per_run)
 
 
-def case_wire(
-    scheme: SchemeConfig,
-    case: str,
-    samples_per_bit: int,
-    sample_rate: float,
-    entropy_prefix: tuple[int, ...],
-) -> WireTrace:
-    """Synthesize the two connected branches for a given case and solve the wire.
-
-    The branch seeds extend ``entropy_prefix`` with the branch stream tag,
-    honoring the deterministic seeding contract.
-    """
-    a_id = "LA" if case[0] == "L" else "HA"
-    b_id = "LB" if case[1] == "L" else "HB"
-    traced = {}
-    for bid in (a_id, b_id):
-        branch = scheme.branches[bid]
-        spec = NoiseSpec(
-            mean_square=branch.mean_square,
-            bandwidth=scheme.bandwidth,
-            sample_rate=sample_rate,
-            num_samples=samples_per_bit,
-            seed=derive_seed(*entropy_prefix, BRANCH_STREAMS[bid]),
-        )
-        traced[bid] = replace(branch, trace=synthesize(spec))
-    return wire_observables(traced[a_id], traced[b_id])
+#: simulate_bits inverse-transforms max(1, BLOCK_SAMPLES // samples_per_bit)
+#: bits at a time, one at a time when a bit is longer than BLOCK_SAMPLES.
+BLOCK_SAMPLES = 2**16
 
 
 def simulate_bits(
@@ -129,30 +112,88 @@ def simulate_bits(
 ) -> BitColumns:
     """Simulate one bit per (case, entropy prefix) pair and return its statistics.
 
-    ``cases`` holds indices into ``CASES``; each bit's branch noise is seeded
-    from its entropy prefix as in :func:`case_wire`.  Per bit: solve the
-    wire, take its second moments, find the current's zero crossings and the
-    mean square of the voltage sampled there.  The noise has no DC bin, so
-    the current is zero-mean and crosses zero in every bit (n_zc >= 1).
+    ``cases`` holds indices into ``CASES``.  Each bit's two connected branches
+    draw their in-band noise coefficients (:func:`noise.fill_band`) from
+    seeds that extend its entropy prefix with the branch stream tag.  The
+    wire is linear, so it is solved bin by bin in the frequency domain,
+
+        I = (X_A - X_B) / (R_A + R_B),   U = (X_A * R_B + X_B * R_A) / (R_A + R_B),
+
+    and u2, i2 and p_ab follow from Parseval's theorem over the in-band
+    bins.  Blocks of bits are then inverse-transformed together to find the
+    current's zero crossings and the mean square of the voltage sampled
+    there.  The noise has no DC bin, so the current is zero-mean and crosses
+    zero in every bit (n_zc >= 1).
     """
     case = np.asarray(cases, dtype=np.int64)
-    n = len(entropy_prefixes)
-    if case.shape != (n,) or not np.isin(case, np.arange(len(CASES))).all():
+    n_bits = len(entropy_prefixes)
+    if case.shape != (n_bits,) or not np.isin(case, np.arange(len(CASES))).all():
         raise ValueError("cases must hold one index into CASES per entropy prefix")
-    u2 = np.empty(n)
-    i2 = np.empty(n)
-    p_ab = np.empty(n)
-    n_zc = np.empty(n, dtype=np.int64)
-    u_zc2 = np.empty(n)
-    for k, (c, prefix) in enumerate(zip(case.tolist(), entropy_prefixes)):
-        wire = case_wire(scheme, CASES[c], samples_per_bit, sample_rate, prefix)
-        u, i = wire.u_c, wire.i_c
-        u2[k] = np.mean(u * u)
-        i2[k] = np.mean(i * i)
-        p_ab[k] = np.mean(u * i)
-        v = attack.detect_zero_crossings(wire, zc_mode).values
-        n_zc[k] = v.size
-        u_zc2[k] = np.mean(v * v)
+    n = samples_per_bit
+    if sample_rate < 2.0 * scheme.bandwidth:
+        raise ConfigurationError(
+            f"sample_rate {sample_rate} violates Nyquist for bandwidth {scheme.bandwidth}"
+        )
+    k_max = _in_band_bin_count(n, sample_rate, scheme.bandwidth)
+    if k_max < 1:
+        raise ConfigurationError(
+            f"no DFT bin falls inside the noise band at samples_per_bit {n}; increase it"
+        )
+    has_nyquist = (n % 2 == 0) and (k_max == n // 2)
+    m2 = 2 * (k_max - 1 if has_nyquist else k_max)   # parts of the weight-2 bins
+
+    wiring = []
+    for label in CASES:
+        a_id = "LA" if label[0] == "L" else "HA"
+        b_id = "LB" if label[1] == "L" else "HB"
+        wiring.append((scheme.branches[a_id], scheme.branches[b_id],
+                       BRANCH_STREAMS[a_id], BRANCH_STREAMS[b_id]))
+    case_list = case.tolist()
+
+    def parseval(x: np.ndarray, y: np.ndarray) -> float:
+        """Sample mean of the product of two traces, from their band parts."""
+        s = 2.0 * float(np.dot(x[:m2], y[:m2]))
+        if has_nyquist:
+            s += float(x[m2] * y[m2])
+        return s / (n * n)
+
+    def solve_bit(k: int, bands: np.ndarray) -> tuple[float, float, float]:
+        """Write bit k's U and I into ``bands`` (two rows of bins 1..k_max); return u2, i2, p_ab."""
+        a, b, tag_a, tag_b = wiring[case_list[k]]
+        fill_band(bands[0], n, a.mean_square, derive_seed(*entropy_prefixes[k], tag_a))
+        fill_band(bands[1], n, b.mean_square, derive_seed(*entropy_prefixes[k], tag_b))
+        u, i = bands.view(np.float64)   # X_A and X_B, turned into U and I in place
+        xb_ra = i * a.resistance
+        np.subtract(u, i, out=i)
+        i /= a.resistance + b.resistance
+        u *= b.resistance
+        u += xb_ra
+        u /= a.resistance + b.resistance
+        return parseval(u, u), parseval(i, i), parseval(u, i)
+
+    u2 = np.empty(n_bits)
+    i2 = np.empty(n_bits)
+    p_ab = np.empty(n_bits)
+    n_zc = np.empty(n_bits, dtype=np.int64)
+    u_zc2 = np.empty(n_bits)
+    rows = max(1, min(BLOCK_SAMPLES // n, n_bits))
+    # Row 2j holds bit j's wire voltage U and row 2j + 1 its current I.  The
+    # traces buffer is reused.  Each block's spectra are fresh, so they are
+    # zero outside bins 1..k_max, and freed before the crossing search, so
+    # that a long bit's spectra and crossing temporaries never coexist.
+    traces = np.empty((2 * rows, n))
+    for start in range(0, n_bits, rows):
+        block = range(start, min(start + rows, n_bits))
+        spectra = np.zeros((2 * len(block), n // 2 + 1), dtype=np.complex128)
+        for j, k in enumerate(block):
+            u2[k], i2[k], p_ab[k] = solve_bit(k, spectra[2 * j : 2 * j + 2, 1 : k_max + 1])
+        np.fft.irfft(spectra, n=n, axis=-1, out=traces[: 2 * len(block)])
+        del spectra
+        for j, k in enumerate(block):
+            wire = WireTrace(u_c=traces[2 * j], i_c=traces[2 * j + 1], sample_rate=sample_rate)
+            v = attack.detect_zero_crossings(wire, zc_mode).values
+            n_zc[k] = v.size
+            u_zc2[k] = np.mean(v * v)
     return BitColumns(case=case, u2=u2, i2=i2, p_ab=p_ab, n_zc=n_zc, u_zc2=u_zc2)
 
 

@@ -182,21 +182,6 @@ def vmg_noise_levels(
     return u2_ha, u2_hb, u2_lb
 
 
-def vmg_noise_levels_factored(
-    r_ha: float, r_la: float, r_hb: float, r_lb: float, u2_la: float
-) -> tuple[float, float, float]:
-    """Same solution in rational-product form; serves as an algebraic oracle
-    for :func:`vmg_noise_levels` (and vice versa)."""
-    if r_ha == r_la:
-        raise ConfigurationError(
-            f"singular denominator: r_ha ({r_ha}) must differ from r_la ({r_la})"
-        )
-    u2_hb = u2_la * (r_hb - r_lb) * (r_ha + r_hb) / ((r_la + r_lb) * (r_ha - r_la))
-    u2_ha = u2_la * (r_ha + r_hb) * (r_ha + r_lb) / ((r_la + r_lb) * (r_la + r_hb))
-    u2_lb = u2_la * (r_hb - r_lb) * (r_ha + r_lb) / ((r_ha - r_la) * (r_la + r_hb))
-    return u2_ha, u2_hb, u2_lb
-
-
 def solve_vmg(
     r_ha: float,
     r_la: float,

