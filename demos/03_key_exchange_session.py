@@ -8,20 +8,20 @@ the level table.  LH/HL bits are kept for the key, LL/HH discarded.
 
 import numpy as np
 
-from kljnsim import SessionConfig, classic_kljn, level_table, run_session
+from kljnsim import Sampling, SessionConfig, classic_kljn, level_table, run_session
 from kljnsim.protocol import CASES, secure_bit_value
 
 scheme = classic_kljn(1e3, 1e4, 1.0, 500.0)
 config = SessionConfig(
     scheme=scheme,
-    samples_per_bit=16384,
-    oversample=16.0,
+    sampling=Sampling(samples_per_bit=16384, oversample=16.0),
     bits_per_run=500,
     runs=2,
     master_seed=7,
 )
 print(f"simulating {config.runs} runs x {config.bits_per_run} bits "
-      f"({config.samples_per_bit} samples/bit at {config.sample_rate:g} Hz)")
+      f"({config.sampling.samples_per_bit} samples/bit "
+      f"at {config.sampling.sample_rate(scheme.bandwidth):g} Hz)")
 session = run_session(config)
 
 bits = session.bits

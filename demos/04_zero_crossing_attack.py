@@ -12,24 +12,23 @@ with the package; they are printed for comparison, not asserted, because
 they depend on discretization details the harness exposes as knobs.
 """
 
-from kljnsim import BENCHMARKS, benchmark_scheme, binomial_ci_halfwidth
+from dataclasses import asdict
+
+from kljnsim import BENCHMARKS, Sampling, SessionConfig, benchmark_scheme, binomial_ci_halfwidth
 from kljnsim.benchmarks import run_attack_experiment
 
-SETTINGS = dict(
-    samples_per_bit=16384,
-    oversample=16.0,
-    zc_mode="sample_after",
-    bits_per_run=500,
-    runs=4,
-    calibration_bits=200,
-)
+SAMPLING = Sampling(samples_per_bit=16384, oversample=16.0, zc_mode="sample_after")
+BITS_PER_RUN, RUNS, CALIBRATION_BITS = 500, 4, 200
 
-print(f"settings: {SETTINGS}\n")
+settings = {**asdict(SAMPLING), "bits_per_run": BITS_PER_RUN, "runs": RUNS,
+            "calibration_bits": CALIBRATION_BITS}
+print(f"settings: {settings}\n")
 print(f"{'scheme':<7}{'p sim':>9}{'ci95':>9}{'p ref':>9}{'polarity':>13}"
       f"{'u_zc2 LH/HL (cal)':>22}")
 for idx, (name, row) in enumerate(BENCHMARKS.items()):
     scheme = benchmark_scheme(name)
-    outcome, cal, _ = run_attack_experiment(scheme, seed=100 + idx, **SETTINGS)
+    session = SessionConfig(scheme, SAMPLING, BITS_PER_RUN, RUNS, master_seed=100 + idx)
+    outcome, cal, _ = run_attack_experiment(session, CALIBRATION_BITS)
     hw = binomial_ci_halfwidth(outcome.p, outcome.n_secure_bits)
     print(f"{name:<7}{outcome.p:>9.4f}{hw:>9.4f}{row.p_eve_ref:>9.4f}"
           f"{cal.polarity:>13}{cal.mean_zc_lh:>11.4f}/{cal.mean_zc_hl:.4f}")

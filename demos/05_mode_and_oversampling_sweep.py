@@ -11,7 +11,13 @@ moment, so LH and HL means coincide at any mode and oversampling ratio.
 
 import numpy as np
 
-from kljnsim import benchmark_scheme, conditional_zc_variance, level_table, simulate_bits
+from kljnsim import (
+    Sampling,
+    benchmark_scheme,
+    conditional_zc_variance,
+    level_table,
+    simulate_bits,
+)
 from kljnsim.protocol import CASES
 
 scheme = benchmark_scheme("vmg2")   # 46.4k / 278 / 278 / 100
@@ -28,13 +34,12 @@ SAMPLES = 16384
 print(f"{'mode':<15}{'gamma':>6}{'u_zc2 LH':>12}{'u_zc2 HL':>12}{'crossings/bit':>15}")
 for mode in ("interpolated", "sample_after", "sample_before", "nearest"):
     for gamma in (4, 16, 64):
-        fs = 2.0 * scheme.bandwidth * gamma
+        sampling = Sampling(SAMPLES, gamma, mode)
         means = {}
         crossings = 0
         for case_idx, case in enumerate(("LH", "HL")):
-            bits = simulate_bits(scheme, [CASES.index(case)] * N_BITS,
-                                 [(88, case_idx, bit) for bit in range(N_BITS)],
-                                 SAMPLES, fs, mode)
+            bits = simulate_bits(scheme, sampling, [CASES.index(case)] * N_BITS,
+                                 [(88, case_idx, bit) for bit in range(N_BITS)])
             crossings += bits.n_zc.sum()
             means[case] = np.mean(bits.u_zc2)
         print(f"{mode:<15}{gamma:>6}{means['LH']:>12.4f}{means['HL']:>12.4f}"

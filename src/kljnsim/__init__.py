@@ -15,7 +15,7 @@ from .benchmarks import BENCHMARKS, benchmark_scheme
 from .circuit import conditional_zc_variance
 from .errors import CalibrationError, ConfigurationError, UnphysicalSchemeError
 from .noise import NoiseSpec, estimate_psd, johnson_mean_square, noise_temperature, synthesize
-from .protocol import SessionConfig, run_session, simulate_bits
+from .protocol import Sampling, SessionConfig, run_session, simulate_bits
 from .schemes import (
     branch_temperatures,
     classic_kljn,

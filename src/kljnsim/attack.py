@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -20,15 +21,18 @@ from .errors import CalibrationError, ConfigurationError
 from .noise import derive_seed
 from .schemes import CASES, SchemeConfig
 
+if TYPE_CHECKING:
+    from .protocol import Sampling
+
 #: How the voltage at a detected crossing is read off.  A crossing exists
-#: between samples k and k+1 iff i[k] * i[k+1] < 0 (an exact zero sample is
-#: itself a crossing).  "interpolated" reads the linearly interpolated
-#: voltage at the linear-interpolation zero of the current; the three
-#: sample-aligned modes read a neighboring grid sample instead.  Note the
-#: interpolant of a band-limited process has slightly less variance than
-#: the process, so interpolated-mode mean squares run low by roughly
-#: (1 - sinc(1/oversample)) / 3 until the oversampling ratio is large;
-#: sample-aligned modes are free of that shrinkage.
+#: between samples k and k+1 iff i[k] and i[k+1] have opposite signs (an
+#: exact zero sample is itself a crossing).  "interpolated" reads the
+#: linearly interpolated voltage at the linear-interpolation zero of the
+#: current; the three sample-aligned modes read a neighboring grid sample
+#: instead.  Note the interpolant of a band-limited process has slightly
+#: less variance than the process, so interpolated-mode mean squares run
+#: low by roughly (1 - sinc(1/oversample)) / 3 until the oversampling ratio
+#: is large; sample-aligned modes are free of that shrinkage.
 ZC_MODES = ("interpolated", "sample_before", "sample_after", "nearest")
 
 STREAM_EVE_TIE = 5
@@ -82,7 +86,9 @@ def detect_zero_crossings(wire, mode: str) -> CrossingSampleSet:
     dt = 1.0 / wire.sample_rate
 
     exact = np.flatnonzero(i == 0.0)
-    kk = np.flatnonzero(i[:-1] * i[1:] < 0.0)
+    # Compare signs, not products: the product of two tiny currents rounds to 0.
+    neg, pos = i < 0.0, i > 0.0
+    kk = np.flatnonzero((neg[:-1] & pos[1:]) | (pos[:-1] & neg[1:]))
 
     if mode == "interpolated":
         frac = i[kk] / (i[kk] - i[kk + 1])
@@ -132,20 +138,18 @@ POLARITY_SIGMAS = 4.0
 
 def calibrate(
     scheme: SchemeConfig,
+    sampling: Sampling,
     *,
-    samples_per_bit: int,
-    oversample: float,
-    zc_mode: str,
     calibration_bits: int = 200,
     seed: int = 0,
 ) -> AttackCalibration:
     """Eve's offline rehearsal of both secure hypotheses.
 
-    Simulates ``calibration_bits`` known-case bits for LH and for HL at the
-    same sampling settings the attack will face, estimates the mean per-bit
-    zero-crossing mean-square for each, and places the decision threshold at
-    the arithmetic midpoint.  Polarity is "indistinct" when the two means
-    differ by less than ``POLARITY_SIGMAS`` combined standard errors.
+    Simulates ``calibration_bits`` known-case bits for LH and for HL under
+    ``sampling``, the settings the attack will face, estimates the mean
+    per-bit zero-crossing mean-square for each, and places the decision
+    threshold at the arithmetic midpoint.  Polarity is "indistinct" when the
+    two means differ by less than ``POLARITY_SIGMAS`` combined standard errors.
     """
     from .protocol import simulate_bits  # deferred: protocol imports this module
 
@@ -153,15 +157,13 @@ def calibrate(
         raise ConfigurationError(
             f"calibration_bits must be >= {MIN_CALIBRATION_BITS}, got {calibration_bits}"
         )
-    sample_rate = 2.0 * scheme.bandwidth * oversample
     means = {}
     std_errs = {}
     total_crossings = 0
     for case_idx, case in enumerate(("LH", "HL")):
         bits = simulate_bits(
-            scheme, [CASES.index(case)] * calibration_bits,
+            scheme, sampling, [CASES.index(case)] * calibration_bits,
             [(seed, STREAM_CALIBRATION, case_idx, bit) for bit in range(calibration_bits)],
-            samples_per_bit, sample_rate, zc_mode,
         )
         total_crossings += int(bits.n_zc.sum())
         means[case] = float(bits.u_zc2.mean())

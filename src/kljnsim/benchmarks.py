@@ -24,7 +24,14 @@ from .attack import (
     calibrate,
 )
 from .noise import derive_seed
-from .protocol import SessionConfig, SessionResult, run_session, simulate_bits
+from .protocol import (
+    BitColumns,
+    Sampling,
+    SessionConfig,
+    SessionResult,
+    run_session,
+    simulate_bits,
+)
 from .schemes import CASES, SchemeConfig, scheme_for_kind
 
 
@@ -126,15 +133,27 @@ class CaseMoments:
     mean_crossings: float
 
 
+def case_moments(bits: BitColumns, case: str) -> CaseMoments:
+    """Mean and standard error of each wire statistic over the ``case`` bits of ``bits``.
+
+    ``bits`` must hold at least one bit of ``case``.
+    """
+    sel = bits.case == CASES.index(case)
+    n_bits = int(sel.sum())
+    u2_m, u2_se = _mean_se(bits.u2[sel])
+    i2_m, i2_se = _mean_se(bits.i2[sel])
+    p_m, p_se = _mean_se(bits.p_ab[sel])
+    zc_m, zc_se = _mean_se(bits.u_zc2[sel])
+    return CaseMoments(
+        case=case, n_bits=n_bits,
+        u2=u2_m, u2_se=u2_se, i2=i2_m, i2_se=i2_se, p_ab=p_m, p_ab_se=p_se,
+        u_zc2=zc_m, u_zc2_se=zc_se,
+        mean_crossings=int(bits.n_zc[sel].sum()) / n_bits,
+    )
+
+
 def measure_case_moments(
-    scheme: SchemeConfig,
-    case: str,
-    *,
-    n_bits: int,
-    samples_per_bit: int,
-    oversample: float,
-    zc_mode: str = "sample_after",
-    seed: int = 0,
+    scheme: SchemeConfig, sampling: Sampling, case: str, *, n_bits: int, seed: int = 0
 ) -> CaseMoments:
     """Fixed-case Monte Carlo aggregation of wire moments.
 
@@ -143,57 +162,23 @@ def measure_case_moments(
     dispersion.  Effective sample count per bit is roughly
     samples_per_bit / oversample.
     """
-    sample_rate = 2.0 * scheme.bandwidth * oversample
     tag = CASES.index(case)
-    bits = simulate_bits(
-        scheme, [tag] * n_bits, [(seed, tag, bit) for bit in range(n_bits)],
-        samples_per_bit, sample_rate, zc_mode,
-    )
-    u2_m, u2_se = _mean_se(bits.u2)
-    i2_m, i2_se = _mean_se(bits.i2)
-    p_m, p_se = _mean_se(bits.p_ab)
-    zc_m, zc_se = _mean_se(bits.u_zc2)
-    return CaseMoments(
-        case=case, n_bits=n_bits,
-        u2=u2_m, u2_se=u2_se, i2=i2_m, i2_se=i2_se, p_ab=p_m, p_ab_se=p_se,
-        u_zc2=zc_m, u_zc2_se=zc_se,
-        mean_crossings=int(bits.n_zc.sum()) / n_bits,
-    )
+    bits = simulate_bits(scheme, sampling, [tag] * n_bits,
+                         [(seed, tag, bit) for bit in range(n_bits)])
+    return case_moments(bits, case)
 
 
 def run_attack_experiment(
-    scheme: SchemeConfig,
-    *,
-    samples_per_bit: int = 16384,
-    oversample: float = 16.0,
-    zc_mode: str = "sample_after",
-    bits_per_run: int = 1000,
-    runs: int = 10,
-    seed: int = 1,
-    calibration_bits: int = 200,
+    session: SessionConfig, calibration_bits: int = 200
 ) -> tuple[AttackOutcome, AttackCalibration, SessionResult]:
-    """Calibrate Eve, simulate a session, and score her guesses.
+    """Calibrate Eve, simulate ``session``, and score her guesses.
 
     Calibration, the session, and Eve's tie-break coins draw from three
-    disjoint seed streams derived from ``seed``.
+    disjoint seed streams derived from the session's master seed.
     """
-    cal = calibrate(
-        scheme,
-        samples_per_bit=samples_per_bit,
-        oversample=oversample,
-        zc_mode=zc_mode,
-        calibration_bits=calibration_bits,
-        seed=derive_seed(seed, STREAM_CALIBRATION),
-    )
-    session = SessionConfig(
-        scheme=scheme,
-        samples_per_bit=samples_per_bit,
-        oversample=oversample,
-        bits_per_run=bits_per_run,
-        runs=runs,
-        master_seed=seed,
-        zc_mode=zc_mode,
-    )
+    seed = session.master_seed
+    cal = calibrate(session.scheme, session.sampling, calibration_bits=calibration_bits,
+                    seed=derive_seed(seed, STREAM_CALIBRATION))
     results = run_session(session)
     outcome = attack_statistics(results, cal, guess_seed=derive_seed(seed, STREAM_EVE_TIE))
     return outcome, cal, results

@@ -27,17 +27,19 @@ from .benchmarks import (
     BENCHMARKS,
     _mean_se,
     benchmark_scheme,
+    case_moments,
     match_benchmark,
     measure_case_moments,
     run_attack_experiment,
 )
 from .errors import CalibrationError, ConfigurationError, UnphysicalSchemeError
 from .noise import GENERATOR_ID, derive_seed
-from .protocol import SessionConfig, run_session
+from .protocol import Sampling, SessionConfig, run_session
 from .schemes import (
     CASES,
     SchemeConfig,
     branch_temperatures,
+    case_branches,
     fck1_fourth_resistor,
     scheme_for_kind,
     security_check,
@@ -244,16 +246,9 @@ def cmd_solve(config: ExperimentConfig) -> int:
     return 0
 
 
-def _session(config: ExperimentConfig, scheme: SchemeConfig) -> SessionConfig:
-    return SessionConfig(
-        scheme=scheme,
-        samples_per_bit=config.samples_per_bit,
-        oversample=config.oversample,
-        bits_per_run=config.bits_per_run,
-        runs=config.runs,
-        master_seed=config.seed,
-        zc_mode=config.zc_mode,
-    )
+def _session(config: ExperimentConfig, scheme: SchemeConfig | None) -> SessionConfig:
+    sampling = Sampling(config.samples_per_bit, config.oversample, config.zc_mode)
+    return SessionConfig(scheme, sampling, config.bits_per_run, config.runs, config.seed)
 
 
 def cmd_simulate(config: ExperimentConfig) -> int:
@@ -280,18 +275,12 @@ def cmd_simulate(config: ExperimentConfig) -> int:
     print(f"{bits.case.size} bits simulated "
           f"({int(bits.secure.sum())} secure, "
           f"{int(session.misclassified.sum())} classification errors)")
-    for tag, case in enumerate(CASES):
-        sel = bits.case == tag
-        if not sel.any():
-            continue
-        u2, u2_se = _mean_se(bits.u2[sel])
-        i2, i2_se = _mean_se(bits.i2[sel])
-        p, p_se = _mean_se(bits.p_ab[sel])
-        zc, zc_se = _mean_se(bits.u_zc2[sel])
+    for tag in np.flatnonzero(np.bincount(bits.case)).tolist():
+        m = case_moments(bits, CASES[tag])
         print(
-            f"{case}: n={int(sel.sum()):<6d} u2={u2:.4g}+-{u2_se:.2g} V^2  "
-            f"i2={i2:.4g}+-{i2_se:.2g} A^2  p={p:.4g}+-{p_se:.2g} W  "
-            f"u_zc2={zc:.4g}+-{zc_se:.2g} V^2"
+            f"{m.case}: n={m.n_bits:<6d} u2={m.u2:.4g}+-{m.u2_se:.2g} V^2  "
+            f"i2={m.i2:.4g}+-{m.i2_se:.2g} A^2  p={m.p_ab:.4g}+-{m.p_ab_se:.2g} W  "
+            f"u_zc2={m.u_zc2:.4g}+-{m.u_zc2_se:.2g} V^2"
         )
     return 0
 
@@ -299,16 +288,8 @@ def cmd_simulate(config: ExperimentConfig) -> int:
 def cmd_attack(config: ExperimentConfig) -> int:
     """Calibrate Eve, attack a session, and report p with its dispersion."""
     scheme = build_scheme(config)
-    outcome, cal, session = run_attack_experiment(
-        scheme,
-        samples_per_bit=config.samples_per_bit,
-        oversample=config.oversample,
-        zc_mode=config.zc_mode,
-        bits_per_run=config.bits_per_run,
-        runs=config.runs,
-        seed=config.seed,
-        calibration_bits=config.calibration_bits,
-    )
+    outcome, cal, session = run_attack_experiment(_session(config, scheme),
+                                                  config.calibration_bits)
     rows = []
     run_ps = iter(outcome.per_run_p)
     bits = session.bits
@@ -402,17 +383,11 @@ def cmd_table1(config: ExperimentConfig) -> int:
           f"{'p sim':>13}{'p ref':>10}{'u_zc2 sim':>12}{'u_zc2 ref':>10}")
     for row_idx, (name, bench) in enumerate(BENCHMARKS.items()):
         scheme = benchmark_scheme(name, bandwidth=config.bandwidth_hz, u2_la=config.u_la_sq)
+        sampling = _session(config, scheme).sampling
         for case in ("LH", "HL"):
-            m = measure_case_moments(
-                scheme, case,
-                n_bits=config.bits_per_run,
-                samples_per_bit=config.samples_per_bit,
-                oversample=config.oversample,
-                zc_mode=config.zc_mode,
-                seed=derive_seed(config.seed, STREAM_TABLE, row_idx),
-            )
-            r_alice = scheme.branches["LA" if case[0] == "L" else "HA"].resistance
-            r_bob = scheme.branches["LB" if case[1] == "L" else "HB"].resistance
+            m = measure_case_moments(scheme, sampling, case, n_bits=config.bits_per_run,
+                                     seed=derive_seed(config.seed, STREAM_TABLE, row_idx))
+            r_alice, r_bob = (scheme.branches[bid].resistance for bid in case_branches(case))
             zc_ref = bench.u_zc2_lh_ref if case == "LH" else bench.u_zc2_hl_ref
             rows.append((
                 name, case, r_alice, r_bob,
@@ -446,16 +421,9 @@ def cmd_table2(config: ExperimentConfig) -> int:
           f"{'polarity':>12}")
     for row_idx, (name, bench) in enumerate(BENCHMARKS.items()):
         scheme = benchmark_scheme(name, bandwidth=config.bandwidth_hz, u2_la=config.u_la_sq)
-        outcome, cal, _ = run_attack_experiment(
-            scheme,
-            samples_per_bit=config.samples_per_bit,
-            oversample=config.oversample,
-            zc_mode=config.zc_mode,
-            bits_per_run=config.bits_per_run,
-            runs=config.runs,
-            seed=derive_seed(config.seed, STREAM_TABLE, row_idx),
-            calibration_bits=config.calibration_bits,
-        )
+        session = replace(_session(config, scheme),
+                          master_seed=derive_seed(config.seed, STREAM_TABLE, row_idx))
+        outcome, cal, _ = run_attack_experiment(session, config.calibration_bits)
         hw = binomial_ci_halfwidth(outcome.p, outcome.n_secure_bits)
         rows.append((
             name, outcome.p, outcome.sigma_p, hw, outcome.n_secure_bits,

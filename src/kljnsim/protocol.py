@@ -22,10 +22,45 @@ from . import attack
 from .circuit import WireTrace
 from .errors import ConfigurationError
 from .noise import _in_band_bin_count, derive_seed, fill_band
-from .schemes import CASES, SchemeConfig, level_table
+from .schemes import CASES, SchemeConfig, case_branches, level_table
 
 STREAM_CHOICES = 0
 BRANCH_STREAMS = {"LA": 1, "HA": 2, "LB": 3, "HB": 4}
+
+
+@dataclass(frozen=True)
+class Sampling:
+    """How each bit period is sampled: trace length, oversampling ratio and crossing mode.
+
+    Construction checks every sampling rule, including that at least one
+    DFT bin falls inside the noise band.  An experiment simulates all the
+    cases it compares (a session, Eve's calibration, the moment tables)
+    under one value.
+    """
+
+    samples_per_bit: int = 16384
+    oversample: float = 16.0     # sample_rate / (2 * bandwidth)
+    zc_mode: str = "sample_after"
+
+    def __post_init__(self):
+        if self.samples_per_bit < 2:
+            raise ConfigurationError(f"samples_per_bit must be >= 2, got {self.samples_per_bit}")
+        if not self.oversample >= 1:
+            raise ConfigurationError(f"oversample must be >= 1, got {self.oversample}")
+        # The band edge falls at bin samples_per_bit / (2 * oversample).
+        if _in_band_bin_count(self.samples_per_bit, self.sample_rate(1.0), 1.0) == 0:
+            raise ConfigurationError(
+                f"samples_per_bit ({self.samples_per_bit}) must be >= 2 * oversample "
+                f"({self.oversample:g}), or no DFT bin falls inside the noise band"
+            )
+        if self.zc_mode not in attack.ZC_MODES:
+            raise ConfigurationError(
+                f"zc_mode must be one of {attack.ZC_MODES}, got {self.zc_mode!r}"
+            )
+
+    def sample_rate(self, bandwidth: float) -> float:
+        """Samples per second for a noise band of ``bandwidth`` Hz."""
+        return 2.0 * bandwidth * self.oversample
 
 
 @dataclass(frozen=True)
@@ -33,38 +68,18 @@ class SessionConfig:
     """Parameters of a simulated key-exchange session."""
 
     scheme: SchemeConfig
-    samples_per_bit: int = 16384
-    oversample: float = 16.0     # sample_rate / (2 * bandwidth)
+    sampling: Sampling = Sampling()
     bits_per_run: int = 1000
     runs: int = 10
     master_seed: int = 1
-    zc_mode: str = "sample_after"
 
     def __post_init__(self):
-        if self.samples_per_bit < 2:
-            raise ConfigurationError(f"samples_per_bit must be >= 2, got {self.samples_per_bit}")
-        if self.oversample < 1:
-            raise ConfigurationError(f"oversample must be >= 1, got {self.oversample}")
-        # The band edge falls at bin samples_per_bit / (2 * oversample).
-        if _in_band_bin_count(self.samples_per_bit, 2.0 * self.oversample, 1.0) == 0:
-            raise ConfigurationError(
-                f"samples_per_bit ({self.samples_per_bit}) must be >= 2 * oversample "
-                f"({self.oversample:g}), or no DFT bin falls inside the noise band"
-            )
         if self.bits_per_run < 1:
             raise ConfigurationError(f"bits_per_run must be >= 1, got {self.bits_per_run}")
         if self.runs < 1:
             raise ConfigurationError(f"runs must be >= 1, got {self.runs}")
         if self.master_seed < 0:
             raise ConfigurationError(f"master_seed must be >= 0, got {self.master_seed}")
-        if self.zc_mode not in attack.ZC_MODES:
-            raise ConfigurationError(
-                f"zc_mode must be one of {attack.ZC_MODES}, got {self.zc_mode!r}"
-            )
-
-    @property
-    def sample_rate(self) -> float:
-        return 2.0 * self.scheme.bandwidth * self.oversample
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,20 +117,15 @@ class SessionResult:
 BLOCK_SAMPLES = 2**16
 
 
-def simulate_bits(
-    scheme: SchemeConfig,
-    cases,
-    entropy_prefixes,
-    samples_per_bit: int,
-    sample_rate: float,
-    zc_mode: str,
-) -> BitColumns:
+def simulate_bits(scheme: SchemeConfig, sampling: Sampling, cases, entropy_prefixes) -> BitColumns:
     """Simulate one bit per (case, entropy prefix) pair and return its statistics.
 
-    ``cases`` holds indices into ``CASES``.  Each bit's two connected branches
-    draw their in-band noise coefficients (:func:`noise.fill_band`) from
-    seeds that extend its entropy prefix with the branch stream tag.  The
-    wire is linear, so it is solved bin by bin in the frequency domain,
+    ``sampling`` sets the trace length, the sample rate and the crossing
+    mode.  ``cases`` holds indices into ``CASES``.  Each bit's two connected
+    branches (:func:`schemes.case_branches`) draw their in-band noise
+    coefficients (:func:`noise.fill_band`) from seeds that extend its
+    entropy prefix with the branch stream tag.  The wire is linear, so it is
+    solved bin by bin in the frequency domain,
 
         I = (X_A - X_B) / (R_A + R_B),   U = (X_A * R_B + X_B * R_A) / (R_A + R_B),
 
@@ -129,23 +139,15 @@ def simulate_bits(
     n_bits = len(entropy_prefixes)
     if case.shape != (n_bits,) or not np.isin(case, np.arange(len(CASES))).all():
         raise ValueError("cases must hold one index into CASES per entropy prefix")
-    n = samples_per_bit
-    if sample_rate < 2.0 * scheme.bandwidth:
-        raise ConfigurationError(
-            f"sample_rate {sample_rate} violates Nyquist for bandwidth {scheme.bandwidth}"
-        )
+    n = sampling.samples_per_bit
+    sample_rate = sampling.sample_rate(scheme.bandwidth)
     k_max = _in_band_bin_count(n, sample_rate, scheme.bandwidth)
-    if k_max < 1:
-        raise ConfigurationError(
-            f"no DFT bin falls inside the noise band at samples_per_bit {n}; increase it"
-        )
     has_nyquist = (n % 2 == 0) and (k_max == n // 2)
     m2 = 2 * (k_max - 1 if has_nyquist else k_max)   # parts of the weight-2 bins
 
     wiring = []
     for label in CASES:
-        a_id = "LA" if label[0] == "L" else "HA"
-        b_id = "LB" if label[1] == "L" else "HB"
+        a_id, b_id = case_branches(label)
         wiring.append((scheme.branches[a_id], scheme.branches[b_id],
                        BRANCH_STREAMS[a_id], BRANCH_STREAMS[b_id]))
     case_list = case.tolist()
@@ -191,7 +193,7 @@ def simulate_bits(
         del spectra
         for j, k in enumerate(block):
             wire = WireTrace(u_c=traces[2 * j], i_c=traces[2 * j + 1], sample_rate=sample_rate)
-            v = attack.detect_zero_crossings(wire, zc_mode).values
+            v = attack.detect_zero_crossings(wire, sampling.zc_mode).values
             n_zc[k] = v.size
             u_zc2[k] = np.mean(v * v)
     return BitColumns(case=case, u2=u2, i2=i2, p_ab=p_ab, n_zc=n_zc, u_zc2=u_zc2)
@@ -232,10 +234,7 @@ def run_session(config: SessionConfig) -> SessionResult:
         np.random.default_rng(derive_seed(*prefix, STREAM_CHOICES)).integers(0, 2, size=2)
         for prefix in prefixes
     ]).T   # row 0: Alice, row 1: Bob
-    bits = simulate_bits(
-        config.scheme, 2 * choices[0] + choices[1], prefixes,
-        config.samples_per_bit, config.sample_rate, config.zc_mode,
-    )
+    bits = simulate_bits(config.scheme, config.sampling, 2 * choices[0] + choices[1], prefixes)
     inferred = _infer_partner(choices, bits.u2, level_table(config.scheme))
     return SessionResult(
         bits=bits,

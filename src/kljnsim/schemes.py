@@ -39,17 +39,9 @@ SECURITY_RTOL = 1e-9
 ZERO_POWER_RTOL = 1e-12
 
 
-def _pair_moments(branches: dict[str, Branch]) -> tuple[MomentSummary, MomentSummary]:
-    """Analytic wire moments of the two secure pairings (LH, HL)."""
-    lh = analytic_moments(
-        branches["LA"].resistance, branches["LA"].mean_square,
-        branches["HB"].resistance, branches["HB"].mean_square,
-    )
-    hl = analytic_moments(
-        branches["HA"].resistance, branches["HA"].mean_square,
-        branches["LB"].resistance, branches["LB"].mean_square,
-    )
-    return lh, hl
+def case_branches(case: str) -> tuple[str, str]:
+    """Ids of the branches Alice and Bob connect in ``case``: "LH" connects LA and HB."""
+    return case[0] + "A", case[1] + "B"
 
 
 def _require_positive(**values: float) -> None:
@@ -116,7 +108,8 @@ class SecurityReport:
 
 def security_check(config: SchemeConfig) -> SecurityReport:
     """Compare the LH and HL analytic moments of a configuration."""
-    lh, hl = _pair_moments(config.branches)
+    levels = level_table(config)
+    lh, hl = levels["LH"], levels["HL"]
     power_scale = math.sqrt(lh.u2 * lh.i2)
     mismatch = max(
         _relative(lh.u2, hl.u2),
@@ -264,14 +257,9 @@ def level_table(config: SchemeConfig) -> dict[str, MomentSummary]:
     Keys are case labels with Alice's choice first: LL, LH, HL, HH.  For
     valid configurations the LH and HL entries coincide (the secure level).
     """
-    b = config.branches
-    pairs = {
-        "LL": (b["LA"], b["LB"]),
-        "LH": (b["LA"], b["HB"]),
-        "HL": (b["HA"], b["LB"]),
-        "HH": (b["HA"], b["HB"]),
-    }
-    return {
-        label: analytic_moments(a.resistance, a.mean_square, bb.resistance, bb.mean_square)
-        for label, (a, bb) in pairs.items()
-    }
+    table = {}
+    for label in CASES:
+        alice, bob = (config.branches[bid] for bid in case_branches(label))
+        table[label] = analytic_moments(alice.resistance, alice.mean_square,
+                                        bob.resistance, bob.mean_square)
+    return table

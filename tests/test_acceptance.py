@@ -23,7 +23,7 @@ from kljnsim.circuit import analytic_moments, conditional_zc_variance, wire_obse
 from kljnsim.cli import main as cli_main
 from kljnsim.errors import ConfigurationError, UnphysicalSchemeError
 from kljnsim.noise import NoiseSpec, estimate_psd, synthesize
-from kljnsim.protocol import CASES
+from kljnsim.protocol import CASES, Sampling, SessionConfig
 from kljnsim.schemes import (
     branch_temperatures,
     classic_kljn,
@@ -123,8 +123,7 @@ def test_criterion_3_moment_table_reproduction():
                 scheme.branches[b_id].resistance, scheme.branches[b_id].mean_square,
             )
             m = measure_case_moments(
-                scheme, case, n_bits=n_bits, samples_per_bit=samples,
-                oversample=gamma, seed=3000 + row_idx,
+                scheme, Sampling(samples, gamma), case, n_bits=n_bits, seed=3000 + row_idx,
             )
             assert abs(m.u2 - oracle.u2) <= 3 * m.u2_se, (name, case, "u2 vs oracle")
             assert abs(m.i2 - oracle.i2) <= 3 * m.i2_se, (name, case, "i2 vs oracle")
@@ -152,8 +151,9 @@ def test_criterion_4_equilibrium_immunity():
     for idx, name in enumerate(EQUILIBRIUM_BENCHMARK_NAMES):
         scheme = benchmark_scheme(name, bandwidth=BANDWIDTH)
         outcome, cal, session = run_attack_experiment(
-            scheme, samples_per_bit=16384, oversample=16.0, zc_mode="sample_after",
-            bits_per_run=1000, runs=10, seed=4000 + idx, calibration_bits=200,
+            SessionConfig(scheme, Sampling(16384, 16.0, "sample_after"),
+                          bits_per_run=1000, runs=10, master_seed=4000 + idx),
+            calibration_bits=200,
         )
         assert 0.48 <= outcome.p <= 0.52, (name, outcome.p)
         if name == "kljn":

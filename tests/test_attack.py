@@ -21,6 +21,7 @@ from kljnsim.errors import CalibrationError
 from kljnsim.protocol import (
     CASES,
     BitColumns,
+    Sampling,
     SessionConfig,
     SessionResult,
     run_session,
@@ -116,7 +117,8 @@ def sampled_wires(draw):
 def expected_sample_indices(w, mode):
     """Indices a sample-aligned mode picks, from the definition in ``ZC_MODES``."""
     i = w.i_c
-    kk = np.flatnonzero(i[:-1] * i[1:] < 0.0)
+    kk = np.array([k for k in range(i.size - 1) if i[k] < 0 < i[k + 1] or i[k + 1] < 0 < i[k]],
+                  dtype=np.int64)
     if mode == "sample_before":
         picks = kk
     elif mode == "sample_after":
@@ -124,6 +126,11 @@ def expected_sample_indices(w, mode):
     else:
         picks = kk + (np.abs(i[kk + 1]) < np.abs(i[kk]))
     return sorted(set(picks.tolist()) | set(np.flatnonzero(i == 0.0).tolist()))
+
+
+#: Nonzero currents with magnitudes down to 1e-300, where the product of two
+#: neighbours underflows to zero.
+TINY_CURRENT = st.builds(math.copysign, st.floats(1e-300, 1e3), st.sampled_from([1.0, -1.0]))
 
 
 class TestDetectZeroCrossingsProperties:
@@ -149,6 +156,14 @@ class TestDetectZeroCrossingsProperties:
         assert np.array_equal(cs.values, w.u_c[index])
 
     @settings(max_examples=300, deadline=None)
+    @given(st.lists(TINY_CURRENT, min_size=2, max_size=40),
+           st.sampled_from(("sample_before", "sample_after")))
+    def test_every_sign_change_counted_at_any_magnitude(self, i, mode):
+        changes = [k for k in range(len(i) - 1) if (i[k] < 0) != (i[k + 1] < 0)]
+        times = detect_zero_crossings(wire(i, [0.0] * len(i)), mode).times
+        assert times.tolist() == [float(k + (mode == "sample_after")) for k in changes]
+
+    @settings(max_examples=300, deadline=None)
     @given(sampled_wires(), st.sampled_from(("sample_before", "sample_after", "nearest")))
     def test_dedupe_keeps_every_distinct_pick(self, w, mode):
         # Adjacent crossings (or a crossing and an exact zero) that elect the
@@ -169,8 +184,8 @@ class TestZcMeanSquare:
 
 class TestCalibrate:
     def test_classic_indistinct(self, classic_scheme):
-        cal = calibrate(classic_scheme, samples_per_bit=8192, oversample=8,
-                        zc_mode="sample_after", calibration_bits=120, seed=42)
+        cal = calibrate(classic_scheme, Sampling(8192, 8, "sample_after"),
+                        calibration_bits=120, seed=42)
         assert cal.polarity == "indistinct"
         assert cal.mean_zc_lh == pytest.approx(0.909, rel=0.05)
         assert min(cal.mean_zc_lh, cal.mean_zc_hl) <= cal.threshold <= max(cal.mean_zc_lh, cal.mean_zc_hl)
@@ -178,20 +193,20 @@ class TestCalibrate:
     def test_vmg_lh_hl_means_match_conditional_value(self, vmg_scheme):
         # The solved quadruple equalizes the joint wire law, so both
         # hypotheses sit near the conditional-variance value; no polarity.
-        cal = calibrate(vmg_scheme, samples_per_bit=8192, oversample=8,
-                        zc_mode="interpolated", calibration_bits=150, seed=42)
+        cal = calibrate(vmg_scheme, Sampling(8192, 8, "interpolated"),
+                        calibration_bits=150, seed=42)
         assert cal.mean_zc_lh == pytest.approx(0.3228, rel=0.05)
         assert cal.mean_zc_hl == pytest.approx(0.3228, rel=0.05)
 
     def test_insufficient_crossings(self, classic_scheme):
         with pytest.raises(CalibrationError, match="samples_per_bit"):
-            calibrate(classic_scheme, samples_per_bit=128, oversample=16,
-                      zc_mode="sample_after", calibration_bits=100, seed=1)
+            calibrate(classic_scheme, Sampling(128, 16, "sample_after"),
+                      calibration_bits=100, seed=1)
 
     def test_too_few_bits(self, classic_scheme):
         with pytest.raises(ValueError):
-            calibrate(classic_scheme, samples_per_bit=8192, oversample=8,
-                      zc_mode="sample_after", calibration_bits=50, seed=1)
+            calibrate(classic_scheme, Sampling(8192, 8, "sample_after"),
+                      calibration_bits=50, seed=1)
 
 
 class TestEveGuess:
@@ -270,9 +285,9 @@ class TestAttackStatistics:
 
 class TestEndToEndEquilibrium:
     def test_classic_attack_near_half(self, classic_scheme):
-        cal = calibrate(classic_scheme, samples_per_bit=4096, oversample=4,
-                        zc_mode="sample_after", calibration_bits=100, seed=9)
-        cfg = SessionConfig(scheme=classic_scheme, samples_per_bit=4096, oversample=4,
+        cal = calibrate(classic_scheme, Sampling(4096, 4, "sample_after"),
+                        calibration_bits=100, seed=9)
+        cfg = SessionConfig(scheme=classic_scheme, sampling=Sampling(4096, 4),
                             bits_per_run=400, runs=2, master_seed=9)
         out = attack_statistics(run_session(cfg), cal, guess_seed=123)
         assert cal.polarity == "indistinct"
