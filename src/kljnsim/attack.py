@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import CalibrationError, ConfigurationError
-from .noise import derive_seed
+from .noise import stream_generators
 from .schemes import CASES, SchemeConfig
 
 if TYPE_CHECKING:
@@ -190,8 +190,9 @@ def calibrate(
 def eve_guess_bit(u_zc2: float, cal: AttackCalibration, tie_seed) -> str:
     """Guess the secure case from one bit's zero-crossing statistic.
 
-    Indistinct calibration falls back to a seeded fair coin; otherwise it is
-    a threshold comparison.
+    Indistinct calibration falls back to a fair coin, drawn from
+    ``default_rng(tie_seed)``: ``tie_seed`` is a seed or a ``Generator``,
+    which is used as it is.  Otherwise the guess is a threshold comparison.
     """
     if cal.polarity == "indistinct":
         rng = np.random.default_rng(tie_seed)
@@ -209,9 +210,16 @@ def attack_statistics(session, cal: AttackCalibration, guess_seed: int = 0) -> A
     standard deviation.  Runs without secure bits are excluded (counted in
     ``n_excluded_runs``); RuntimeError when no run has one.  Coin-flip
     guesses draw from a stream disjoint from the simulation seeds,
-    namespaced by ``guess_seed``.
+    namespaced by ``guess_seed``: the coin of bit b in run r comes from
+    ``default_rng(derive_seed(guess_seed, r, b, STREAM_EVE_TIE))``.
     """
     secure = session.per_run(session.bits.secure)
+    coins = None
+    if cal.polarity == "indistinct":
+        coins = stream_generators(
+            (guess_seed, run_idx, bit_idx, STREAM_EVE_TIE)
+            for run_idx, bit_idx in zip(*(a.tolist() for a in np.nonzero(secure)))
+        )
     case = session.per_run(session.bits.case)
     u_zc2 = session.per_run(session.bits.u_zc2)
     per_run_p = []
@@ -224,12 +232,8 @@ def attack_statistics(session, cal: AttackCalibration, guess_seed: int = 0) -> A
             excluded += 1
             continue
         correct = 0
-        for bit_idx, c, v in zip(
-            bit_indices.tolist(), case[run_idx, mask].tolist(), u_zc2[run_idx, mask].tolist()
-        ):
-            guess = eve_guess_bit(
-                v, cal, derive_seed(guess_seed, run_idx, bit_idx, STREAM_EVE_TIE)
-            )
+        for c, v in zip(case[run_idx, mask].tolist(), u_zc2[run_idx, mask].tolist()):
+            guess = eve_guess_bit(v, cal, next(coins) if coins else None)
             correct += guess == CASES[c]
         per_run_p.append(correct / bit_indices.size)
         n_secure += bit_indices.size

@@ -10,7 +10,10 @@ so the expected sample mean-square equals the requested level exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,15 +28,183 @@ BOLTZMANN = 1.380649e-23
 GENERATOR_ID = f"numpy.random.PCG64/numpy-{np.__version__}"
 
 
+#: numpy ``SeedSequence`` hashing constants (numpy/random/bit_generator.pyx).
+INIT_A = 0x43B0D7E5
+MULT_A = 0x931E8875
+INIT_B = 0x8B51F9DD
+MULT_B = 0x58F38DED
+MIX_MULT_L = 0xCA01F9DD
+MIX_MULT_R = 0x4973F715
+XSHIFT = 16
+POOL_SIZE = 4
+MASK32 = 0xFFFFFFFF
+
+#: PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+MASK128 = (1 << 128) - 1
+
+#: Entropy rows hashed per vectorized pass by :func:`stream_generators`.
+SEED_CHUNK = 1024
+
+
+def _column_words(column, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``SeedSequence``'s uint32 words of ``n`` non-negative integers.
+
+    Returns ``(words, counts)``: ``words[w, r]`` is word ``w`` (least
+    significant first) of integer ``r``, zero past ``counts[r]``.  Zero
+    takes one word.
+    """
+    try:
+        values = np.fromiter(map(operator.index, column), np.uint64, n)
+    except OverflowError:   # negative, or 2**64 and above
+        ints = list(map(operator.index, column))
+        if min(ints) < 0:
+            raise ValueError("entropy must be non-negative integers") from None
+        counts = np.array([max(1, -(-v.bit_length() // 32)) for v in ints])
+        words = [[(v >> 32 * w) & MASK32 for v in ints] for w in range(counts.max())]
+        return np.array(words, dtype=np.uint32), counts
+    words = np.stack([values & MASK32, values >> 32]).astype(np.uint32)
+    return words, 1 + (values > MASK32)
+
+
+def _entropy_words(rows: list) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's integers as the concatenated uint32 words ``SeedSequence`` hashes.
+
+    Returns ``(words, counts)``: column ``r`` of ``words`` holds row ``r``'s
+    ``counts[r]`` words followed by zeros, and there are at least
+    ``POOL_SIZE`` rows of words.
+    """
+    n = len(rows)
+    lengths = np.fromiter(map(len, rows), np.intp, n)
+    counts = np.zeros(n, np.intp)
+    placed = []   # (row indices, words, word counts, first word's position)
+    for length in set(map(len, rows)):
+        idx = np.flatnonzero(lengths == length)
+        group = rows if idx.size == n else [rows[i] for i in idx]
+        for column in zip(*group):
+            words, column_counts = _column_words(column, idx.size)
+            placed.append((idx, words, column_counts, counts[idx]))
+            counts[idx] += column_counts
+    out = np.zeros((max(POOL_SIZE, int(counts.max(initial=0))), n), np.uint32)
+    for idx, words, column_counts, first in placed:
+        for w, word in enumerate(words):
+            has = column_counts > w
+            out[first[has] + w, idx[has]] = word[has]
+    return out, counts
+
+
+def _mix_entropy(words: np.ndarray) -> list[np.ndarray]:
+    """``SeedSequence``'s entropy pool for each column of uint32 ``words``.
+
+    Column ``r`` holds one entropy row; rows of fewer than ``POOL_SIZE``
+    words are zero-padded to it, and every row of one call has the same
+    number of words.  Returns the ``POOL_SIZE`` pool words as arrays.
+    """
+    hash_const = INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * MULT_A & MASK32
+        value *= hash_const
+        return value ^ (value >> XSHIFT)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = x * MIX_MULT_L - y * MIX_MULT_R
+        return result ^ (result >> XSHIFT)
+
+    pool = [hashmix(words[i]) for i in range(POOL_SIZE)]
+    for i_src in range(POOL_SIZE):
+        for i_dst in range(POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for i_src in range(POOL_SIZE, len(words)):
+        for i_dst in range(POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(words[i_src]))
+    return pool
+
+
+def _generate_state(pool: list[np.ndarray], n_words: int) -> np.ndarray:
+    """``SeedSequence.generate_state(n_words, np.uint64)`` of each pool: shape (n_words, rows)."""
+    hash_const = INIT_B
+    state = []
+    for i in range(2 * n_words):
+        value = pool[i % POOL_SIZE] ^ hash_const
+        hash_const = hash_const * MULT_B & MASK32
+        value *= hash_const
+        state.append((value ^ (value >> XSHIFT)).astype(np.uint64))
+    return np.array([state[2 * i] | state[2 * i + 1] << 32 for i in range(n_words)])
+
+
+def derive_seeds(entropy_rows) -> np.ndarray:
+    """:func:`derive_seed` of every entropy row, hashed in one vectorized pass.
+
+    Returns a uint64 array with one seed per row.  This is numpy's
+    ``SeedSequence`` mixing on columns of uint32 words, so each seed equals
+    ``SeedSequence(row).generate_state(1, np.uint64)[0]``.
+    """
+    words, counts = _entropy_words(list(entropy_rows))
+    seeds = np.empty(counts.size, np.uint64)
+    # A row's words past the pool size are mixed in one by one, so rows
+    # are hashed in groups of one word count.
+    hashed = np.maximum(counts, POOL_SIZE)
+    for width in set(hashed.tolist()):
+        rows = hashed == width
+        seeds[rows] = _generate_state(_mix_entropy(words[:width, rows]), 1)[0]
+    return seeds
+
+
 def derive_seed(*entropy: int) -> int:
     """Collapse an entropy tuple into one 64-bit generator seed.
 
     The mapping is a pure function of the tuple (numpy ``SeedSequence``
-    hashing), so parallel workers synthesizing different (run, bit, branch)
-    tasks get independent streams regardless of scheduling order.
+    hashing, the scalar case of :func:`derive_seeds`), so results do not
+    depend on the order in which tasks run.  Distinct tuples are not always
+    distinct streams: the hash sees only the tuple's uint32 words, zero
+    padded to four, so ``(1, 6)`` and ``(1, 6, 0, 0)`` give one seed, and an
+    integer of 2**32 or more is split into words, so ``(2**32 + 5, 1)`` and
+    ``(5, 1, 1)`` give one seed.  ROADMAP item 4 plans fixed-width keys.
     """
-    ss = np.random.SeedSequence(entropy)
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(derive_seeds([entropy])[0])
+
+
+def seeded_generators(seeds) -> Iterator[np.random.Generator]:
+    """Yield, for each 64-bit seed, a generator in ``np.random.default_rng(seed)``'s first state.
+
+    All seeds are hashed in one vectorized pass to PCG64's seeding words;
+    each seed's 128-bit state is then set on one reused generator, which is
+    yielded every time.  Draw from it before taking the next one.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    words = np.zeros((POOL_SIZE, seeds.size), np.uint32)
+    words[0] = seeds & MASK32
+    words[1] = seeds >> 32
+    pcg_words = _generate_state(_mix_entropy(words), 4)
+    rng = np.random.Generator(np.random.PCG64(0))
+    # One row of Python ints at a time: only the compact array is held.
+    for s_hi, s_lo, q_hi, q_lo in map(np.ndarray.tolist, pcg_words.T):
+        # PCG64 seeding: inc = 2 * initseq + 1; from state 0 step, add initstate, step.
+        inc = (q_hi << 65 | q_lo << 1 | 1) & MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * PCG64_MULT + inc) & MASK128
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
+
+
+def stream_generators(entropy_rows) -> Iterator[np.random.Generator]:
+    """Yield, for each entropy row, a generator in ``default_rng(derive_seed(*row))``'s first state.
+
+    Rows are read and hashed ``SEED_CHUNK`` at a time, so only compact
+    arrays are held.  As with :func:`seeded_generators`, one reused
+    generator is yielded every time.
+    """
+    rows = iter(entropy_rows)
+    while (seeds := derive_seeds(itertools.islice(rows, SEED_CHUNK))).size:
+        yield from seeded_generators(seeds)
 
 
 @dataclass(frozen=True)
@@ -117,15 +288,16 @@ def _in_band_bin_count(num_samples: int, sample_rate: float, bandwidth: float) -
     return min(k_max, num_samples // 2)
 
 
-def fill_band(band: np.ndarray, num_samples: int, mean_square: float, seed: int) -> None:
+def fill_band(band: np.ndarray, num_samples: int, mean_square: float,
+              rng: np.random.Generator) -> None:
     """Draw one trace's in-band DFT coefficients into ``band``.
 
     ``band`` is the complex slice of bins 1..k_max of a length
     ``num_samples // 2 + 1`` spectrum; every element of it is overwritten.
     The draws are the real parts, then the imaginary parts, then the real
-    Nyquist coefficient when the Nyquist bin is in band, all from one
-    generator seeded with ``seed``.  The scale makes the expected sample
-    mean-square of the inverse transform equal ``mean_square``.
+    Nyquist coefficient when the Nyquist bin is in band, all from ``rng``.
+    The scale makes the expected sample mean-square of the inverse
+    transform equal ``mean_square``.
     """
     n = num_samples
     k_max = band.size
@@ -135,7 +307,6 @@ def fill_band(band: np.ndarray, num_samples: int, mean_square: float, seed: int)
     # With X_k = s * z_k and E|z_k|^2 = 1, the expected sample mean-square
     # is s^2 * weight / n^2 (Parseval); solve for s.
     scale = n * math.sqrt(mean_square / weight)
-    rng = np.random.default_rng(seed)
     parts = band.view(np.float64)  # real and imaginary parts interleaved
     np.multiply(rng.standard_normal(m), scale / math.sqrt(2.0), out=parts[0 : 2 * m : 2])
     np.multiply(rng.standard_normal(m), scale / math.sqrt(2.0), out=parts[1 : 2 * m : 2])
@@ -170,7 +341,7 @@ def synthesize(spec: NoiseSpec) -> NoiseTrace:
             raise ConfigurationError(
                 "no DFT bin falls inside the noise band; increase num_samples"
             )
-        fill_band(coeffs[1 : k_max + 1], n, spec.mean_square, spec.seed)
+        fill_band(coeffs[1 : k_max + 1], n, spec.mean_square, np.random.default_rng(spec.seed))
     samples = np.fft.irfft(coeffs, n=n)
     return NoiseTrace(samples=samples, sample_rate=float(spec.sample_rate))
 

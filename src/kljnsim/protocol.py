@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from . import attack
 from .circuit import WireTrace
 from .errors import ConfigurationError
-from .noise import _in_band_bin_count, derive_seed, fill_band
+from .noise import _in_band_bin_count, fill_band, stream_generators
 from .schemes import CASES, SchemeConfig, case_branches, level_table
 
 STREAM_CHOICES = 0
@@ -43,6 +44,10 @@ class Sampling:
     zc_mode: str = "sample_after"
 
     def __post_init__(self):
+        if isinstance(self.samples_per_bit, bool) or not isinstance(self.samples_per_bit, Integral):
+            raise ConfigurationError(
+                f"samples_per_bit must be an integer, got {self.samples_per_bit!r}"
+            )
         if self.samples_per_bit < 2:
             raise ConfigurationError(f"samples_per_bit must be >= 2, got {self.samples_per_bit}")
         if not self.oversample >= 1:
@@ -123,8 +128,10 @@ def simulate_bits(scheme: SchemeConfig, sampling: Sampling, cases, entropy_prefi
     ``sampling`` sets the trace length, the sample rate and the crossing
     mode.  ``cases`` holds indices into ``CASES``.  Each bit's two connected
     branches (:func:`schemes.case_branches`) draw their in-band noise
-    coefficients (:func:`noise.fill_band`) from seeds that extend its
-    entropy prefix with the branch stream tag.  The wire is linear, so it is
+    coefficients (:func:`noise.fill_band`) from generators seeded as
+    ``default_rng(derive_seed(*prefix, tag))``, where ``tag`` is the
+    branch's stream tag; :func:`noise.stream_generators` hashes the seeds
+    a chunk of bits at a time.  The wire is linear, so it is
     solved bin by bin in the frequency domain,
 
         I = (X_A - X_B) / (R_A + R_B),   U = (X_A * R_B + X_B * R_A) / (R_A + R_B),
@@ -149,8 +156,12 @@ def simulate_bits(scheme: SchemeConfig, sampling: Sampling, cases, entropy_prefi
     for label in CASES:
         a_id, b_id = case_branches(label)
         wiring.append((scheme.branches[a_id], scheme.branches[b_id],
-                       BRANCH_STREAMS[a_id], BRANCH_STREAMS[b_id]))
+                       (BRANCH_STREAMS[a_id], BRANCH_STREAMS[b_id])))
     case_list = case.tolist()
+    # Bit k's two branch generators, in the order solve_bit takes them.
+    streams = stream_generators(
+        (*prefix, tag) for prefix, c in zip(entropy_prefixes, case_list) for tag in wiring[c][2]
+    )
 
     def parseval(x: np.ndarray, y: np.ndarray) -> float:
         """Sample mean of the product of two traces, from their band parts."""
@@ -161,9 +172,9 @@ def simulate_bits(scheme: SchemeConfig, sampling: Sampling, cases, entropy_prefi
 
     def solve_bit(k: int, bands: np.ndarray) -> tuple[float, float, float]:
         """Write bit k's U and I into ``bands`` (two rows of bins 1..k_max); return u2, i2, p_ab."""
-        a, b, tag_a, tag_b = wiring[case_list[k]]
-        fill_band(bands[0], n, a.mean_square, derive_seed(*entropy_prefixes[k], tag_a))
-        fill_band(bands[1], n, b.mean_square, derive_seed(*entropy_prefixes[k], tag_b))
+        a, b, _ = wiring[case_list[k]]
+        fill_band(bands[0], n, a.mean_square, next(streams))
+        fill_band(bands[1], n, b.mean_square, next(streams))
         u, i = bands.view(np.float64)   # X_A and X_B, turned into U and I in place
         xb_ra = i * a.resistance
         np.subtract(u, i, out=i)
@@ -231,8 +242,8 @@ def run_session(config: SessionConfig) -> SessionResult:
         for bit_idx in range(config.bits_per_run)
     ]
     choices = np.array([
-        np.random.default_rng(derive_seed(*prefix, STREAM_CHOICES)).integers(0, 2, size=2)
-        for prefix in prefixes
+        rng.integers(0, 2, size=2)
+        for rng in stream_generators((*prefix, STREAM_CHOICES) for prefix in prefixes)
     ]).T   # row 0: Alice, row 1: Bob
     bits = simulate_bits(config.scheme, config.sampling, 2 * choices[0] + choices[1], prefixes)
     inferred = _infer_partner(choices, bits.u2, level_table(config.scheme))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kljnsim.attack import (
+    STREAM_EVE_TIE,
     ZC_MODES,
     AttackCalibration,
     attack_statistics,
@@ -18,6 +19,7 @@ from kljnsim.attack import (
 )
 from kljnsim.circuit import WireTrace, analytic_moments
 from kljnsim.errors import CalibrationError
+from kljnsim.noise import derive_seed
 from kljnsim.protocol import (
     CASES,
     BitColumns,
@@ -281,6 +283,24 @@ class TestAttackStatistics:
         with pytest.raises(RuntimeError, match="no run contained a secure bit"):
             with pytest.warns(UserWarning):
                 attack_statistics(_session([("LL", 0.2)]), self.CAL)
+
+
+@pytest.mark.parametrize("guess_seed", [0, 2**40 + 3])
+def test_coin_flip_p_matches_per_bit_guesses(guess_seed):
+    # Under indistinct calibration each secure bit's guess is
+    # eve_guess_bit with tie seed derive_seed(guess_seed, run, bit, STREAM_EVE_TIE).
+    cal = AttackCalibration(0.5, 0.5, 0.5, "indistinct")
+    rng = np.random.default_rng(21)
+    runs = [[(CASES[c], 0.5) for c in rng.integers(0, 4, size=60)] for _ in range(4)]
+    expected = []
+    for run_idx, run in enumerate(runs):
+        hits = [eve_guess_bit(v, cal, derive_seed(guess_seed, run_idx, bit_idx, STREAM_EVE_TIE))
+                == case
+                for bit_idx, (case, v) in enumerate(run) if case in ("LH", "HL")]
+        expected.append(sum(hits) / len(hits))
+    out = attack_statistics(_session(*runs), cal, guess_seed=guess_seed)
+    assert out.per_run_p == tuple(expected)
+    assert out.p == float(np.mean(expected))
 
 
 class TestEndToEndEquilibrium:

@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import kurtosis
+
+from kljnsim import noise
 
 from kljnsim.errors import ConfigurationError
 from kljnsim.noise import (
@@ -10,10 +14,13 @@ from kljnsim.noise import (
     NoiseSpec,
     NoiseTrace,
     derive_seed,
+    derive_seeds,
     estimate_psd,
     johnson_mean_square,
     noise_temperature,
     sample_moments,
+    seeded_generators,
+    stream_generators,
     synthesize,
 )
 
@@ -200,3 +207,61 @@ def test_derive_seed_is_deterministic_and_spreads():
     assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
     seeds = {derive_seed(1, run, bit, tag) for run in range(4) for bit in range(4) for tag in range(4)}
     assert len(seeds) == 64
+
+
+def seed_sequence_seed(entropy) -> int:
+    """The seed numpy's own ``SeedSequence`` derives from ``entropy``."""
+    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+
+
+#: Integers at the uint32 word boundaries, which take 1, 2 or 3 words.
+WORD_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64]
+
+#: Entropy integers: word edges, and any integer up to 2**70.
+ENTROPY_INT = st.one_of(st.sampled_from(WORD_EDGES), st.integers(0, 2**70))
+
+#: 64-bit seeds, word edges included.
+SEED = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]), st.integers(0, 2**64 - 1))
+
+
+class TestVectorizedSeeding:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples() | st.lists(ENTROPY_INT, min_size=1, max_size=8).map(tuple),
+                    min_size=1, max_size=12))
+    def test_derive_seeds_is_seed_sequence(self, rows):
+        # One call mixes tuple lengths and word counts (1 to 14 words per row).
+        assert derive_seeds(rows).tolist() == [seed_sequence_seed(row) for row in rows]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(ENTROPY_INT, min_size=1, max_size=8))
+    def test_derive_seed_is_the_scalar_case(self, entropy):
+        assert derive_seed(*entropy) == seed_sequence_seed(entropy)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(SEED, min_size=1, max_size=6), st.integers(1, 9))
+    def test_reseeded_generator_is_default_rng(self, seeds, k):
+        for seed, rng in zip(seeds, seeded_generators(seeds), strict=True):
+            reference = np.random.default_rng(seed)
+            assert np.array_equal(rng.standard_normal(k), reference.standard_normal(k))
+            assert np.array_equal(rng.integers(0, 2, size=2), reference.integers(0, 2, size=2))
+
+    def test_stream_generators_cross_chunks(self, monkeypatch):
+        monkeypatch.setattr(noise, "SEED_CHUNK", 3)
+        rows = [(2**40 + 1, run, bit, 4) for run in range(2) for bit in range(4)]
+        draws = [rng.standard_normal(3) for rng in stream_generators(iter(rows))]
+        assert len(draws) == len(rows)
+        for row, got in zip(rows, draws):
+            assert np.array_equal(got, np.random.default_rng(derive_seed(*row)).standard_normal(3))
+
+    def test_known_collisions_are_reproduced(self):
+        # SeedSequence pads entropy with zero words and splits integers into
+        # words; fixed-width keys (ROADMAP item 4) would remove both.
+        a, b, c, d = derive_seeds([(1, 6), (1, 6, 0, 0), (2**32 + 5, 1), (5, 1, 1)]).tolist()
+        assert a == b == seed_sequence_seed((1, 6))
+        assert c == d == seed_sequence_seed((5, 1, 1))
+
+    def test_entropy_must_be_non_negative_integers(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            derive_seeds([(1, -1)])
+        with pytest.raises(TypeError):
+            derive_seeds([(1, 2.5)])

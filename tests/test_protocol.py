@@ -14,6 +14,7 @@ from kljnsim.protocol import (
     BLOCK_SAMPLES,
     BRANCH_STREAMS,
     CASES,
+    STREAM_CHOICES,
     Sampling,
     SessionConfig,
     _infer_partner,
@@ -134,6 +135,21 @@ def test_simulate_bits_is_independent_of_blocking():
             assert np.array_equal(getattr(whole, name), joined), (split, name)
 
 
+@pytest.mark.parametrize("master_seed", [0, 2**32 + 7])
+def test_session_keeps_its_choices(classic_scheme, master_seed):
+    # Each bit's choices are default_rng(derive_seed(seed, run, bit, STREAM_CHOICES))
+    # .integers(0, 2, size=2): Alice's, then Bob's.
+    session = run_session(SessionConfig(classic_scheme, Sampling(64, 4.0), bits_per_run=30,
+                                        runs=2, master_seed=master_seed))
+    expected = []
+    for run in range(2):
+        for bit in range(30):
+            rng = np.random.default_rng(derive_seed(master_seed, run, bit, STREAM_CHOICES))
+            alice, bob = rng.integers(0, 2, size=2)
+            expected.append(2 * alice + bob)
+    assert session.bits.case.tolist() == expected
+
+
 @pytest.mark.parametrize("mode", ZC_MODES)
 @pytest.mark.parametrize("samples_per_bit", [2, 3, 8, 64])
 def test_zero_mean_current_always_crosses_zero(mode, samples_per_bit):
@@ -150,6 +166,8 @@ def test_zero_mean_current_always_crosses_zero(mode, samples_per_bit):
 #: (Sampling arguments, the field its ConfigurationError must name)
 SAMPLING_FAULTS = [
     ({"samples_per_bit": 1}, "samples_per_bit"),
+    ({"samples_per_bit": 256.5, "oversample": 4.0}, "samples_per_bit"),
+    ({"samples_per_bit": True}, "samples_per_bit"),
     ({"oversample": 0.5}, "oversample"),
     ({"oversample": math.nan}, "oversample"),
     ({"samples_per_bit": 16, "oversample": 16}, "samples_per_bit"),
