@@ -20,23 +20,29 @@ from kljnsim.benchmarks import run_attack_experiment
 SAMPLING = Sampling(samples_per_bit=16384, oversample=16.0, zc_mode="sample_after")
 BITS_PER_RUN, RUNS, CALIBRATION_BITS = 500, 4, 200
 
-settings = {**asdict(SAMPLING), "bits_per_run": BITS_PER_RUN, "runs": RUNS,
-            "calibration_bits": CALIBRATION_BITS}
-print(f"settings: {settings}\n")
-print(f"{'scheme':<7}{'p sim':>9}{'ci95':>9}{'p ref':>9}{'polarity':>13}"
-      f"{'u_zc2 LH/HL (cal)':>22}")
-for idx, (name, row) in enumerate(BENCHMARKS.items()):
-    scheme = benchmark_scheme(name)
-    session = SessionConfig(scheme, SAMPLING, BITS_PER_RUN, RUNS, master_seed=100 + idx)
-    outcome, cal, _ = run_attack_experiment(session, CALIBRATION_BITS)
-    hw = binomial_ci_halfwidth(outcome.p, outcome.n_secure_bits)
-    print(f"{name:<7}{outcome.p:>9.4f}{hw:>9.4f}{row.p_eve_ref:>9.4f}"
-          f"{cal.polarity:>13}{cal.mean_zc_lh:>11.4f}/{cal.mean_zc_hl:.4f}")
 
-print("""
+def main() -> None:
+    settings = {**asdict(SAMPLING), "bits_per_run": BITS_PER_RUN, "runs": RUNS,
+                "calibration_bits": CALIBRATION_BITS}
+    print(f"settings: {settings}\n")
+    print(f"{'scheme':<7}{'p sim':>9}{'ci95':>9}{'p ref':>9}{'polarity':>13}"
+          f"{'u_zc2 LH/HL (cal)':>22}")
+    for idx, (name, row) in enumerate(BENCHMARKS.items()):
+        scheme = benchmark_scheme(name)
+        session = SessionConfig(scheme, SAMPLING, BITS_PER_RUN, RUNS, master_seed=100 + idx)
+        outcome, cal, _ = run_attack_experiment(session, CALIBRATION_BITS)
+        hw = binomial_ci_halfwidth(outcome.p, outcome.n_secure_bits)
+        print(f"{name:<7}{outcome.p:>9.4f}{hw:>9.4f}{row.p_eve_ref:>9.4f}"
+              f"{cal.polarity:>13}{cal.mean_zc_lh:>11.4f}/{cal.mean_zc_hl:.4f}")
+
+    print("""
 With ideal flat-band Gaussian generators the solved four-resistor levels
 equalize the wire voltage, current, AND their cross-moment across LH/HL,
 which makes the two secure hypotheses share one joint law; Eve's statistic
 then carries no information and p stays at 0.5 for every scheme here.
 The reference p values above 0.5 arose from a different (unspecified)
 discretization; sweep zc_mode and oversample (demo 05) to explore this.""")
+
+
+if __name__ == "__main__":
+    main()

@@ -13,8 +13,9 @@ bits.  Stream tags 0-4 are used here; the attack module uses higher tags.
 
 from __future__ import annotations
 
+import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from numbers import Integral
 
 import numpy as np
@@ -121,6 +122,16 @@ class SessionResult:
 #: bits at a time, one at a time when a bit is longer than BLOCK_SAMPLES.
 BLOCK_SAMPLES = 2**16
 
+#: simulate_bits splits a call over up to WORKERS processes, one contiguous
+#: chunk of bits each, once the call holds FAN_OUT_SAMPLES samples or more.
+#: Below that a pool costs more to start than it saves.  WORKERS is the
+#: number of CPUs this process may run on.
+FAN_OUT_SAMPLES = 2**20
+try:
+    WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:   # no affinity API (macOS, Windows)
+    WORKERS = os.cpu_count() or 1
+
 
 def simulate_bits(scheme: SchemeConfig, sampling: Sampling, cases, entropy_prefixes) -> BitColumns:
     """Simulate one bit per (case, entropy prefix) pair and return its statistics.
@@ -141,11 +152,40 @@ def simulate_bits(scheme: SchemeConfig, sampling: Sampling, cases, entropy_prefi
     current's zero crossings and the mean square of the voltage sampled
     there.  The noise has no DC bin, so the current is zero-mean and crosses
     zero in every bit (n_zc >= 1).
+
+    Each bit depends only on its case and prefix, so a call of at least
+    ``FAN_OUT_SAMPLES`` samples is split into ``min(WORKERS, n_bits)``
+    contiguous chunks that run in a process pool; the columns are the same
+    for any worker count.  A pool that breaks raises ``BrokenProcessPool``,
+    a ``RuntimeError``.
     """
     case = np.asarray(cases, dtype=np.int64)
     n_bits = len(entropy_prefixes)
     if case.shape != (n_bits,) or not np.isin(case, np.arange(len(CASES))).all():
         raise ValueError("cases must hold one index into CASES per entropy prefix")
+    chunks = min(WORKERS, n_bits)
+    if chunks < 2 or n_bits * sampling.samples_per_bit < FAN_OUT_SAMPLES:
+        return _simulate_bits(scheme, sampling, case, entropy_prefixes)
+    # Imported here: at module level it would add tens of ms to every start-up.
+    from concurrent.futures import ProcessPoolExecutor
+
+    bounds = [n_bits * j // chunks for j in range(chunks + 1)]
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    with ProcessPoolExecutor(chunks) as pool:
+        parts = list(pool.map(
+            _simulate_bits, [scheme] * chunks, [sampling] * chunks,
+            [case[lo:hi] for lo, hi in spans], [entropy_prefixes[lo:hi] for lo, hi in spans],
+        ))
+    return BitColumns(**{
+        f.name: np.concatenate([getattr(part, f.name) for part in parts])
+        for f in fields(BitColumns)
+    })
+
+
+def _simulate_bits(scheme: SchemeConfig, sampling: Sampling, case: np.ndarray,
+                   entropy_prefixes) -> BitColumns:
+    """:func:`simulate_bits` in this process, on cases it has checked."""
+    n_bits = len(entropy_prefixes)
     n = sampling.samples_per_bit
     sample_rate = sampling.sample_rate(scheme.bandwidth)
     k_max = _in_band_bin_count(n, sample_rate, scheme.bandwidth)

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from kljnsim import protocol
 from kljnsim.cli import (
     ExperimentConfig,
     build_scheme,
@@ -315,3 +320,52 @@ class TestTableCommands:
             assert 0.0 <= p_sim <= 1.0
             p_ref = float(fields[7])
             assert 0.4 < p_ref < 0.8
+
+
+#: The file each subcommand writes after its output prefix.
+OUTPUT_SUFFIX = {"simulate": "_bits.csv", "attack": "_attack.csv", "hist": "_hist.csv",
+                 "table1": "_table1.csv", "table2": "_table2.csv"}
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_SUFFIX))
+def test_output_is_independent_of_worker_count(tmp_path, monkeypatch, capsys, command):
+    # With the fan-out floor at one sample, every simulate_bits call of two or
+    # more bits runs in the pool when there are two workers.
+    cfg_path = write_config(
+        tmp_path,
+        "kind = vmg\nr_ha = 46416\nr_la = 278\nr_hb = 278\nr_lb = 100\n"
+        "samples_per_bit = 1024\noversample = 4\nbits_per_run = 30\nruns = 2\nseed = 11\n"
+        "calibration_bits = 100\nzc_mode = interpolated\n",
+    )
+    monkeypatch.setattr(protocol, "FAN_OUT_SAMPLES", 1)
+    outputs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(protocol, "WORKERS", workers)
+        assert main([command, cfg_path, "--output-prefix", str(tmp_path / "out")]) == 0
+        outputs.append(((tmp_path / f"out{OUTPUT_SUFFIX[command]}").read_bytes(),
+                        capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+
+
+def _die(*args):
+    os._exit(1)
+
+
+def test_broken_worker_pool_exit_4(tmp_path, monkeypatch, capsys):
+    cfg_path = write_config(tmp_path, CLASSIC_TEXT + SMALL_COMMON)
+    monkeypatch.setattr(protocol, "FAN_OUT_SAMPLES", 1)
+    monkeypatch.setattr(protocol, "WORKERS", 2)
+    monkeypatch.setattr(protocol, "_simulate_bits", _die)
+    assert main(["simulate", cfg_path, "--output-prefix", str(tmp_path / "a")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: ") and "Traceback" not in err
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # concurrent.futures is imported only when a call fans out: at import time
+    # it would add tens of milliseconds to every command's start-up.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src),
+                                                                     os.environ.get("PYTHONPATH")]))}
+    code = "import kljnsim.cli, sys; assert 'concurrent.futures' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

@@ -18,3 +18,18 @@ def test_demo_exits_zero(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=600, check=False)
     assert proc.returncode == 0, proc.stderr
+
+
+#: Runs a demo as ``__main__`` with processes started by "spawn", the default
+#: on macOS: each pool worker imports the demo again, which must not rerun it.
+RUN_UNDER_SPAWN = ("import multiprocessing, runpy, sys; multiprocessing.set_start_method('spawn'); "
+                   "runpy.run_path(sys.argv[1], run_name='__main__')")
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[demo.name for demo in DEMOS])
+def test_demo_runs_under_spawn(demo, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", RUN_UNDER_SPAWN, str(demo)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=600, check=False)
+    assert proc.returncode == 0, proc.stderr

@@ -1,11 +1,13 @@
+import concurrent.futures
 import math
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from kljnsim import benchmarks
+from kljnsim import benchmarks, protocol
 from kljnsim.attack import ZC_MODES, detect_zero_crossings, zc_mean_square
 from kljnsim.circuit import MomentSummary, WireTrace, measure_moments, wire_observables
 from kljnsim.errors import ConfigurationError
@@ -133,6 +135,85 @@ def test_simulate_bits_is_independent_of_blocking():
         for name in ("case", "u2", "i2", "p_ab", "n_zc", "u_zc2"):
             joined = np.concatenate([getattr(head, name), getattr(tail, name)])
             assert np.array_equal(getattr(whole, name), joined), (split, name)
+
+
+COLUMNS = ("case", "u2", "i2", "p_ab", "n_zc", "u_zc2")
+
+
+class PoolSpy(concurrent.futures.ProcessPoolExecutor):
+    """A ProcessPoolExecutor that records the worker count of every pool opened."""
+
+    opened: list = []
+
+    def __init__(self, max_workers=None, *args, **kwargs):
+        PoolSpy.opened.append(max_workers)
+        super().__init__(max_workers, *args, **kwargs)
+
+
+@pytest.fixture
+def pool_spy(monkeypatch):
+    """The worker counts of the pools simulate_bits opens, in order."""
+    monkeypatch.setattr(PoolSpy, "opened", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PoolSpy)
+    return PoolSpy.opened
+
+
+@pytest.mark.parametrize("n_bits", [1, 2, 7])
+def test_simulate_bits_is_independent_of_worker_count(monkeypatch, pool_spy, n_bits):
+    scheme = fck1_kljn(1e5, 1e4, 1e4, 1.0, 500.0)
+    sampling = Sampling(1024, 4.0, "interpolated")
+    cases = [(5 * k + 1) % 4 for k in range(n_bits)]
+    prefixes = [(6, 2, k) for k in range(n_bits)]
+    monkeypatch.setattr(protocol, "FAN_OUT_SAMPLES", 1)
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(protocol, "WORKERS", workers)
+        runs.append(simulate_bits(scheme, sampling, cases, prefixes))
+    assert pool_spy == [min(w, n_bits) for w in (2, 3) if n_bits > 1]
+    for bits in runs[1:]:
+        for name in COLUMNS:
+            assert np.array_equal(getattr(runs[0], name), getattr(bits, name)), name
+
+
+@pytest.mark.parametrize("cases", [[0, 1, 2, 3, 0, 1, 2], [0, 1, 2, 4, 0, 1]],
+                         ids=["one_case_too_many", "case_out_of_range"])
+def test_simulate_bits_checks_the_whole_call_before_splitting(monkeypatch, pool_spy, cases):
+    # 6 bits of 2**18 samples are above the fan-out floor; split in halves,
+    # each chunk of the first call would pass its own shape check.
+    monkeypatch.setattr(protocol, "WORKERS", 2)
+    scheme = classic_kljn(1e3, 1e4, 1.0, 500.0)
+    prefixes = [(1, 0, k) for k in range(6)]
+    assert 6 * 2**18 >= protocol.FAN_OUT_SAMPLES
+    with pytest.raises(ValueError, match="one index into CASES per entropy prefix"):
+        simulate_bits(scheme, Sampling(2**18, 16.0), cases, prefixes)
+    assert pool_spy == []
+
+
+@pytest.mark.parametrize("workers, n_bits, pools", [(1, 1024, []), (2, 1023, []), (2, 1024, [2])])
+def test_fan_out_needs_two_workers_and_the_sample_floor(monkeypatch, pool_spy, workers, n_bits,
+                                                        pools):
+    # 1024 bits of 1024 samples are exactly FAN_OUT_SAMPLES; one bit fewer runs inline.
+    monkeypatch.setattr(protocol, "WORKERS", workers)
+    bits = simulate_bits(classic_kljn(1e3, 1e4, 1.0, 500.0), Sampling(1024, 4.0),
+                         [k % 4 for k in range(n_bits)], [(2, 0, k) for k in range(n_bits)])
+    assert pool_spy == pools
+    assert bits.u2.shape == (n_bits,)
+
+
+def test_chunk_needs_no_state_from_the_parent():
+    # Under "spawn" a worker starts a fresh interpreter, so _simulate_bits and
+    # its arguments must pickle and the chunk must not rely on forked memory.
+    scheme = solve_vmg(46416.0, 278.0, 278.0, 100.0, 1.0, 500.0)
+    sampling = Sampling(2048, 8.0, "nearest")
+    case = np.array([3, 1, 2, 0, 2])
+    prefixes = [(9, 1, k) for k in range(20, 25)]
+    context = multiprocessing.get_context("spawn")
+    with concurrent.futures.ProcessPoolExecutor(1, mp_context=context) as pool:
+        remote = pool.submit(protocol._simulate_bits, scheme, sampling, case,
+                             prefixes).result(timeout=300)
+    local = protocol._simulate_bits(scheme, sampling, case, prefixes)
+    for name in COLUMNS:
+        assert np.array_equal(getattr(local, name), getattr(remote, name)), name
 
 
 @pytest.mark.parametrize("master_seed", [0, 2**32 + 7])
