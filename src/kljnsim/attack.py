@@ -75,47 +75,81 @@ def detect_zero_crossings(wire, mode: str) -> CrossingSampleSet:
 
     Constant-sign current yields an empty set.  In "nearest" mode two
     adjacent crossings can elect the same grid sample; duplicates are
-    collapsed so the reported times stay strictly increasing.
+    collapsed so the reported times stay strictly increasing.  This is the
+    one-row case of :func:`block_zero_crossings`.
+    """
+    _, times, values = block_zero_crossings(wire.i_c[None, :], wire.u_c[None, :], mode,
+                                            wire.sample_rate)
+    return CrossingSampleSet(values=values, times=times, mode=mode)
+
+
+def block_zero_crossings(i: np.ndarray, u: np.ndarray, mode: str, sample_rate: float):
+    """:func:`detect_zero_crossings` of every row of a block of traces, in one pass.
+
+    Row r of ``i`` and ``u`` is one trace's current and voltage; no crossing
+    is reported between the end of one row and the start of the next.
+    Returns ``(counts, times, values)``: ``counts[r]`` is row r's number of
+    crossings, and ``times`` and ``values`` hold every row's crossings, row
+    after row, each row's times (from its first sample) strictly increasing.
     """
     if mode not in ZC_MODES:
         raise ValueError(f"mode must be one of {ZC_MODES}, got {mode!r}")
-    i = wire.i_c
-    u = wire.u_c
     if i.size == 0:
         raise ValueError("wire trace is empty")
-    dt = 1.0 / wire.sample_rate
+    rows, n = i.shape
+    i = i.ravel()
+    u = u.ravel()
+    dt = 1.0 / sample_rate
 
     exact = np.flatnonzero(i == 0.0)
     # Compare signs, not products: the product of two tiny currents rounds to 0.
     neg, pos = i < 0.0, i > 0.0
-    kk = np.flatnonzero((neg[:-1] & pos[1:]) | (pos[:-1] & neg[1:]))
-
-    if mode == "interpolated":
-        frac = i[kk] / (i[kk] - i[kk + 1])
-        times = (kk + frac) * dt
-        values = u[kk] + frac * (u[kk + 1] - u[kk])
-    elif mode == "sample_before":
-        times = kk * dt
-        values = u[kk]
-    elif mode == "sample_after":
-        times = (kk + 1) * dt
-        values = u[kk + 1]
-    else:  # nearest
-        pick = kk + (np.abs(i[kk + 1]) < np.abs(i[kk]))
-        times = pick * dt
-        values = u[pick]
+    change = (neg[:-1] & pos[1:]) | (pos[:-1] & neg[1:])
+    change[n - 1 :: n] = False   # the pairs that straddle two rows
+    first, times, values = _sample_crossings(i, u, np.flatnonzero(change), rows, n, mode, dt)
 
     if exact.size:
-        times = np.concatenate([times, exact * dt])
+        first = np.concatenate([first, exact - exact % n])
+        times = np.concatenate([times, (exact % n) * dt])
         values = np.concatenate([values, u[exact]])
-        order = np.argsort(times, kind="stable")
+        # Stable: equal times in one row keep their order, so the first is kept below.
+        order = np.lexsort((times, first))
+        first = first[order]
         times = times[order]
         values = values[order]
-    if times.size > 1:
-        keep = np.concatenate([[True], np.diff(times) > 0.0])
-        times = times[keep]
-        values = values[keep]
-    return CrossingSampleSet(values=values, times=times, mode=mode)
+    # Row r's crossings are bounds[r]:bounds[r + 1].
+    bounds = np.searchsorted(first, np.arange(rows + 1) * n)
+    # Drop a crossing at its predecessor's time, unless it starts a row.
+    keep = np.concatenate([[True], np.diff(times) > 0.0])
+    starts = bounds[:-1]
+    keep[starts[starts < times.size]] = True
+    if not keep.all():
+        kept = np.flatnonzero(keep)
+        times = times[kept]
+        values = values[kept]
+        bounds = np.searchsorted(kept, bounds)
+    return np.diff(bounds), times, values
+
+
+def _sample_crossings(i: np.ndarray, u: np.ndarray, kk: np.ndarray, rows: int, n: int,
+                      mode: str, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each sign change's row start, time (from that start) and voltage.
+
+    ``kk`` holds the flat indices of the first samples of the sign changes of
+    ``rows`` rows of ``n`` samples, in order, so each row's are contiguous.
+    """
+    per_row = np.diff(np.searchsorted(kk, np.arange(rows + 1) * n))
+    first = np.repeat(np.arange(rows) * n, per_row)
+    if mode == "interpolated":
+        frac = i[kk] / (i[kk] - i[kk + 1])
+        return first, (kk - first + frac) * dt, u[kk] + frac * (u[kk + 1] - u[kk])
+    if mode == "sample_before":
+        pick = kk
+    elif mode == "sample_after":
+        pick = kk + 1
+    else:  # nearest
+        pick = kk + (np.abs(i[kk + 1]) < np.abs(i[kk]))
+    return first, (pick - first) * dt, u[pick]
 
 
 def zc_mean_square(crossings: CrossingSampleSet) -> float | None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -288,32 +288,42 @@ def _in_band_bin_count(num_samples: int, sample_rate: float, bandwidth: float) -
     return min(k_max, num_samples // 2)
 
 
-def fill_band(band: np.ndarray, num_samples: int, mean_square: float,
-              rng: np.random.Generator) -> None:
-    """Draw one trace's in-band DFT coefficients into ``band``.
+def fill_band(bands: np.ndarray, num_samples: int, mean_squares,
+              rngs: Iterable[np.random.Generator]) -> None:
+    """Draw the in-band DFT coefficients of a block of traces into ``bands``.
 
-    ``band`` is the complex slice of bins 1..k_max of a length
+    Row r of ``bands`` is the complex slice of bins 1..k_max of a length
     ``num_samples // 2 + 1`` spectrum; every element of it is overwritten.
-    The draws are the real parts, then the imaginary parts, then the real
-    Nyquist coefficient when the Nyquist bin is in band, all from ``rng``.
-    The scale makes the expected sample mean-square of the inverse
-    transform equal ``mean_square``.
+    Row r draws from the r-th generator of ``rngs``, which is taken only
+    after row r - 1 has drawn, so one reused generator may be yielded
+    throughout.  A row's draws are its real parts, then its imaginary
+    parts, then its real Nyquist coefficient when the Nyquist bin is in
+    band.  The scale makes the expected sample mean-square of row r's
+    inverse transform equal ``mean_squares[r]``.
     """
     n = num_samples
-    k_max = band.size
+    rows, k_max = bands.shape
     has_nyquist = (n % 2 == 0) and (k_max == n // 2)
     m = k_max - 1 if has_nyquist else k_max
     weight = 2 * m + (1 if has_nyquist else 0)
     # With X_k = s * z_k and E|z_k|^2 = 1, the expected sample mean-square
     # is s^2 * weight / n^2 (Parseval); solve for s.
-    scale = n * math.sqrt(mean_square / weight)
-    parts = band.view(np.float64)  # real and imaginary parts interleaved
-    np.multiply(rng.standard_normal(m), scale / math.sqrt(2.0), out=parts[0 : 2 * m : 2])
-    np.multiply(rng.standard_normal(m), scale / math.sqrt(2.0), out=parts[1 : 2 * m : 2])
+    scale = n * np.sqrt(np.asarray(mean_squares, dtype=np.float64) / weight)
+    # numpy's Generator keeps no normals in reserve, so one draw of
+    # 2m (+ 1) values equals the m, m (and 1) it is made of.
+    rngs = iter(rngs)
+    draws = np.empty((rows, weight))
+    for row in draws:
+        next(rngs).standard_normal(out=row)
+    # Bin k's real and imaginary parts are draws k and m + k of its row.
+    part_scale = (scale / math.sqrt(2.0))[:, None]
+    np.multiply(draws[:, :m], part_scale, out=bands[:, :m].real)
+    np.multiply(draws[:, m : 2 * m], part_scale, out=bands[:, :m].imag)
     if has_nyquist:
         # Nyquist coefficient must be real for a real-valued trace.
-        parts[2 * m] = scale * rng.standard_normal()
-        parts[2 * m + 1] = 0.0
+        nyquist = bands[:, m]
+        np.multiply(draws[:, 2 * m], scale, out=nyquist.real)
+        nyquist.imag = 0.0
 
 
 def synthesize(spec: NoiseSpec) -> NoiseTrace:
@@ -341,7 +351,8 @@ def synthesize(spec: NoiseSpec) -> NoiseTrace:
             raise ConfigurationError(
                 "no DFT bin falls inside the noise band; increase num_samples"
             )
-        fill_band(coeffs[1 : k_max + 1], n, spec.mean_square, np.random.default_rng(spec.seed))
+        fill_band(coeffs[None, 1 : k_max + 1], n, [spec.mean_square],
+                  [np.random.default_rng(spec.seed)])
     samples = np.fft.irfft(coeffs, n=n)
     return NoiseTrace(samples=samples, sample_rate=float(spec.sample_rate))
 

@@ -21,7 +21,6 @@ from numbers import Integral
 import numpy as np
 
 from . import attack
-from .circuit import WireTrace
 from .errors import ConfigurationError
 from .noise import _in_band_bin_count, fill_band, stream_generators
 from .schemes import CASES, SchemeConfig, case_branches, level_table
@@ -125,8 +124,13 @@ BLOCK_SAMPLES = 2**16
 #: simulate_bits splits a call over up to WORKERS processes, one contiguous
 #: chunk of bits each, once the call holds FAN_OUT_SAMPLES samples or more.
 #: Below that a pool costs more to start than it saves.  WORKERS is the
-#: number of CPUs this process may run on.
-FAN_OUT_SAMPLES = 2**20
+#: number of CPUs this process may run on.  On a 2-vCPU host with fork, a
+#: call took, inline -> on two workers (range of the medians of 2-3 runs of
+#: 7-11 calls, ms): at 1024 samples per bit, 67-75 -> 58-97 at 2**20
+#: samples, 147-151 -> 128-176 at 2**21 and 273-277 -> 181-197 at 2**22; at
+#: 16384, 35-38 -> 52-86, 63-67 -> 56-147 and 130-133 -> 97-103.  Opening
+#: and closing the pool took 50-85 ms.  The pool breaks even near 2**21.
+FAN_OUT_SAMPLES = 2**21
 try:
     WORKERS = len(os.sched_getaffinity(0))
 except AttributeError:   # no affinity API (macOS, Windows)
@@ -192,15 +196,20 @@ def _simulate_bits(scheme: SchemeConfig, sampling: Sampling, case: np.ndarray,
     has_nyquist = (n % 2 == 0) and (k_max == n // 2)
     m2 = 2 * (k_max - 1 if has_nyquist else k_max)   # parts of the weight-2 bins
 
-    wiring = []
-    for label in CASES:
-        a_id, b_id = case_branches(label)
-        wiring.append((scheme.branches[a_id], scheme.branches[b_id],
-                       (BRANCH_STREAMS[a_id], BRANCH_STREAMS[b_id])))
+    # Per case: the A and B branches it connects, and their stream tags.
+    pairs = [[scheme.branches[bid] for bid in case_branches(label)] for label in CASES]
+    tags = [[BRANCH_STREAMS[bid] for bid in case_branches(label)] for label in CASES]
+    r_a = np.array([a.resistance for a, _ in pairs])
+    r_b = np.array([b.resistance for _, b in pairs])
+    r_sum = np.array([a.resistance + b.resistance for a, b in pairs])
+    mean_square = np.array([[a.mean_square for a, _ in pairs], [b.mean_square for _, b in pairs]])
     case_list = case.tolist()
-    # Bit k's two branch generators, in the order solve_bit takes them.
+    rows = max(1, min(BLOCK_SAMPLES // n, n_bits))
+    blocks = [slice(start, min(start + rows, n_bits)) for start in range(0, n_bits, rows)]
+    # Each block's A branch generators, bit by bit, then its B branch generators.
     streams = stream_generators(
-        (*prefix, tag) for prefix, c in zip(entropy_prefixes, case_list) for tag in wiring[c][2]
+        (*entropy_prefixes[k], tags[case_list[k]][side])
+        for block in blocks for side in (0, 1) for k in range(block.start, block.stop)
     )
 
     def parseval(x: np.ndarray, y: np.ndarray) -> float:
@@ -210,43 +219,52 @@ def _simulate_bits(scheme: SchemeConfig, sampling: Sampling, case: np.ndarray,
             s += float(x[m2] * y[m2])
         return s / (n * n)
 
-    def solve_bit(k: int, bands: np.ndarray) -> tuple[float, float, float]:
-        """Write bit k's U and I into ``bands`` (two rows of bins 1..k_max); return u2, i2, p_ab."""
-        a, b, _ = wiring[case_list[k]]
-        fill_band(bands[0], n, a.mean_square, next(streams))
-        fill_band(bands[1], n, b.mean_square, next(streams))
-        u, i = bands.view(np.float64)   # X_A and X_B, turned into U and I in place
-        xb_ra = i * a.resistance
-        np.subtract(u, i, out=i)
-        i /= a.resistance + b.resistance
-        u *= b.resistance
-        u += xb_ra
-        u /= a.resistance + b.resistance
-        return parseval(u, u), parseval(i, i), parseval(u, i)
-
     u2 = np.empty(n_bits)
     i2 = np.empty(n_bits)
     p_ab = np.empty(n_bits)
+
+    def solve_block(block: slice) -> np.ndarray:
+        """Draw a block's branch spectra, solve its wire; return the U rows, then the I rows."""
+        c = case[block]
+        width = c.size
+        # Fresh, so zero outside bins 1..k_max.
+        spectra = np.zeros((2 * width, n // 2 + 1), dtype=np.complex128)
+        bands = spectra[:, 1 : k_max + 1]
+        fill_band(bands, n, mean_square[:, c].ravel(), streams)
+        parts = bands.view(np.float64)
+        u, i = parts[:width], parts[width:]   # X_A and X_B, turned into U and I in place
+        xb_ra = i * r_a[c, None]
+        np.subtract(u, i, out=i)
+        i /= r_sum[c, None]
+        u *= r_b[c, None]
+        u += xb_ra
+        u /= r_sum[c, None]
+        for j, k in enumerate(range(block.start, block.stop)):
+            u2[k], i2[k], p_ab[k] = parseval(u[j], u[j]), parseval(i[j], i[j]), parseval(u[j], i[j])
+        return spectra
+
     n_zc = np.empty(n_bits, dtype=np.int64)
     u_zc2 = np.empty(n_bits)
-    rows = max(1, min(BLOCK_SAMPLES // n, n_bits))
-    # Row 2j holds bit j's wire voltage U and row 2j + 1 its current I.  The
-    # traces buffer is reused.  Each block's spectra are fresh, so they are
-    # zero outside bins 1..k_max, and freed before the crossing search, so
-    # that a long bit's spectra and crossing temporaries never coexist.
+
+    def cross_block(block: slice, wire: np.ndarray) -> None:
+        """Count each bit's current zero crossings; take the mean square of the voltage there."""
+        width = block.stop - block.start
+        counts, _, values = attack.block_zero_crossings(wire[width:], wire[:width],
+                                                        sampling.zc_mode, sample_rate)
+        n_zc[block] = counts
+        squares = values * values
+        ends = np.cumsum(counts).tolist()
+        for k, lo, hi in zip(range(block.start, block.stop), [0, *ends], ends):
+            u_zc2[k] = np.add.reduce(squares[lo:hi]) / (hi - lo)
+
+    # The traces buffer is reused.  A block's draws and spectra are freed
+    # before its crossing search, and its crossings before the next block's
+    # draws, so that a long bit's spectra and crossing temporaries never coexist.
     traces = np.empty((2 * rows, n))
-    for start in range(0, n_bits, rows):
-        block = range(start, min(start + rows, n_bits))
-        spectra = np.zeros((2 * len(block), n // 2 + 1), dtype=np.complex128)
-        for j, k in enumerate(block):
-            u2[k], i2[k], p_ab[k] = solve_bit(k, spectra[2 * j : 2 * j + 2, 1 : k_max + 1])
-        np.fft.irfft(spectra, n=n, axis=-1, out=traces[: 2 * len(block)])
-        del spectra
-        for j, k in enumerate(block):
-            wire = WireTrace(u_c=traces[2 * j], i_c=traces[2 * j + 1], sample_rate=sample_rate)
-            v = attack.detect_zero_crossings(wire, sampling.zc_mode).values
-            n_zc[k] = v.size
-            u_zc2[k] = np.mean(v * v)
+    for block in blocks:
+        wire = traces[: 2 * (block.stop - block.start)]
+        np.fft.irfft(solve_block(block), n=n, axis=-1, out=wire)
+        cross_block(block, wire)
     return BitColumns(case=case, u2=u2, i2=i2, p_ab=p_ab, n_zc=n_zc, u_zc2=u_zc2)
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kljnsim.attack import (
@@ -11,6 +11,7 @@ from kljnsim.attack import (
     AttackCalibration,
     attack_statistics,
     binomial_ci_halfwidth,
+    block_zero_crossings,
     calibrate,
     detect_zero_crossings,
     eve_guess_bit,
@@ -29,7 +30,7 @@ from kljnsim.protocol import (
     run_session,
 )
 from kljnsim.schemes import classic_kljn, solve_vmg
-from test_protocol import case_wire
+from test_protocol import case_wire, reference_zero_crossings
 
 
 def wire(i, u, fs=1.0):
@@ -172,6 +173,63 @@ class TestDetectZeroCrossingsProperties:
         # same sample collapse into one; no other crossing is dropped.
         times = detect_zero_crossings(w, mode).times
         assert times.tolist() == [float(k) for k in expected_sample_indices(w, mode)]
+
+
+#: Block currents: exact zeros, magnitudes from 1e-300 to 1e3, and anything in between.
+BLOCK_CURRENT = st.one_of(st.sampled_from([0.0, -0.0]), TINY_CURRENT,
+                          st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def current_blocks(draw):
+    """A (rows, n) block of currents and voltages.
+
+    Often one row ends negative and the next starts positive, a sign change
+    that belongs to no trace.
+    """
+    rows = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 12))
+    i = np.array(draw(st.lists(BLOCK_CURRENT, min_size=rows * n, max_size=rows * n)))
+    u = np.array(draw(st.lists(st.floats(-1e3, 1e3, allow_nan=False),
+                               min_size=rows * n, max_size=rows * n)))
+    i, u = i.reshape(rows, n), u.reshape(rows, n)
+    if rows > 1 and draw(st.booleans()):
+        r = draw(st.integers(0, rows - 2))
+        i[r, -1] = -abs(draw(TINY_CURRENT))
+        i[r + 1, 0] = abs(draw(TINY_CURRENT))
+    return i, u
+
+
+#: Interpolated crossings whose times tie (a fraction that rounds to 1, then
+#: one that rounds to 0) while their voltages differ in the last bit; the
+#: exact zero sends the block through the sort.
+TIED_CROSSINGS = (np.array([[1e3, -1e-300] * 12 + [1e3, 0.0]]),
+                  np.array([[1.1, 0.3] * 12 + [0.5, 0.0]]))
+
+
+class TestBlockZeroCrossings:
+    @settings(max_examples=400, deadline=None)
+    @given(current_blocks(), st.sampled_from(ZC_MODES), st.sampled_from([1.0, 3.0, 16000.0]))
+    @example((np.array([[1.0, -2.0], [3.0, 1.0]]), np.array([[1.0, 2.0], [3.0, 4.0]])),
+             "sample_after", 1.0)
+    @example((np.array([[3.0, -1.0, 4.0, 0.0], [2.0, -1.0, 0.0, -1e-300]]),
+              np.array([[10.0, 20.0, 30.0, 40.0], [1.0, 2.0, 3.0, 4.0]])), "nearest", 1.0)
+    @example(TIED_CROSSINGS, "interpolated", 1.0)
+    def test_each_row_is_its_own_trace(self, block, mode, fs):
+        i, u = block
+        counts, times, values = block_zero_crossings(i, u, mode, fs)
+        ends = np.cumsum(counts)
+        assert ends[-1] == times.size == values.size
+        for r, (lo, hi) in enumerate(zip([0, *ends[:-1]], ends)):
+            ref_values, ref_times = reference_zero_crossings(wire(i[r], u[r], fs), mode)
+            assert np.array_equal(times[lo:hi], ref_times), r
+            assert np.array_equal(values[lo:hi], ref_values), r
+
+    def test_tied_crossings_keep_the_first(self):
+        # The reference keeps the first of two crossings at one time.
+        values, times = reference_zero_crossings(wire(*TIED_CROSSINGS[0], *TIED_CROSSINGS[1]),
+                                                 "interpolated")
+        assert times[0] == 1.0 and values[0] != 0.3
 
 
 class TestZcMeanSquare:

@@ -11,7 +11,7 @@ from kljnsim import benchmarks, protocol
 from kljnsim.attack import ZC_MODES, detect_zero_crossings, zc_mean_square
 from kljnsim.circuit import MomentSummary, WireTrace, measure_moments, wire_observables
 from kljnsim.errors import ConfigurationError
-from kljnsim.noise import NoiseSpec, derive_seed, synthesize
+from kljnsim.noise import NoiseSpec, _in_band_bin_count, derive_seed, synthesize
 from kljnsim.protocol import (
     BLOCK_SAMPLES,
     BRANCH_STREAMS,
@@ -24,7 +24,7 @@ from kljnsim.protocol import (
     secure_bit_value,
     simulate_bits,
 )
-from kljnsim.schemes import classic_kljn, fck1_kljn, level_table, solve_vmg
+from kljnsim.schemes import case_branches, classic_kljn, fck1_kljn, level_table, solve_vmg
 
 
 def case_wire(scheme, case, samples_per_bit, sample_rate, entropy_prefix) -> WireTrace:
@@ -47,6 +47,100 @@ def case_wire(scheme, case, samples_per_bit, sample_rate, entropy_prefix) -> Wir
         )
         traced[bid] = replace(branch, trace=synthesize(spec))
     return wire_observables(traced[a_id], traced[b_id])
+
+
+def reference_zero_crossings(wire, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trace reference for the crossing search: ``(values, times)`` of one wire."""
+    i = wire.i_c
+    u = wire.u_c
+    dt = 1.0 / wire.sample_rate
+    exact = np.flatnonzero(i == 0.0)
+    neg, pos = i < 0.0, i > 0.0
+    kk = np.flatnonzero((neg[:-1] & pos[1:]) | (pos[:-1] & neg[1:]))
+    if mode == "interpolated":
+        frac = i[kk] / (i[kk] - i[kk + 1])
+        times = (kk + frac) * dt
+        values = u[kk] + frac * (u[kk + 1] - u[kk])
+    elif mode == "sample_before":
+        times = kk * dt
+        values = u[kk]
+    elif mode == "sample_after":
+        times = (kk + 1) * dt
+        values = u[kk + 1]
+    else:  # nearest
+        pick = kk + (np.abs(i[kk + 1]) < np.abs(i[kk]))
+        times = pick * dt
+        values = u[pick]
+    if exact.size:
+        times = np.concatenate([times, exact * dt])
+        values = np.concatenate([values, u[exact]])
+        order = np.argsort(times, kind="stable")
+        times = times[order]
+        values = values[order]
+    if times.size > 1:
+        keep = np.concatenate([[True], np.diff(times) > 0.0])
+        times = times[keep]
+        values = values[keep]
+    return values, times
+
+
+def reference_fill_band(band, num_samples, mean_square, rng):
+    """Per-trace reference for ``noise.fill_band``: three draws, real, imaginary, Nyquist."""
+    n = num_samples
+    k_max = band.size
+    has_nyquist = (n % 2 == 0) and (k_max == n // 2)
+    m = k_max - 1 if has_nyquist else k_max
+    scale = n * math.sqrt(mean_square / (2 * m + (1 if has_nyquist else 0)))
+    parts = band.view(np.float64)
+    np.multiply(rng.standard_normal(m), scale / math.sqrt(2.0), out=parts[0 : 2 * m : 2])
+    np.multiply(rng.standard_normal(m), scale / math.sqrt(2.0), out=parts[1 : 2 * m : 2])
+    if has_nyquist:
+        parts[2 * m] = scale * rng.standard_normal()
+        parts[2 * m + 1] = 0.0
+
+
+def reference_simulate_bits(scheme, sampling, cases, entropy_prefixes) -> dict:
+    """Per-bit reference for ``simulate_bits``, with the same arithmetic: its columns by name.
+
+    Each bit draws its two branch spectra, solves the wire bin by bin, takes
+    the moments by Parseval and inverse-transforms its own two traces.
+    """
+    n = sampling.samples_per_bit
+    sample_rate = sampling.sample_rate(scheme.bandwidth)
+    k_max = _in_band_bin_count(n, sample_rate, scheme.bandwidth)
+    has_nyquist = (n % 2 == 0) and (k_max == n // 2)
+    m2 = 2 * (k_max - 1 if has_nyquist else k_max)
+
+    def parseval(x, y):
+        s = 2.0 * float(np.dot(x[:m2], y[:m2]))
+        if has_nyquist:
+            s += float(x[m2] * y[m2])
+        return s / (n * n)
+
+    columns = {name: [] for name in COLUMNS}
+    for case, prefix in zip(cases, entropy_prefixes):
+        a_id, b_id = case_branches(CASES[case])
+        a, b = scheme.branches[a_id], scheme.branches[b_id]
+        spectra = np.zeros((2, n // 2 + 1), dtype=np.complex128)
+        bands = spectra[:, 1 : k_max + 1]
+        for band, (bid, branch) in zip(bands, ((a_id, a), (b_id, b))):
+            rng = np.random.default_rng(derive_seed(*prefix, BRANCH_STREAMS[bid]))
+            reference_fill_band(band, n, branch.mean_square, rng)
+        u, i = bands.view(np.float64)
+        xb_ra = i * a.resistance
+        np.subtract(u, i, out=i)
+        i /= a.resistance + b.resistance
+        u *= b.resistance
+        u += xb_ra
+        u /= a.resistance + b.resistance
+        u_c, i_c = np.fft.irfft(spectra, n=n, axis=-1)
+        values, _ = reference_zero_crossings(WireTrace(u_c=u_c, i_c=i_c, sample_rate=sample_rate),
+                                             sampling.zc_mode)
+        for name, value in (("case", case), ("u2", parseval(u, u)), ("i2", parseval(i, i)),
+                            ("p_ab", parseval(u, i)), ("n_zc", values.size),
+                            ("u_zc2", np.mean(values * values))):
+            columns[name].append(value)
+    return {name: np.array(column) for name, column in columns.items()}
 
 
 @pytest.fixture(scope="module")
@@ -88,10 +182,11 @@ REFERENCE_FIXTURES = [
 
 @pytest.mark.parametrize("mode", ZC_MODES)
 def test_simulate_bits_matches_per_bit_primitives(mode):
-    # The kernel solves the wire before the inverse FFT and takes moments by
-    # Parseval, so its rounding differs from the time-domain reference: floats
-    # agree to 1e-12 relative (p_ab, which is near 0 at equilibrium, relative
-    # to sqrt(u2 * i2)), while the case and the crossing count are exact.
+    # Every column equals the per-bit spectral reference exactly.  The
+    # time-domain reference rounds differently, since the kernel solves the
+    # wire before the inverse FFT and takes moments by Parseval: floats agree
+    # to 1e-12 relative (p_ab, which is near 0 at equilibrium, relative to
+    # sqrt(u2 * i2)), while the case and the crossing count are exact.
     schemes = (solve_vmg(46416.0, 278.0, 278.0, 100.0, 1.0, 500.0),
                fck1_kljn(1e5, 1e4, 1e4, 1.0, 500.0))
     for scheme in schemes:
@@ -101,6 +196,9 @@ def test_simulate_bits_matches_per_bit_primitives(mode):
             cases = [k % 4 for k in range(n_bits)]
             prefixes = [(21, samples_per_bit, k) for k in range(n_bits)]
             bits = simulate_bits(scheme, sampling, cases, prefixes)
+            exact = reference_simulate_bits(scheme, sampling, cases, prefixes)
+            for name in COLUMNS:
+                assert np.array_equal(getattr(bits, name), exact[name]), (samples_per_bit, name)
             ref = {name: np.empty(n_bits) for name in ("u2", "i2", "p_ab", "n_zc", "u_zc2")}
             for k, (case, prefix) in enumerate(zip(cases, prefixes)):
                 wire = case_wire(scheme, CASES[case], samples_per_bit, sample_rate, prefix)
@@ -178,23 +276,23 @@ def test_simulate_bits_is_independent_of_worker_count(monkeypatch, pool_spy, n_b
 @pytest.mark.parametrize("cases", [[0, 1, 2, 3, 0, 1, 2], [0, 1, 2, 4, 0, 1]],
                          ids=["one_case_too_many", "case_out_of_range"])
 def test_simulate_bits_checks_the_whole_call_before_splitting(monkeypatch, pool_spy, cases):
-    # 6 bits of 2**18 samples are above the fan-out floor; split in halves,
+    # 6 bits of 2**19 samples are above the fan-out floor; split in halves,
     # each chunk of the first call would pass its own shape check.
     monkeypatch.setattr(protocol, "WORKERS", 2)
     scheme = classic_kljn(1e3, 1e4, 1.0, 500.0)
     prefixes = [(1, 0, k) for k in range(6)]
-    assert 6 * 2**18 >= protocol.FAN_OUT_SAMPLES
+    assert 6 * 2**19 >= protocol.FAN_OUT_SAMPLES
     with pytest.raises(ValueError, match="one index into CASES per entropy prefix"):
-        simulate_bits(scheme, Sampling(2**18, 16.0), cases, prefixes)
+        simulate_bits(scheme, Sampling(2**19, 16.0), cases, prefixes)
     assert pool_spy == []
 
 
 @pytest.mark.parametrize("workers, n_bits, pools", [(1, 1024, []), (2, 1023, []), (2, 1024, [2])])
 def test_fan_out_needs_two_workers_and_the_sample_floor(monkeypatch, pool_spy, workers, n_bits,
                                                         pools):
-    # 1024 bits of 1024 samples are exactly FAN_OUT_SAMPLES; one bit fewer runs inline.
+    # 1024 bits of 2048 samples are exactly FAN_OUT_SAMPLES; one bit fewer runs inline.
     monkeypatch.setattr(protocol, "WORKERS", workers)
-    bits = simulate_bits(classic_kljn(1e3, 1e4, 1.0, 500.0), Sampling(1024, 4.0),
+    bits = simulate_bits(classic_kljn(1e3, 1e4, 1.0, 500.0), Sampling(2048, 4.0),
                          [k % 4 for k in range(n_bits)], [(2, 0, k) for k in range(n_bits)])
     assert pool_spy == pools
     assert bits.u2.shape == (n_bits,)
