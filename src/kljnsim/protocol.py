@@ -13,6 +13,7 @@ bits.  Stream tags 0-4 are used here; the attack module uses higher tags.
 
 from __future__ import annotations
 
+import atexit
 import os
 import warnings
 from dataclasses import dataclass, fields
@@ -123,18 +124,64 @@ BLOCK_SAMPLES = 2**16
 
 #: simulate_bits splits a call over up to WORKERS processes, one contiguous
 #: chunk of bits each, once the call holds FAN_OUT_SAMPLES samples or more.
-#: Below that a pool costs more to start than it saves.  WORKERS is the
-#: number of CPUs this process may run on.  On a 2-vCPU host with fork, a
-#: call took, inline -> on two workers (range of the medians of 2-3 runs of
-#: 7-11 calls, ms): at 1024 samples per bit, 67-75 -> 58-97 at 2**20
-#: samples, 147-151 -> 128-176 at 2**21 and 273-277 -> 181-197 at 2**22; at
-#: 16384, 35-38 -> 52-86, 63-67 -> 56-147 and 130-133 -> 97-103.  Opening
-#: and closing the pool took 50-85 ms.  The pool breaks even near 2**21.
+#: Below that the pool costs more than it saves.  WORKERS is the number of
+#: CPUs this process may run on.  On a 2-vCPU host, with the pool already
+#: open, a call took, inline -> on two workers (medians of 9-15 calls, range
+#: over 2-3 runs, ms):
+#:
+#:     samples per bit, start   2**19            2**20            2**21
+#:     1024, fork               32-34 -> 21-38   46-64 -> 36-48   102-131 -> 58-76
+#:     1024, forkserver         30-32 -> 20-24   59-63 -> 35-36   116-128 -> 65-70
+#:     1024, spawn              33-34 -> 21-27   65-67 -> 37-41   122-123 -> 65-71
+#:     16384, fork              15-20 -> 12-14   33-35 -> 24-24   64-65 -> 36-40
+#:     16384, forkserver        17-19 -> 12-14   29-34 -> 21-21   53-66 -> 38-38
+#:     16384, spawn             18-19 -> 13-15   34-34 -> 22-22   67-70 -> 39-40
+#:
+#: With the pool open, two workers won every run from 2**20 samples up but
+#: one (fork, 1024: 46 -> 48).  But the first pooled call in a process also
+#: opens the pool: 60-80 ms with fork, 320 ms with forkserver and 360 ms
+#: with spawn.  A lower floor loses where a process makes few calls between
+#: it and 2**21: one `kljnsim simulate` of 600 bits of 2048 samples took
+#: 0.39 s inline and 0.49 s pooled (fork, medians of 8).  So the floor stays
+#: 2**21 for every start method.
 FAN_OUT_SAMPLES = 2**21
 try:
     WORKERS = len(os.sched_getaffinity(0))
 except AttributeError:   # no affinity API (macOS, Windows)
     WORKERS = os.cpu_count() or 1
+
+#: The process's worker pool, opened by the first call that fans out and
+#: reused by every later one (see _worker_pool).  A worker keeps the module
+#: state it started with: under fork, a constant patched after the pool
+#: opened (BLOCK_SAMPLES, noise.SEED_CHUNK) keeps its old value there.  No
+#: column depends on either, so the results do not change.
+_pool = None
+_pool_size = 0
+
+
+def _worker_pool(size: int):
+    """The process's pool of ``size`` workers, replacing an open pool of another size."""
+    global _pool, _pool_size
+    if _pool is not None and _pool_size != size:
+        # Shut down and joined first, so the next fork finds no manager thread alive.
+        _close_pool()
+    if _pool is None:
+        # Imported here: at module level it would add tens of ms to every start-up.
+        from concurrent.futures import ProcessPoolExecutor
+
+        _pool, _pool_size = ProcessPoolExecutor(size), size
+    return _pool
+
+
+def _close_pool() -> None:
+    """Shut the worker pool down, if one is open, and wait for its workers to exit."""
+    global _pool
+    if _pool is not None:
+        pool, _pool = _pool, None
+        pool.shutdown(wait=True)
+
+
+atexit.register(_close_pool)
 
 
 def simulate_bits(scheme: SchemeConfig, sampling: Sampling, cases, entropy_prefixes) -> BitColumns:
@@ -159,9 +206,11 @@ def simulate_bits(scheme: SchemeConfig, sampling: Sampling, cases, entropy_prefi
 
     Each bit depends only on its case and prefix, so a call of at least
     ``FAN_OUT_SAMPLES`` samples is split into ``min(WORKERS, n_bits)``
-    contiguous chunks that run in a process pool; the columns are the same
-    for any worker count.  A pool that breaks raises ``BrokenProcessPool``,
-    a ``RuntimeError``.
+    contiguous chunks that run in the process's pool of ``WORKERS`` workers;
+    the columns are the same for any worker count.  The pool is opened by
+    the first such call, kept for later ones and shut down at exit.  A pool
+    that breaks raises ``BrokenProcessPool``, a ``RuntimeError``, and is
+    replaced on the next call.
     """
     case = np.asarray(cases, dtype=np.int64)
     n_bits = len(entropy_prefixes)
@@ -170,16 +219,19 @@ def simulate_bits(scheme: SchemeConfig, sampling: Sampling, cases, entropy_prefi
     chunks = min(WORKERS, n_bits)
     if chunks < 2 or n_bits * sampling.samples_per_bit < FAN_OUT_SAMPLES:
         return _simulate_bits(scheme, sampling, case, entropy_prefixes)
-    # Imported here: at module level it would add tens of ms to every start-up.
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     bounds = [n_bits * j // chunks for j in range(chunks + 1)]
     spans = list(zip(bounds[:-1], bounds[1:]))
-    with ProcessPoolExecutor(chunks) as pool:
+    pool = _worker_pool(WORKERS)
+    try:
         parts = list(pool.map(
             _simulate_bits, [scheme] * chunks, [sampling] * chunks,
             [case[lo:hi] for lo, hi in spans], [entropy_prefixes[lo:hi] for lo, hi in spans],
         ))
+    except BrokenProcessPool:
+        _close_pool()   # the next call opens a fresh pool
+        raise
     return BitColumns(**{
         f.name: np.concatenate([getattr(part, f.name) for part in parts])
         for f in fields(BitColumns)

@@ -18,7 +18,9 @@ HB, LB (Bob's), each with a resistance and a generator mean-square voltage.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .circuit import Branch, MomentSummary, analytic_moments
 from .errors import ConfigurationError, UnphysicalSchemeError
@@ -63,13 +65,16 @@ class SchemeConfig:
     Construction fails unless the secure-case (LH vs HL) analytic moments
     agree to ``SECURITY_RTOL``; use the ``classic_kljn`` / ``solve_vmg`` /
     ``fck1_kljn`` builders rather than assembling branches by hand.
+    ``branches`` is stored as a read-only copy, so a checked scheme cannot
+    be made unbalanced afterwards.
     """
 
-    branches: dict[str, Branch]
+    branches: Mapping[str, Branch]
     bandwidth: float
     kind: str
 
     def __post_init__(self):
+        object.__setattr__(self, "branches", MappingProxyType(dict(self.branches)))
         if set(self.branches) != set(BRANCH_IDS):
             raise ConfigurationError(
                 f"branches must be exactly {BRANCH_IDS}, got {sorted(self.branches)}"
@@ -90,6 +95,11 @@ class SchemeConfig:
                 "secure-case moment equality violated: relative mismatch "
                 f"{report.max_relative_mismatch:.3e} exceeds {SECURITY_RTOL:.0e}"
             )
+
+    def __reduce__(self):
+        # A mapping proxy does not pickle.  Rebuilding through the constructor
+        # also reruns the security check wherever the scheme is unpickled.
+        return SchemeConfig, (dict(self.branches), self.bandwidth, self.kind)
 
 
 @dataclass(frozen=True)

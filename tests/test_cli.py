@@ -351,14 +351,81 @@ def _die(*args):
     os._exit(1)
 
 
-def test_broken_worker_pool_exit_4(tmp_path, monkeypatch, capsys):
+def test_broken_worker_pool_exit_4(tmp_path, monkeypatch, capsys, pool_spy):
     cfg_path = write_config(tmp_path, CLASSIC_TEXT + SMALL_COMMON)
     monkeypatch.setattr(protocol, "FAN_OUT_SAMPLES", 1)
     monkeypatch.setattr(protocol, "WORKERS", 2)
+    simulate_bits = protocol._simulate_bits
     monkeypatch.setattr(protocol, "_simulate_bits", _die)
     assert main(["simulate", cfg_path, "--output-prefix", str(tmp_path / "a")]) == 4
     err = capsys.readouterr().err
     assert err.startswith("runtime error: ") and "Traceback" not in err
+    # The broken pool is dropped: the next pooled call opens a fresh one.
+    monkeypatch.setattr(protocol, "_simulate_bits", simulate_bits)
+    assert main(["simulate", cfg_path, "--output-prefix", str(tmp_path / "b")]) == 0
+    assert pool_spy == [2, 2]
+
+
+def test_one_pool_serves_calibration_and_session(tmp_path, monkeypatch, pool_spy):
+    # An attack simulates Eve's LH and HL calibration bits, then the session.
+    cfg_path = write_config(tmp_path, CLASSIC_TEXT + SMALL_COMMON + "calibration_bits = 100\n")
+    monkeypatch.setattr(protocol, "FAN_OUT_SAMPLES", 1)
+    monkeypatch.setattr(protocol, "WORKERS", 2)
+    calls = []
+    simulate_bits = protocol.simulate_bits
+
+    def counted(*args):
+        calls.append(len(args[3]))
+        return simulate_bits(*args)
+
+    monkeypatch.setattr(protocol, "simulate_bits", counted)
+    assert main(["attack", cfg_path, "--output-prefix", str(tmp_path / "a")]) == 0
+    assert len(calls) == 3 and min(calls) >= 2
+    assert pool_spy == [2]
+
+
+#: Runs one ``simulate`` with every call pooled on two workers and prints the
+#: pid of each process it starts.  With ``die``, every worker exits at once.
+POOLED_SIMULATE = """
+import multiprocessing.process, os, sys
+from kljnsim import protocol
+from kljnsim.cli import main
+
+def _die(*args):
+    os._exit(1)
+
+if __name__ == "__main__":
+    start = multiprocessing.process.BaseProcess.start
+
+    def start_and_report(process):
+        start(process)
+        print("worker", process.pid, flush=True)
+
+    multiprocessing.process.BaseProcess.start = start_and_report
+    protocol.FAN_OUT_SAMPLES = 1
+    protocol.WORKERS = 2
+    if sys.argv[1] == "die":
+        protocol._simulate_bits = _die
+    sys.exit(main(["simulate", sys.argv[2], "--output-prefix", sys.argv[3]]))
+"""
+
+
+@pytest.mark.parametrize("mode, code", [("run", 0), ("die", 4)])
+def test_no_worker_outlives_the_command(tmp_path, mode, code):
+    cfg_path = write_config(tmp_path, CLASSIC_TEXT + SMALL_COMMON)
+    script = tmp_path / "pooled_simulate.py"
+    script.write_text(POOLED_SIMULATE, encoding="utf-8")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src),
+                                                                     os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(script), mode, cfg_path, str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=300, check=False)
+    assert proc.returncode == code, proc.stderr
+    pids = [int(line.split()[1]) for line in proc.stdout.splitlines() if line.startswith("worker ")]
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_import_leaves_the_process_pool_unloaded():

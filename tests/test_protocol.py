@@ -238,24 +238,6 @@ def test_simulate_bits_is_independent_of_blocking():
 COLUMNS = ("case", "u2", "i2", "p_ab", "n_zc", "u_zc2")
 
 
-class PoolSpy(concurrent.futures.ProcessPoolExecutor):
-    """A ProcessPoolExecutor that records the worker count of every pool opened."""
-
-    opened: list = []
-
-    def __init__(self, max_workers=None, *args, **kwargs):
-        PoolSpy.opened.append(max_workers)
-        super().__init__(max_workers, *args, **kwargs)
-
-
-@pytest.fixture
-def pool_spy(monkeypatch):
-    """The worker counts of the pools simulate_bits opens, in order."""
-    monkeypatch.setattr(PoolSpy, "opened", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PoolSpy)
-    return PoolSpy.opened
-
-
 @pytest.mark.parametrize("n_bits", [1, 2, 7])
 def test_simulate_bits_is_independent_of_worker_count(monkeypatch, pool_spy, n_bits):
     scheme = fck1_kljn(1e5, 1e4, 1e4, 1.0, 500.0)
@@ -267,7 +249,9 @@ def test_simulate_bits_is_independent_of_worker_count(monkeypatch, pool_spy, n_b
     for workers in (1, 2, 3):
         monkeypatch.setattr(protocol, "WORKERS", workers)
         runs.append(simulate_bits(scheme, sampling, cases, prefixes))
-    assert pool_spy == [min(w, n_bits) for w in (2, 3) if n_bits > 1]
+    # One pool of WORKERS workers per worker count that fans out, even when
+    # it gets fewer chunks; one bit runs inline.
+    assert pool_spy == ([2, 3] if n_bits > 1 else [])
     for bits in runs[1:]:
         for name in COLUMNS:
             assert np.array_equal(getattr(runs[0], name), getattr(bits, name)), name
@@ -296,6 +280,15 @@ def test_fan_out_needs_two_workers_and_the_sample_floor(monkeypatch, pool_spy, w
                          [k % 4 for k in range(n_bits)], [(2, 0, k) for k in range(n_bits)])
     assert pool_spy == pools
     assert bits.u2.shape == (n_bits,)
+
+
+def test_later_calls_reuse_the_pool_until_the_worker_count_changes(monkeypatch, pool_spy):
+    scheme = classic_kljn(1e3, 1e4, 1.0, 500.0)
+    monkeypatch.setattr(protocol, "FAN_OUT_SAMPLES", 1)
+    for workers in (2, 2, 3, 3, 2):
+        monkeypatch.setattr(protocol, "WORKERS", workers)
+        simulate_bits(scheme, Sampling(256, 4.0), [0, 1, 2, 3], [(4, 0, k) for k in range(4)])
+    assert pool_spy == [2, 3, 2]
 
 
 def test_chunk_needs_no_state_from_the_parent():

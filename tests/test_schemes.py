@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -240,6 +241,24 @@ class TestSchemeConfigValidation:
         }
         with pytest.raises(ConfigurationError, match="mismatch"):
             SchemeConfig(branches=branches, bandwidth=500.0, kind="classic")
+
+    def test_branches_are_read_only(self):
+        branches = {"HA": Branch(1e4, 10.0), "LA": Branch(1e3, 1.0),
+                    "HB": Branch(1e4, 10.0), "LB": Branch(1e3, 1.0)}
+        sch = SchemeConfig(branches=branches, bandwidth=500.0, kind="classic")
+        with pytest.raises(TypeError):
+            sch.branches["LB"] = Branch(1e3, 2.0)
+        branches["LB"] = Branch(1e3, 2.0)   # the scheme keeps its own copy
+        assert sch.branches["LB"] == Branch(1e3, 1.0)
+
+    @pytest.mark.parametrize("kind", ["classic", "vmg", "fck1"])
+    def test_pickle_round_trip_keeps_the_branches(self, kind):
+        sch = scheme_for_kind(kind, 46416.0, 278.0, 278.0, 100.0, 1.0, 500.0)
+        copy = pickle.loads(pickle.dumps(sch))
+        assert copy == sch
+        assert dict(copy.branches) == dict(sch.branches)
+        with pytest.raises(TypeError):
+            copy.branches["HA"] = copy.branches["LA"]
 
     def test_zero_mean_square_rejected(self):
         sch = classic_kljn(1e3, 1e4, 1.0, 500.0)
