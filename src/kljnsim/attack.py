@@ -39,15 +39,6 @@ STREAM_EVE_TIE = 5
 STREAM_CALIBRATION = 6
 
 
-@dataclass(frozen=True, eq=False)
-class CrossingSampleSet:
-    """Wire voltages sampled at the current's zero crossings."""
-
-    values: np.ndarray   # V
-    times: np.ndarray    # s, strictly increasing
-    mode: str
-
-
 @dataclass(frozen=True)
 class AttackCalibration:
     """Reference statistics Eve prepares before attacking."""
@@ -70,27 +61,19 @@ class AttackOutcome:
     n_excluded_runs: int = 0
 
 
-def detect_zero_crossings(wire, mode: str) -> CrossingSampleSet:
-    """Locate current zero crossings and sample the wire voltage there.
-
-    Constant-sign current yields an empty set.  In "nearest" mode two
-    adjacent crossings can elect the same grid sample; duplicates are
-    collapsed so the reported times stay strictly increasing.  This is the
-    one-row case of :func:`block_zero_crossings`.
-    """
-    _, times, values = block_zero_crossings(wire.i_c[None, :], wire.u_c[None, :], mode,
-                                            wire.sample_rate)
-    return CrossingSampleSet(values=values, times=times, mode=mode)
-
-
 def block_zero_crossings(i: np.ndarray, u: np.ndarray, mode: str, sample_rate: float):
-    """:func:`detect_zero_crossings` of every row of a block of traces, in one pass.
+    """Locate each row's current zero crossings and sample its voltage there, in one pass.
 
-    Row r of ``i`` and ``u`` is one trace's current and voltage; no crossing
-    is reported between the end of one row and the start of the next.
-    Returns ``(counts, times, values)``: ``counts[r]`` is row r's number of
-    crossings, and ``times`` and ``values`` hold every row's crossings, row
-    after row, each row's times (from its first sample) strictly increasing.
+    Row r of the 2-D arrays ``i`` and ``u`` is one trace's current and
+    voltage, sampled at ``sample_rate``; each row is its own trace, so no
+    crossing is reported between the end of one row and the start of the
+    next.  ``mode`` is one of ``ZC_MODES``.  A row whose current keeps one
+    sign has no crossing and counts 0.  Two crossings of a row at one time,
+    such as two adjacent sign changes that elect the same sample in
+    "nearest" mode, collapse into the first.  Returns ``(counts, times,
+    values)``: ``counts[r]`` is row r's number of crossings, and ``times``
+    and ``values`` hold every row's crossings, row after row, each row's
+    times (from its first sample) strictly increasing.
     """
     if mode not in ZC_MODES:
         raise ValueError(f"mode must be one of {ZC_MODES}, got {mode!r}")
@@ -150,13 +133,6 @@ def _sample_crossings(i: np.ndarray, u: np.ndarray, kk: np.ndarray, rows: int, n
     else:  # nearest
         pick = kk + (np.abs(i[kk + 1]) < np.abs(i[kk]))
     return first, (pick - first) * dt, u[pick]
-
-
-def zc_mean_square(crossings: CrossingSampleSet) -> float | None:
-    """Mean of the squared crossing voltages; None for an empty set."""
-    if crossings.values.size == 0:
-        return None
-    return float(np.mean(crossings.values * crossings.values))
 
 
 #: Calibration aborts when crossings are scarcer than this per bit on average.

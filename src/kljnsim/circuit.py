@@ -1,4 +1,4 @@
-"""The quasi-static two-generator loop: wire observables and closed-form moments.
+"""The quasi-static two-generator loop: the wire solve and closed-form moments.
 
 Two noisy branches (one per party) drive an ideal wire.  With branch
 resistances R_A, R_B and generator voltages U_A(t), U_B(t), Kirchhoff's loop
@@ -8,7 +8,9 @@ law gives the wire voltage and current
     I_c = (U_A - U_B) / (R_A + R_B)
 
 with positive current flowing from Alice to Bob.  The wire is ideal: zero
-resistance, zero delay, lumped.
+resistance, zero delay, lumped.  The law is linear, so :func:`solve_wire`
+applies it to DFT coefficients as well as to samples; the simulation
+solves it bin by bin.
 """
 
 from __future__ import annotations
@@ -18,31 +20,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import BOLTZMANN, NoiseTrace, sample_moments
-
 
 @dataclass(frozen=True)
 class Branch:
-    """One resistor branch: resistance, generator mean-square, optional trace."""
+    """One resistor branch: resistance and generator mean-square."""
 
     resistance: float          # ohm, > 0
     mean_square: float         # V^2, >= 0
-    trace: NoiseTrace | None = None
 
     def __post_init__(self):
         if self.resistance <= 0:
             raise ValueError(f"branch resistance must be > 0, got {self.resistance}")
         if self.mean_square < 0:
             raise ValueError(f"branch mean_square must be >= 0, got {self.mean_square}")
-
-
-@dataclass(frozen=True, eq=False)
-class WireTrace:
-    """Paired wire voltage and current sample sequences for one bit period."""
-
-    u_c: np.ndarray
-    i_c: np.ndarray
-    sample_rate: float
 
 
 @dataclass(frozen=True)
@@ -60,33 +50,20 @@ class MomentSummary:
     rho: float
 
 
-def wire_observables(alice: Branch, bob: Branch) -> WireTrace:
-    """Pointwise wire voltage and current from two traced branches."""
-    if alice.trace is None or bob.trace is None:
-        raise ValueError("both branches must carry a noise trace")
-    ua = alice.trace.samples
-    ub = bob.trace.samples
-    if ua.shape != ub.shape:
-        raise ValueError(f"trace length mismatch: {ua.shape} vs {ub.shape}")
-    if alice.trace.sample_rate != bob.trace.sample_rate:
-        raise ValueError(
-            f"sample rate mismatch: {alice.trace.sample_rate} vs {bob.trace.sample_rate}"
-        )
-    r_sum = alice.resistance + bob.resistance
-    u_c = (ua * bob.resistance + ub * alice.resistance) / r_sum
-    i_c = (ua - ub) / r_sum
-    return WireTrace(u_c=u_c, i_c=i_c, sample_rate=alice.trace.sample_rate)
+def solve_wire(x_a: np.ndarray, x_b: np.ndarray, r_a, r_b) -> None:
+    """Turn generator voltages ``x_a`` into U_c and ``x_b`` into I_c, in place.
 
-
-def measure_moments(wire: WireTrace) -> MomentSummary:
-    """Sampled MomentSummary of a wire trace."""
-    sm = sample_moments(wire.u_c, wire.i_c)
-    return MomentSummary(
-        u2=sm.mean_square_x,
-        i2=sm.mean_square_y,
-        p_ab=sm.cross_moment,
-        rho=sm.correlation_coefficient,
-    )
+    ``x_a`` and ``x_b`` are float arrays of one shape with one wire per row:
+    samples, or the real and imaginary parts of DFT coefficients.  ``r_a``
+    and ``r_b`` are resistances, scalars or columns with one value per row.
+    """
+    r_sum = r_a + r_b
+    xb_ra = x_b * r_a
+    np.subtract(x_a, x_b, out=x_b)
+    x_b /= r_sum
+    x_a *= r_b
+    x_a += xb_ra
+    x_a /= r_sum
 
 
 def analytic_moments(r_a: float, u2_a: float, r_b: float, u2_b: float) -> MomentSummary:
@@ -107,27 +84,6 @@ def analytic_moments(r_a: float, u2_a: float, r_b: float, u2_b: float) -> Moment
     scale = math.sqrt(u2 * i2)
     rho = p_ab / scale if scale > 0 else 0.0
     return MomentSummary(u2=u2, i2=i2, p_ab=p_ab, rho=rho)
-
-
-def resultants(r_a: float, r_b: float) -> dict[str, float]:
-    """Parallel and serial resultants of the two connected resistors."""
-    if r_a <= 0 or r_b <= 0:
-        raise ValueError(f"resistances must be > 0, got {r_a}, {r_b}")
-    return {"parallel": r_a * r_b / (r_a + r_b), "serial": r_a + r_b}
-
-
-def equilibrium_spectra(temperature: float, r_a: float, r_b: float) -> dict[str, float]:
-    """Thermal-equilibrium wire noise spectral densities.
-
-    s_u = 4*k*T*R_parallel (V^2/Hz) and s_i = 4*k*T/R_serial (A^2/Hz).
-    """
-    if temperature < 0:
-        raise ValueError(f"temperature must be >= 0, got {temperature}")
-    res = resultants(r_a, r_b)
-    return {
-        "s_u": 4.0 * BOLTZMANN * temperature * res["parallel"],
-        "s_i": 4.0 * BOLTZMANN * temperature / res["serial"],
-    }
 
 
 def conditional_zc_variance(m: MomentSummary) -> float:

@@ -1,4 +1,4 @@
-"""Band-limited Gaussian voltage noise and second-moment estimators.
+"""Band-limited Gaussian voltage noise: Johnson levels, seeding, synthesis and a PSD estimate.
 
 Traces emulate the Johnson noise of a resistor: zero mean, Gaussian,
 stationary, with a flat one-sided power spectrum on (0, B] and no power
@@ -389,36 +389,3 @@ def estimate_psd(trace: NoiseTrace, segments: int) -> tuple[np.ndarray, np.ndarr
     )
     return freqs, density
 
-
-@dataclass(frozen=True)
-class SampleMoments:
-    """Time-averaged second moments of a pair of equally long sequences."""
-
-    mean_square_x: float
-    mean_square_y: float
-    cross_moment: float
-    correlation_coefficient: float  # NaN when either input has zero variance
-
-
-def sample_moments(x, y) -> SampleMoments:
-    """Second moments and correlation coefficient of two sequences.
-
-    The correlation is the uncentered cross moment normalized by the root
-    product of the mean squares (the sequences of interest here are zero
-    mean).  A zero-variance input makes the coefficient undefined and it is
-    reported as NaN.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError(f"inputs must be 1-d and equally long, got {x.shape} and {y.shape}")
-    if x.size < 2:
-        raise ValueError(f"need at least 2 samples, got {x.size}")
-    msx = float(np.mean(x * x))
-    msy = float(np.mean(y * y))
-    cross = float(np.mean(x * y))
-    if np.var(x) == 0.0 or np.var(y) == 0.0:
-        corr = math.nan
-    else:
-        corr = cross / math.sqrt(msx * msy)
-    return SampleMoments(msx, msy, cross, corr)

@@ -22,12 +22,21 @@ from numbers import Integral
 import numpy as np
 
 from . import attack
+from .circuit import solve_wire
 from .errors import ConfigurationError
 from .noise import _in_band_bin_count, fill_band, stream_generators
 from .schemes import CASES, SchemeConfig, case_branches, level_table
 
 STREAM_CHOICES = 0
 BRANCH_STREAMS = {"LA": 1, "HA": 2, "LB": 3, "HB": 4}
+
+
+def _check_integer(name: str, value, minimum: int) -> None:
+    """Raise ConfigurationError unless ``value`` is an integer, not a bool, >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigurationError(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -45,12 +54,7 @@ class Sampling:
     zc_mode: str = "sample_after"
 
     def __post_init__(self):
-        if isinstance(self.samples_per_bit, bool) or not isinstance(self.samples_per_bit, Integral):
-            raise ConfigurationError(
-                f"samples_per_bit must be an integer, got {self.samples_per_bit!r}"
-            )
-        if self.samples_per_bit < 2:
-            raise ConfigurationError(f"samples_per_bit must be >= 2, got {self.samples_per_bit}")
+        _check_integer("samples_per_bit", self.samples_per_bit, 2)
         if not self.oversample >= 1:
             raise ConfigurationError(f"oversample must be >= 1, got {self.oversample}")
         # The band edge falls at bin samples_per_bit / (2 * oversample).
@@ -80,12 +84,9 @@ class SessionConfig:
     master_seed: int = 1
 
     def __post_init__(self):
-        if self.bits_per_run < 1:
-            raise ConfigurationError(f"bits_per_run must be >= 1, got {self.bits_per_run}")
-        if self.runs < 1:
-            raise ConfigurationError(f"runs must be >= 1, got {self.runs}")
-        if self.master_seed < 0:
-            raise ConfigurationError(f"master_seed must be >= 0, got {self.master_seed}")
+        _check_integer("bits_per_run", self.bits_per_run, 1)
+        _check_integer("runs", self.runs, 1)
+        _check_integer("master_seed", self.master_seed, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,8 +194,8 @@ def simulate_bits(scheme: SchemeConfig, sampling: Sampling, cases, entropy_prefi
     coefficients (:func:`noise.fill_band`) from generators seeded as
     ``default_rng(derive_seed(*prefix, tag))``, where ``tag`` is the
     branch's stream tag; :func:`noise.stream_generators` hashes the seeds
-    a chunk of bits at a time.  The wire is linear, so it is
-    solved bin by bin in the frequency domain,
+    a chunk of bits at a time.  The wire is linear, so
+    :func:`circuit.solve_wire` solves it bin by bin in the frequency domain,
 
         I = (X_A - X_B) / (R_A + R_B),   U = (X_A * R_B + X_B * R_A) / (R_A + R_B),
 
@@ -253,7 +254,6 @@ def _simulate_bits(scheme: SchemeConfig, sampling: Sampling, case: np.ndarray,
     tags = [[BRANCH_STREAMS[bid] for bid in case_branches(label)] for label in CASES]
     r_a = np.array([a.resistance for a, _ in pairs])
     r_b = np.array([b.resistance for _, b in pairs])
-    r_sum = np.array([a.resistance + b.resistance for a, b in pairs])
     mean_square = np.array([[a.mean_square for a, _ in pairs], [b.mean_square for _, b in pairs]])
     case_list = case.tolist()
     rows = max(1, min(BLOCK_SAMPLES // n, n_bits))
@@ -285,12 +285,7 @@ def _simulate_bits(scheme: SchemeConfig, sampling: Sampling, case: np.ndarray,
         fill_band(bands, n, mean_square[:, c].ravel(), streams)
         parts = bands.view(np.float64)
         u, i = parts[:width], parts[width:]   # X_A and X_B, turned into U and I in place
-        xb_ra = i * r_a[c, None]
-        np.subtract(u, i, out=i)
-        i /= r_sum[c, None]
-        u *= r_b[c, None]
-        u += xb_ra
-        u /= r_sum[c, None]
+        solve_wire(u, i, r_a[c, None], r_b[c, None])
         for j, k in enumerate(range(block.start, block.stop)):
             u2[k], i2[k], p_ab[k] = parseval(u[j], u[j]), parseval(i[j], i[j]), parseval(u[j], i[j])
         return spectra
@@ -340,9 +335,10 @@ def _infer_partner(own: np.ndarray, measured_u2: np.ndarray, levels: dict) -> np
 def run_session(config: SessionConfig) -> SessionResult:
     """Simulate ``config.runs`` runs of ``config.bits_per_run`` bit exchanges.
 
-    Per bit: draw independent fair choices for both parties, synthesize
-    fresh branch noise, compute wire observables, classify both partners'
-    views, and record the zero-crossing statistics for the attack harness.
+    Per bit: draw independent fair choices for both parties, then let
+    :func:`simulate_bits` draw fresh branch noise, solve the wire and take
+    its moments and zero-crossing statistics; classify both partners' views
+    from the wire's mean-square voltage.
     Deterministic for a fixed config.
     """
     seed = config.master_seed

@@ -19,10 +19,10 @@ from kljnsim.benchmarks import (
     measure_case_moments,
     run_attack_experiment,
 )
-from kljnsim.circuit import analytic_moments, conditional_zc_variance, wire_observables
+from kljnsim.circuit import analytic_moments, conditional_zc_variance, solve_wire
 from kljnsim.cli import main as cli_main
 from kljnsim.errors import ConfigurationError, UnphysicalSchemeError
-from kljnsim.noise import NoiseSpec, estimate_psd, synthesize
+from kljnsim.noise import NoiseSpec, _in_band_bin_count, estimate_psd, fill_band, synthesize
 from kljnsim.protocol import CASES, Sampling, SessionConfig
 from kljnsim.schemes import (
     branch_temperatures,
@@ -317,16 +317,20 @@ def test_criterion_6_vmg_attack_harness(tmp_path):
 # --------------------------------------------------------------------------
 
 def test_criterion_7_property_suite(tmp_path):
-    # Kirchhoff pointwise identity to 1e-12 relative
-    from kljnsim.circuit import Branch
-
-    fs = 16000.0
-    a = Branch(278.0, 1.0, synthesize(NoiseSpec(1.0, BANDWIDTH, fs, 2**14, 71)))
-    b = Branch(100.0, 0.32, synthesize(NoiseSpec(0.32, BANDWIDTH, fs, 2**14, 72)))
-    wire = wire_observables(a, b)
-    scale = float(np.max(np.abs(wire.u_c)))
-    assert np.max(np.abs((a.trace.samples - wire.i_c * a.resistance) - wire.u_c)) < 1e-12 * scale
-    assert np.max(np.abs((b.trace.samples + wire.i_c * b.resistance) - wire.u_c)) < 1e-12 * scale
+    # Kirchhoff pointwise identity to 1e-12 relative, for the wire solve the
+    # simulation runs: solve_wire on the generators' spectra, then the inverse FFT.
+    fs, n = 16000.0, 2**14
+    x_a = synthesize(NoiseSpec(1.0, BANDWIDTH, fs, n, 71)).samples
+    x_b = synthesize(NoiseSpec(0.32, BANDWIDTH, fs, n, 72)).samples
+    spectra = np.zeros((2, n // 2 + 1), dtype=np.complex128)   # synthesize's own spectra
+    fill_band(spectra[:, 1 : _in_band_bin_count(n, fs, BANDWIDTH) + 1], n, [1.0, 0.32],
+              [np.random.default_rng(71), np.random.default_rng(72)])
+    parts = spectra.view(np.float64)
+    solve_wire(parts[0], parts[1], 278.0, 100.0)
+    u_c, i_c = np.fft.irfft(spectra, n=n, axis=-1)
+    scale = float(np.max(np.abs(u_c)))
+    assert np.max(np.abs((x_a - i_c * 278.0) - u_c)) < 1e-12 * scale
+    assert np.max(np.abs((x_b + i_c * 100.0) - u_c)) < 1e-12 * scale
 
     # spectral flatness and band limit
     spec = NoiseSpec(1.0, BANDWIDTH, 16000.0, 2**20, 73)

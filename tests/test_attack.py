@@ -13,12 +13,10 @@ from kljnsim.attack import (
     binomial_ci_halfwidth,
     block_zero_crossings,
     calibrate,
-    detect_zero_crossings,
     eve_guess_bit,
     histogram,
-    zc_mean_square,
 )
-from kljnsim.circuit import WireTrace, analytic_moments
+from kljnsim.circuit import analytic_moments
 from kljnsim.errors import CalibrationError
 from kljnsim.noise import derive_seed
 from kljnsim.protocol import (
@@ -28,13 +26,18 @@ from kljnsim.protocol import (
     SessionConfig,
     SessionResult,
     run_session,
+    simulate_bits,
 )
 from kljnsim.schemes import classic_kljn, solve_vmg
 from test_protocol import case_wire, reference_zero_crossings
 
 
-def wire(i, u, fs=1.0):
-    return WireTrace(u_c=np.asarray(u, float), i_c=np.asarray(i, float), sample_rate=fs)
+def crossings(i, u, mode, fs=1.0):
+    """``(values, times)`` of one trace: ``block_zero_crossings`` of a one-row block."""
+    counts, times, values = block_zero_crossings(np.asarray(i, float)[None, :],
+                                                 np.asarray(u, float)[None, :], mode, fs)
+    assert counts.tolist() == [times.size]
+    return values, times
 
 
 @pytest.fixture(scope="module")
@@ -49,58 +52,57 @@ def vmg_scheme():
 
 class TestDetectZeroCrossings:
     def test_interpolated_midpoint(self):
-        cs = detect_zero_crossings(wire([1.0, -1.0], [2.0, 4.0]), "interpolated")
-        assert cs.times.tolist() == [0.5]
-        assert cs.values.tolist() == [3.0]
+        values, times = crossings([1.0, -1.0], [2.0, 4.0], "interpolated")
+        assert times.tolist() == [0.5]
+        assert values.tolist() == [3.0]
 
     def test_constant_sign_empty(self):
-        cs = detect_zero_crossings(wire([1.0, 2.0, 3.0], [1.0, 1.0, 1.0]), "interpolated")
-        assert cs.values.size == 0
+        values, _ = crossings([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], "interpolated")
+        assert values.size == 0
 
     def test_exact_zero_counts_at_sample(self):
-        cs = detect_zero_crossings(wire([1.0, 0.0, 2.0], [5.0, 7.0, 9.0]), "sample_before")
-        assert cs.times.tolist() == [1.0]
-        assert cs.values.tolist() == [7.0]
+        values, times = crossings([1.0, 0.0, 2.0], [5.0, 7.0, 9.0], "sample_before")
+        assert times.tolist() == [1.0]
+        assert values.tolist() == [7.0]
 
     def test_modes_pick_expected_samples(self):
         i = [3.0, -1.0, 4.0]
         u = [10.0, 20.0, 30.0]
-        assert detect_zero_crossings(wire(i, u), "sample_before").values.tolist() == [10.0, 20.0]
-        assert detect_zero_crossings(wire(i, u), "sample_after").values.tolist() == [20.0, 30.0]
+        assert crossings(i, u, "sample_before")[0].tolist() == [10.0, 20.0]
+        assert crossings(i, u, "sample_after")[0].tolist() == [20.0, 30.0]
         # |i| is smallest at the middle sample for both crossings: dedupe to one
-        nearest = detect_zero_crossings(wire(i, u), "nearest")
-        assert nearest.values.tolist() == [20.0]
+        nearest, _ = crossings(i, u, "nearest")
+        assert nearest.tolist() == [20.0]
 
     def test_times_strictly_increasing(self, vmg_scheme):
-        w = case_wire(vmg_scheme, "HL", 2**15, 16000.0, (4, 0, 0))
+        u_c, i_c = case_wire(vmg_scheme, "HL", 2**15, 16000.0, (4, 0, 0))
         for mode in ("interpolated", "sample_before", "sample_after", "nearest"):
-            cs = detect_zero_crossings(w, mode)
-            assert cs.values.size > 10
-            assert np.all(np.diff(cs.times) > 0)
+            values, times = crossings(i_c, u_c, mode, 16000.0)
+            assert values.size > 10
+            assert np.all(np.diff(times) > 0)
 
     def test_interpolated_zero_is_exact(self):
         # linear current through zero: interpolation lands on the true root
         i = [2.0, -2.0]
         u = [1.0, 5.0]
-        cs = detect_zero_crossings(wire(i, u), "interpolated")
-        assert cs.values.tolist() == [3.0]
+        values, _ = crossings(i, u, "interpolated")
+        assert values.tolist() == [3.0]
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            detect_zero_crossings(wire([1.0, -1.0], [0.0, 0.0]), "midpoint")
+            crossings([1.0, -1.0], [0.0, 0.0], "midpoint")
 
     def test_equilibrium_sampling_is_unbiased(self, classic_scheme):
         # In equilibrium the wire voltage and current are uncorrelated, so
         # crossing-time sampling reproduces the nominal mean square.
-        values = []
-        for bit in range(8):
-            w = case_wire(classic_scheme, "LH", 2**17, 16000.0, (6, 0, bit))
-            values.append(detect_zero_crossings(w, "interpolated").values)
-        values = np.concatenate(values)
-        assert values.size > 10_000
+        bits = simulate_bits(classic_scheme, Sampling(2**17, 16.0, "interpolated"),
+                             [CASES.index("LH")] * 8, [(6, 0, bit) for bit in range(8)])
+        n_values = bits.n_zc.sum()
+        assert n_values > 10_000
         u2 = analytic_moments(1e3, 1.0, 1e4, 10.0).u2
-        se = u2 * math.sqrt(2.0 / (values.size / 2))  # conservative n_eff
-        assert np.mean(values**2) == pytest.approx(u2, abs=4 * se)
+        se = u2 * math.sqrt(2.0 / (n_values / 2))  # conservative n_eff
+        mean_square = np.sum(bits.n_zc * bits.u_zc2) / n_values   # over every crossing
+        assert mean_square == pytest.approx(u2, abs=4 * se)
 
 
 #: Current samples: exact zeros (with either sign) are frequent, so that
@@ -111,15 +113,14 @@ CURRENT = st.one_of(st.sampled_from([0.0, -0.0]),
 
 @st.composite
 def sampled_wires(draw):
-    """A wire at 1 Hz, so a crossing's time is its sample index in sample-aligned modes."""
+    """A wire's ``(i, u)`` at 1 Hz, so sample-aligned crossing times are sample indices."""
     i = draw(st.lists(CURRENT, min_size=1, max_size=40))
     u = draw(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=len(i), max_size=len(i)))
-    return wire(i, u)
+    return np.array(i), np.array(u)
 
 
-def expected_sample_indices(w, mode):
+def expected_sample_indices(i, mode):
     """Indices a sample-aligned mode picks, from the definition in ``ZC_MODES``."""
-    i = w.i_c
     kk = np.array([k for k in range(i.size - 1) if i[k] < 0 < i[k + 1] or i[k + 1] < 0 < i[k]],
                   dtype=np.int64)
     if mode == "sample_before":
@@ -140,30 +141,30 @@ class TestDetectZeroCrossingsProperties:
     @settings(max_examples=300, deadline=None)
     @given(sampled_wires(), st.sampled_from(ZC_MODES))
     def test_times_strictly_increasing(self, w, mode):
-        cs = detect_zero_crossings(w, mode)
-        assert np.all(np.diff(cs.times) > 0)
-        assert cs.values.size == cs.times.size
+        values, times = crossings(*w, mode)
+        assert np.all(np.diff(times) > 0)
+        assert values.size == times.size
 
     @settings(max_examples=300, deadline=None)
     @given(sampled_wires(), st.sampled_from(ZC_MODES))
     def test_every_exact_zero_counted(self, w, mode):
-        times = set(detect_zero_crossings(w, mode).times.tolist())
-        assert set(np.flatnonzero(w.i_c == 0.0).astype(float).tolist()) <= times
+        times = set(crossings(*w, mode)[1].tolist())
+        assert set(np.flatnonzero(w[0] == 0.0).astype(float).tolist()) <= times
 
     @settings(max_examples=300, deadline=None)
     @given(sampled_wires(), st.sampled_from(("sample_before", "sample_after", "nearest")))
     def test_sample_aligned_values_are_wire_samples(self, w, mode):
-        cs = detect_zero_crossings(w, mode)
-        index = cs.times.astype(np.int64)
-        assert np.array_equal(index, cs.times)
-        assert np.array_equal(cs.values, w.u_c[index])
+        values, times = crossings(*w, mode)
+        index = times.astype(np.int64)
+        assert np.array_equal(index, times)
+        assert np.array_equal(values, w[1][index])
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(TINY_CURRENT, min_size=2, max_size=40),
            st.sampled_from(("sample_before", "sample_after")))
     def test_every_sign_change_counted_at_any_magnitude(self, i, mode):
         changes = [k for k in range(len(i) - 1) if (i[k] < 0) != (i[k + 1] < 0)]
-        times = detect_zero_crossings(wire(i, [0.0] * len(i)), mode).times
+        _, times = crossings(i, [0.0] * len(i), mode)
         assert times.tolist() == [float(k + (mode == "sample_after")) for k in changes]
 
     @settings(max_examples=300, deadline=None)
@@ -171,8 +172,8 @@ class TestDetectZeroCrossingsProperties:
     def test_dedupe_keeps_every_distinct_pick(self, w, mode):
         # Adjacent crossings (or a crossing and an exact zero) that elect the
         # same sample collapse into one; no other crossing is dropped.
-        times = detect_zero_crossings(w, mode).times
-        assert times.tolist() == [float(k) for k in expected_sample_indices(w, mode)]
+        _, times = crossings(*w, mode)
+        assert times.tolist() == [float(k) for k in expected_sample_indices(w[0], mode)]
 
 
 #: Block currents: exact zeros, magnitudes from 1e-300 to 1e3, and anything in between.
@@ -221,25 +222,15 @@ class TestBlockZeroCrossings:
         ends = np.cumsum(counts)
         assert ends[-1] == times.size == values.size
         for r, (lo, hi) in enumerate(zip([0, *ends[:-1]], ends)):
-            ref_values, ref_times = reference_zero_crossings(wire(i[r], u[r], fs), mode)
+            ref_values, ref_times = reference_zero_crossings(i[r], u[r], mode, fs)
             assert np.array_equal(times[lo:hi], ref_times), r
             assert np.array_equal(values[lo:hi], ref_values), r
 
     def test_tied_crossings_keep_the_first(self):
         # The reference keeps the first of two crossings at one time.
-        values, times = reference_zero_crossings(wire(*TIED_CROSSINGS[0], *TIED_CROSSINGS[1]),
-                                                 "interpolated")
+        values, times = reference_zero_crossings(TIED_CROSSINGS[0][0], TIED_CROSSINGS[1][0],
+                                                 "interpolated", 1.0)
         assert times[0] == 1.0 and values[0] != 0.3
-
-
-class TestZcMeanSquare:
-    def test_values(self):
-        cs = detect_zero_crossings(wire([1.0, -1.0, 1.0], [3.0, -3.0, 3.0]), "sample_before")
-        assert zc_mean_square(cs) == 9.0
-
-    def test_empty_absent(self):
-        cs = detect_zero_crossings(wire([1.0, 2.0], [0.0, 0.0]), "sample_before")
-        assert zc_mean_square(cs) is None
 
 
 class TestCalibrate:
@@ -375,13 +366,9 @@ class TestEndToEndEquilibrium:
 class TestInterpolatedModeConsistency:
     @staticmethod
     def _interp_mean(scheme, case, gamma, entropy_tag, n_bits=150):
-        fs = 2 * 500.0 * gamma
-        vals = []
-        for bit in range(n_bits):
-            w = case_wire(scheme, case, 16384, fs, (entropy_tag, gamma, bit))
-            v = zc_mean_square(detect_zero_crossings(w, "interpolated"))
-            if v is not None:
-                vals.append(v)
+        vals = simulate_bits(scheme, Sampling(16384, gamma, "interpolated"),
+                             [CASES.index(case)] * n_bits,
+                             [(entropy_tag, gamma, bit) for bit in range(n_bits)]).u_zc2
         return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
 
     def test_equilibrium_mean_converges_to_u2_with_oversampling(self, classic_scheme):

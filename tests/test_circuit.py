@@ -4,65 +4,57 @@ import numpy as np
 import pytest
 
 from kljnsim.circuit import (
-    Branch,
     MomentSummary,
     analytic_moments,
     conditional_zc_variance,
-    equilibrium_spectra,
-    measure_moments,
-    resultants,
-    wire_observables,
+    solve_wire,
 )
-from kljnsim.noise import BOLTZMANN, NoiseSpec, NoiseTrace, synthesize
+from kljnsim.noise import BOLTZMANN, NoiseSpec, johnson_mean_square, synthesize
 
 
-def traced(resistance, mean_square, samples, fs=16000.0):
-    return Branch(resistance, mean_square, NoiseTrace(np.asarray(samples, float), fs))
+def solved(x_a, x_b, r_a, r_b):
+    """``(u_c, i_c)`` of the wire that generator voltages ``x_a``, ``x_b`` drive."""
+    u_c, i_c = np.array(x_a, float), np.array(x_b, float)
+    solve_wire(u_c, i_c, r_a, r_b)
+    return u_c, i_c
 
 
 class TestWireObservables:
     def test_constant_divider(self):
-        alice = traced(1.0, 1.0, [1.0, 1.0, 1.0])
-        bob = traced(1.0, 0.0, [0.0, 0.0, 0.0])
-        wire = wire_observables(alice, bob)
-        assert np.allclose(wire.u_c, 0.5)
-        assert np.allclose(wire.i_c, 0.5)
+        u_c, i_c = solved([1.0, 1.0, 1.0], [0.0, 0.0, 0.0], 1.0, 1.0)
+        assert np.allclose(u_c, 0.5)
+        assert np.allclose(i_c, 0.5)
 
     def test_coincidence_identity(self):
         # equal generator voltages mean zero current and U_c == U_A
         samples = [0.3, -1.2, 0.7]
-        wire = wire_observables(traced(100.0, 1.0, samples), traced(250.0, 1.0, samples))
-        assert np.all(wire.i_c == 0.0)
-        assert np.allclose(wire.u_c, samples)
+        u_c, i_c = solved(samples, samples, 100.0, 250.0)
+        assert np.all(i_c == 0.0)
+        assert np.allclose(u_c, samples)
 
     def test_length_mismatch(self):
+        # a one-sample generator is not broadcast over a two-sample wire
         with pytest.raises(ValueError):
-            wire_observables(traced(1.0, 1.0, [1.0, 2.0]), traced(1.0, 1.0, [1.0]))
-
-    def test_missing_trace(self):
-        with pytest.raises(ValueError):
-            wire_observables(Branch(1.0, 1.0), traced(1.0, 1.0, [0.0, 0.0]))
+            solved([1.0, 2.0], [1.0], 1.0, 1.0)
 
     def test_kirchhoff_pointwise_identity(self):
         fs = 16000.0
-        a = Branch(278.0, 1.0, synthesize(NoiseSpec(1.0, 500.0, fs, 4096, 11)))
-        b = Branch(100.0, 0.32, synthesize(NoiseSpec(0.32, 500.0, fs, 4096, 22)))
-        wire = wire_observables(a, b)
-        lhs_a = a.trace.samples - wire.i_c * a.resistance
-        lhs_b = b.trace.samples + wire.i_c * b.resistance
-        scale = np.max(np.abs(wire.u_c))
-        assert np.max(np.abs(lhs_a - wire.u_c)) < 1e-12 * scale
-        assert np.max(np.abs(lhs_b - wire.u_c)) < 1e-12 * scale
+        x_a = synthesize(NoiseSpec(1.0, 500.0, fs, 4096, 11)).samples
+        x_b = synthesize(NoiseSpec(0.32, 500.0, fs, 4096, 22)).samples
+        u_c, i_c = solved(x_a, x_b, 278.0, 100.0)
+        lhs_a = x_a - i_c * 278.0
+        lhs_b = x_b + i_c * 100.0
+        scale = np.max(np.abs(u_c))
+        assert np.max(np.abs(lhs_a - u_c)) < 1e-12 * scale
+        assert np.max(np.abs(lhs_b - u_c)) < 1e-12 * scale
 
     def test_power_antisymmetry(self):
-        a = Branch(278.0, 1.0, synthesize(NoiseSpec(1.0, 500.0, 16000.0, 4096, 1)))
-        b = Branch(100.0, 0.5, synthesize(NoiseSpec(0.5, 500.0, 16000.0, 4096, 2)))
-        fwd = wire_observables(a, b)
-        rev = wire_observables(b, a)
-        assert np.array_equal(fwd.i_c, -rev.i_c)
-        m_fwd = measure_moments(fwd)
-        m_rev = measure_moments(rev)
-        assert m_fwd.p_ab == pytest.approx(-m_rev.p_ab, abs=1e-18)
+        x_a = synthesize(NoiseSpec(1.0, 500.0, 16000.0, 4096, 1)).samples
+        x_b = synthesize(NoiseSpec(0.5, 500.0, 16000.0, 4096, 2)).samples
+        u_fwd, i_fwd = solved(x_a, x_b, 278.0, 100.0)
+        u_rev, i_rev = solved(x_b, x_a, 100.0, 278.0)
+        assert np.array_equal(i_fwd, -i_rev)
+        assert np.mean(u_fwd * i_fwd) == pytest.approx(-np.mean(u_rev * i_rev), abs=1e-18)
 
     def test_sampled_moments_match_oracle_50_pairs(self):
         rng = np.random.default_rng(42)
@@ -71,15 +63,15 @@ class TestWireObservables:
         for trial in range(50):
             r_a, r_b = 10 ** rng.uniform(2, 5, size=2)
             u2_a, u2_b = 10 ** rng.uniform(-1, 1, size=2)
-            a = Branch(r_a, u2_a, synthesize(NoiseSpec(u2_a, 500.0, fs, n, 1000 + trial)))
-            b = Branch(r_b, u2_b, synthesize(NoiseSpec(u2_b, 500.0, fs, n, 2000 + trial)))
-            sampled = measure_moments(wire_observables(a, b))
+            u_c, i_c = solved(synthesize(NoiseSpec(u2_a, 500.0, fs, n, 1000 + trial)).samples,
+                              synthesize(NoiseSpec(u2_b, 500.0, fs, n, 2000 + trial)).samples,
+                              r_a, r_b)
             oracle = analytic_moments(r_a, u2_a, r_b, u2_b)
             tol = 4.0 * math.sqrt(2.0 / n_eff)
-            assert sampled.u2 == pytest.approx(oracle.u2, rel=tol, abs=0)
-            assert sampled.i2 == pytest.approx(oracle.i2, rel=tol, abs=0)
+            assert np.mean(u_c * u_c) == pytest.approx(oracle.u2, rel=tol, abs=0)
+            assert np.mean(i_c * i_c) == pytest.approx(oracle.i2, rel=tol, abs=0)
             p_se = math.sqrt((oracle.u2 * oracle.i2 + oracle.p_ab**2) / n_eff)
-            assert abs(sampled.p_ab - oracle.p_ab) < 4.0 * p_se
+            assert abs(np.mean(u_c * i_c) - oracle.p_ab) < 4.0 * p_se
 
 
 class TestAnalyticMoments:
@@ -110,38 +102,32 @@ class TestAnalyticMoments:
             analytic_moments(0.0, 1.0, 1.0, 1.0)
 
 
-class TestResultants:
-    def test_values(self):
-        r = resultants(1e3, 1e4)
-        assert r["parallel"] == pytest.approx(909.09, rel=1e-4)
-        assert r["serial"] == 11e3
-
-    def test_equal(self):
-        r = resultants(50.0, 50.0)
-        assert r == {"parallel": 25.0, "serial": 100.0}
-
-    def test_swap_symmetry(self):
-        assert resultants(1e3, 1e4) == resultants(1e4, 1e3)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            resultants(-1.0, 1.0)
-
-
 class TestEquilibriumSpectra:
+    """In thermal equilibrium the wire's noise is the Johnson noise of the two
+    resistors in parallel (voltage) and in series (current): per hertz,
+    s_u = 4kT R_A R_B / (R_A + R_B) and s_i = 4kT / (R_A + R_B)."""
+
+    @staticmethod
+    def spectra(temperature, r_a, r_b):
+        """``(s_u, s_i)``: the oracle's u2 and i2 per hertz for two resistors at ``temperature``."""
+        m = analytic_moments(r_a, johnson_mean_square(temperature, r_a, 1.0),
+                             r_b, johnson_mean_square(temperature, r_b, 1.0))
+        return m.u2, m.i2
+
     def test_equal_resistors(self):
-        s = equilibrium_spectra(300.0, 1e3, 1e3)
-        assert s["s_u"] == pytest.approx(2 * BOLTZMANN * 300.0 * 1e3, rel=1e-12, abs=0)
-        assert s["s_i"] == pytest.approx(2 * BOLTZMANN * 300.0 / 1e3, rel=1e-12, abs=0)
+        s_u, s_i = self.spectra(300.0, 1e3, 1e3)
+        assert s_u == pytest.approx(2 * BOLTZMANN * 300.0 * 1e3, rel=1e-12, abs=0)
+        assert s_i == pytest.approx(2 * BOLTZMANN * 300.0 / 1e3, rel=1e-12, abs=0)
 
     def test_room_temperature_pair(self):
-        s = equilibrium_spectra(300.0, 1e3, 1e4)
-        assert s["s_u"] == pytest.approx(1.506e-17, rel=1e-3, abs=0)
+        s_u, s_i = self.spectra(300.0, 1e3, 1e4)
+        assert s_u == pytest.approx(1.506e-17, rel=1e-3, abs=0)
+        assert s_i == pytest.approx(4 * BOLTZMANN * 300.0 / 11e3, rel=1e-12, abs=0)
 
     def test_product_invariant_under_swap(self):
-        a = equilibrium_spectra(123.0, 1e3, 1e4)
-        b = equilibrium_spectra(123.0, 1e4, 1e3)
-        assert a["s_u"] * a["s_i"] == pytest.approx(b["s_u"] * b["s_i"], rel=1e-12, abs=0)
+        a = self.spectra(123.0, 1e3, 1e4)
+        b = self.spectra(123.0, 1e4, 1e3)
+        assert a[0] * a[1] == pytest.approx(b[0] * b[1], rel=1e-12, abs=0)
 
 
 class TestConditionalZcVariance:

@@ -1,15 +1,14 @@
 import concurrent.futures
 import math
 import multiprocessing
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
 from kljnsim import benchmarks, protocol
-from kljnsim.attack import ZC_MODES, detect_zero_crossings, zc_mean_square
-from kljnsim.circuit import MomentSummary, WireTrace, measure_moments, wire_observables
+from kljnsim.attack import ZC_MODES
+from kljnsim.circuit import MomentSummary
 from kljnsim.errors import ConfigurationError
 from kljnsim.noise import NoiseSpec, _in_band_bin_count, derive_seed, synthesize
 from kljnsim.protocol import (
@@ -27,33 +26,30 @@ from kljnsim.protocol import (
 from kljnsim.schemes import case_branches, classic_kljn, fck1_kljn, level_table, solve_vmg
 
 
-def case_wire(scheme, case, samples_per_bit, sample_rate, entropy_prefix) -> WireTrace:
+def case_wire(scheme, case, samples_per_bit, sample_rate, entropy_prefix):
     """Time-domain reference for one bit: synthesize both connected branches, solve the wire.
 
-    The branch seeds extend ``entropy_prefix`` with the branch stream tag,
-    as in ``simulate_bits``.
+    Returns the wire voltage and current ``(u_c, i_c)``.  The branch seeds
+    extend ``entropy_prefix`` with the branch stream tag, as in ``simulate_bits``.
     """
-    a_id = "LA" if case[0] == "L" else "HA"
-    b_id = "LB" if case[1] == "L" else "HB"
-    traced = {}
-    for bid in (a_id, b_id):
-        branch = scheme.branches[bid]
-        spec = NoiseSpec(
-            mean_square=branch.mean_square,
+    a_id, b_id = case[0] + "A", case[1] + "B"
+    u_a, u_b = (
+        synthesize(NoiseSpec(
+            mean_square=scheme.branches[bid].mean_square,
             bandwidth=scheme.bandwidth,
             sample_rate=sample_rate,
             num_samples=samples_per_bit,
             seed=derive_seed(*entropy_prefix, BRANCH_STREAMS[bid]),
-        )
-        traced[bid] = replace(branch, trace=synthesize(spec))
-    return wire_observables(traced[a_id], traced[b_id])
+        )).samples
+        for bid in (a_id, b_id)
+    )
+    r_a, r_b = scheme.branches[a_id].resistance, scheme.branches[b_id].resistance
+    return (u_a * r_b + u_b * r_a) / (r_a + r_b), (u_a - u_b) / (r_a + r_b)
 
 
-def reference_zero_crossings(wire, mode: str) -> tuple[np.ndarray, np.ndarray]:
+def reference_zero_crossings(i, u, mode: str, sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-trace reference for the crossing search: ``(values, times)`` of one wire."""
-    i = wire.i_c
-    u = wire.u_c
-    dt = 1.0 / wire.sample_rate
+    dt = 1.0 / sample_rate
     exact = np.flatnonzero(i == 0.0)
     neg, pos = i < 0.0, i > 0.0
     kk = np.flatnonzero((neg[:-1] & pos[1:]) | (pos[:-1] & neg[1:]))
@@ -134,8 +130,7 @@ def reference_simulate_bits(scheme, sampling, cases, entropy_prefixes) -> dict:
         u += xb_ra
         u /= a.resistance + b.resistance
         u_c, i_c = np.fft.irfft(spectra, n=n, axis=-1)
-        values, _ = reference_zero_crossings(WireTrace(u_c=u_c, i_c=i_c, sample_rate=sample_rate),
-                                             sampling.zc_mode)
+        values, _ = reference_zero_crossings(i_c, u_c, sampling.zc_mode, sample_rate)
         for name, value in (("case", case), ("u2", parseval(u, u)), ("i2", parseval(i, i)),
                             ("p_ab", parseval(u, i)), ("n_zc", values.size),
                             ("u_zc2", np.mean(values * values))):
@@ -201,12 +196,12 @@ def test_simulate_bits_matches_per_bit_primitives(mode):
                 assert np.array_equal(getattr(bits, name), exact[name]), (samples_per_bit, name)
             ref = {name: np.empty(n_bits) for name in ("u2", "i2", "p_ab", "n_zc", "u_zc2")}
             for k, (case, prefix) in enumerate(zip(cases, prefixes)):
-                wire = case_wire(scheme, CASES[case], samples_per_bit, sample_rate, prefix)
-                m = measure_moments(wire)
-                crossings = detect_zero_crossings(wire, mode)
-                ref["u2"][k], ref["i2"][k], ref["p_ab"][k] = m.u2, m.i2, m.p_ab
-                ref["n_zc"][k] = crossings.values.size
-                ref["u_zc2"][k] = zc_mean_square(crossings)
+                u_c, i_c = case_wire(scheme, CASES[case], samples_per_bit, sample_rate, prefix)
+                values, _ = reference_zero_crossings(i_c, u_c, mode, sample_rate)
+                ref["u2"][k], ref["i2"][k] = np.mean(u_c * u_c), np.mean(i_c * i_c)
+                ref["p_ab"][k] = np.mean(u_c * i_c)
+                ref["n_zc"][k] = values.size
+                ref["u_zc2"][k] = np.mean(values * values)
             assert bits.case.tolist() == cases
             assert bits.n_zc.tolist() == ref["n_zc"].tolist()
             for name in ("u2", "i2", "u_zc2"):
@@ -356,6 +351,16 @@ def test_sampling_fault_names_its_field(fault, field):
         Sampling(**fault)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("bits_per_run", 2.5), ("bits_per_run", True), ("runs", 2.0), ("runs", True),
+    ("master_seed", 1.5), ("master_seed", False),
+])
+def test_session_counts_and_seed_must_be_integers(classic_scheme, field, value):
+    # Sampling's rule: a float or a bool is refused, not truncated or read as 0/1.
+    with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+        SessionConfig(classic_scheme, **{field: value})
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="no seed namespaces yet: a session's run r and a fixed-case "
                    "experiment's case tag r hash the same (seed, r, bit, branch) tuple")
@@ -400,13 +405,13 @@ class TestCaseWire:
     def test_deterministic(self, classic_scheme):
         a = case_wire(classic_scheme, "LH", 1024, 16000.0, (9, 0, 0))
         b = case_wire(classic_scheme, "LH", 1024, 16000.0, (9, 0, 0))
-        assert np.array_equal(a.u_c, b.u_c)
-        assert np.array_equal(a.i_c, b.i_c)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_cases_differ(self, classic_scheme):
         a = case_wire(classic_scheme, "LH", 1024, 16000.0, (9, 0, 0))
         b = case_wire(classic_scheme, "HL", 1024, 16000.0, (9, 0, 0))
-        assert not np.array_equal(a.u_c, b.u_c)
+        assert not np.array_equal(a[0], b[0])
 
 
 class TestRunSession:
@@ -455,14 +460,12 @@ class TestRunSession:
         cfg = SessionConfig(scheme=classic_scheme, sampling=Sampling(2**14, 4),
                             bits_per_run=6, runs=1, master_seed=77)
         n_eff = 2**14 / 4
-        wires = [
-            case_wire(classic_scheme, "LH", 2**14, cfg.sampling.sample_rate(500.0), (77, 0, bit))
+        voltages = [
+            case_wire(classic_scheme, "LH", 2**14, cfg.sampling.sample_rate(500.0), (77, 0, bit))[0]
             for bit in range(6)
         ]
-        for w1, w2 in zip(wires, wires[1:]):
-            corr = np.mean(w1.u_c * w2.u_c) / math.sqrt(
-                np.mean(w1.u_c**2) * np.mean(w2.u_c**2)
-            )
+        for u1, u2 in zip(voltages, voltages[1:]):
+            corr = np.mean(u1 * u2) / math.sqrt(np.mean(u1**2) * np.mean(u2**2))
             assert abs(corr) < 4 / math.sqrt(n_eff)
 
 
@@ -489,8 +492,8 @@ class TestClassification:
         assert len(warned) == 1
 
     def test_classify_full_wire(self, classic_scheme):
-        wire = case_wire(classic_scheme, "LH", 16384, 16000.0, (3, 0, 0))
-        u2 = np.mean(wire.u_c * wire.u_c)
+        u_c, _ = case_wire(classic_scheme, "LH", 16384, 16000.0, (3, 0, 0))
+        u2 = np.mean(u_c * u_c)
         partner = _infer_partner(np.array([0]), np.array([u2]), level_table(classic_scheme))
         assert partner.tolist() == [1]
 
