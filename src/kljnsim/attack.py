@@ -4,8 +4,11 @@ Eve watches the wire, finds the instants where the current crosses zero,
 samples the wire voltage there, and forms the per-bit mean-square of those
 samples.  After calibrating both secure hypotheses offline (every parameter
 except the bit choices is public), she thresholds the statistic to guess
-each secure bit.  Aggregated over runs this yields her success probability
-p and its run-to-run spread sigma_p.
+each secure bit.  Calibration and scoring work on the per-bit columns that
+:func:`protocol.simulate_bits` returns: one call rehearses both hypotheses,
+and a session's guesses are scored as (runs, bits_per_run) arrays.
+Aggregated over runs this yields her success probability p and its
+run-to-run spread sigma_p.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import CalibrationError, ConfigurationError
+from .errors import CalibrationError, _check_integer
 from .noise import stream_generators
 from .schemes import CASES, SchemeConfig
 
@@ -156,109 +159,98 @@ def calibrate(
     """Eve's offline rehearsal of both secure hypotheses.
 
     Simulates ``calibration_bits`` known-case bits for LH and for HL under
-    ``sampling``, the settings the attack will face, estimates the mean
-    per-bit zero-crossing mean-square for each, and places the decision
-    threshold at the arithmetic midpoint.  Polarity is "indistinct" when the
-    two means differ by less than ``POLARITY_SIGMAS`` combined standard errors.
+    ``sampling``, the settings the attack will face, in one
+    :func:`protocol.simulate_bits` call (bit b of hypothesis h, 0 for LH and
+    1 for HL, has entropy prefix ``(seed, STREAM_CALIBRATION, h, b)``),
+    estimates the mean per-bit zero-crossing mean-square for each, and
+    places the decision threshold at the arithmetic midpoint.  Polarity is
+    "indistinct" when the two means differ by less than ``POLARITY_SIGMAS``
+    combined standard errors.
     """
     from .protocol import simulate_bits  # deferred: protocol imports this module
 
-    if calibration_bits < MIN_CALIBRATION_BITS:
-        raise ConfigurationError(
-            f"calibration_bits must be >= {MIN_CALIBRATION_BITS}, got {calibration_bits}"
-        )
-    means = {}
-    std_errs = {}
-    total_crossings = 0
-    for case_idx, case in enumerate(("LH", "HL")):
-        bits = simulate_bits(
-            scheme, sampling, [CASES.index(case)] * calibration_bits,
-            [(seed, STREAM_CALIBRATION, case_idx, bit) for bit in range(calibration_bits)],
-        )
-        total_crossings += int(bits.n_zc.sum())
-        means[case] = float(bits.u_zc2.mean())
-        std_errs[case] = float(bits.u_zc2.std(ddof=1) / math.sqrt(calibration_bits))
-    if total_crossings / (2.0 * calibration_bits) < MIN_CROSSINGS_PER_BIT:
+    _check_integer("calibration_bits", calibration_bits, MIN_CALIBRATION_BITS)
+    n = calibration_bits
+    bits = simulate_bits(
+        scheme, sampling, [CASES.index("LH")] * n + [CASES.index("HL")] * n,
+        [(seed, STREAM_CALIBRATION, case_idx, bit) for case_idx in (0, 1) for bit in range(n)],
+    )
+    if int(bits.n_zc.sum()) / (2.0 * n) < MIN_CROSSINGS_PER_BIT:
         raise CalibrationError(
             "average crossings per bit below "
             f"{MIN_CROSSINGS_PER_BIT:g}; increase samples_per_bit"
         )
-    diff = means["HL"] - means["LH"]
-    combined_se = math.hypot(std_errs["LH"], std_errs["HL"])
-    if abs(diff) < POLARITY_SIGMAS * combined_se:
+    mean_lh, se_lh = _mean_se(bits.u_zc2[:n])
+    mean_hl, se_hl = _mean_se(bits.u_zc2[n:])
+    diff = mean_hl - mean_lh
+    if abs(diff) < POLARITY_SIGMAS * math.hypot(se_lh, se_hl):
         polarity = "indistinct"
     else:
         polarity = "hl_above" if diff > 0 else "lh_above"
     return AttackCalibration(
-        mean_zc_lh=means["LH"],
-        mean_zc_hl=means["HL"],
-        threshold=0.5 * (means["LH"] + means["HL"]),
+        mean_zc_lh=mean_lh,
+        mean_zc_hl=mean_hl,
+        threshold=0.5 * (mean_lh + mean_hl),
         polarity=polarity,
     )
-
-
-def eve_guess_bit(u_zc2: float, cal: AttackCalibration, tie_seed) -> str:
-    """Guess the secure case from one bit's zero-crossing statistic.
-
-    Indistinct calibration falls back to a fair coin, drawn from
-    ``default_rng(tie_seed)``: ``tie_seed`` is a seed or a ``Generator``,
-    which is used as it is.  Otherwise the guess is a threshold comparison.
-    """
-    if cal.polarity == "indistinct":
-        rng = np.random.default_rng(tie_seed)
-        return "HL" if rng.integers(0, 2) else "LH"
-    if cal.polarity == "hl_above":
-        return "HL" if u_zc2 > cal.threshold else "LH"
-    return "LH" if u_zc2 > cal.threshold else "HL"
 
 
 def attack_statistics(session, cal: AttackCalibration, guess_seed: int = 0) -> AttackOutcome:
     """Aggregate Eve's per-run success probability over secure bits.
 
-    Per run, p is the fraction of secure bits guessed correctly; the overall
-    p is the unweighted mean of the per-run values and sigma_p their sample
-    standard deviation.  Runs without secure bits are excluded (counted in
-    ``n_excluded_runs``); RuntimeError when no run has one.  Coin-flip
-    guesses draw from a stream disjoint from the simulation seeds,
-    namespaced by ``guess_seed``: the coin of bit b in run r comes from
-    ``default_rng(derive_seed(guess_seed, r, b, STREAM_EVE_TIE))``.
+    Eve guesses HL for a secure bit when its ``u_zc2`` exceeds the threshold
+    under "hl_above" polarity, and when it does not under "lh_above"; a NaN
+    exceeds nothing.  Under "indistinct" calibration every guess is a fair
+    coin from a stream disjoint from the simulation seeds, namespaced by
+    ``guess_seed``: bit b of run r guesses HL when
+    ``default_rng(derive_seed(guess_seed, r, b, STREAM_EVE_TIE)).integers(0, 2)``
+    is 1.  Per run, p is the fraction of secure bits guessed correctly; the
+    overall p is the unweighted mean of the per-run values and sigma_p their
+    sample standard deviation.  Runs without secure bits are excluded
+    (counted in ``n_excluded_runs``); RuntimeError when no run has one.
     """
     secure = session.per_run(session.bits.secure)
-    coins = None
     if cal.polarity == "indistinct":
-        coins = stream_generators(
-            (guess_seed, run_idx, bit_idx, STREAM_EVE_TIE)
-            for run_idx, bit_idx in zip(*(a.tolist() for a in np.nonzero(secure)))
-        )
-    case = session.per_run(session.bits.case)
-    u_zc2 = session.per_run(session.bits.u_zc2)
-    per_run_p = []
-    n_secure = 0
-    excluded = 0
-    for run_idx, mask in enumerate(secure):
-        bit_indices = np.flatnonzero(mask)
-        if bit_indices.size == 0:
-            warnings.warn(f"run {run_idx} has no secure bits; excluded from attack statistics")
-            excluded += 1
-            continue
-        correct = 0
-        for c, v in zip(case[run_idx, mask].tolist(), u_zc2[run_idx, mask].tolist()):
-            guess = eve_guess_bit(v, cal, next(coins) if coins else None)
-            correct += guess == CASES[c]
-        per_run_p.append(correct / bit_indices.size)
-        n_secure += bit_indices.size
-    if not per_run_p:
+        guess_hl = np.zeros_like(secure)
+        guess_hl[secure] = [
+            rng.integers(0, 2) == 1
+            for rng in stream_generators(
+                (guess_seed, run_idx, bit_idx, STREAM_EVE_TIE)
+                for run_idx, bit_idx in zip(*(a.tolist() for a in np.nonzero(secure)))
+            )
+        ]
+    else:
+        above = session.per_run(session.bits.u_zc2) > cal.threshold
+        guess_hl = above if cal.polarity == "hl_above" else ~above
+    is_hl = session.per_run(session.bits.case) == CASES.index("HL")
+    correct = (secure & (guess_hl == is_hl)).sum(axis=1)
+    n_secure = secure.sum(axis=1)
+    scored = n_secure > 0
+    for run_idx in np.flatnonzero(~scored).tolist():
+        warnings.warn(f"run {run_idx} has no secure bits; excluded from attack statistics")
+    if not scored.any():
         raise RuntimeError("no run contained a secure bit; increase bits_per_run or runs")
+    per_run_p = (correct[scored] / n_secure[scored]).tolist()
     p = float(np.mean(per_run_p))
     sigma_p = float(np.std(per_run_p, ddof=1)) if len(per_run_p) > 1 else 0.0
     return AttackOutcome(
         p=p,
         sigma_p=sigma_p,
-        n_secure_bits=n_secure,
+        n_secure_bits=int(n_secure.sum()),
         n_runs=len(per_run_p),
         per_run_p=tuple(per_run_p),
-        n_excluded_runs=excluded,
+        n_excluded_runs=int((~scored).sum()),
     )
+
+
+def _mean_se(values) -> tuple[float, float]:
+    """Mean and its standard error; NaN where fewer than two values leave it undefined."""
+    arr = np.asarray(values, dtype=float)
+    if arr.size == 0:
+        return math.nan, math.nan
+    if arr.size == 1:
+        return float(arr[0]), math.nan
+    return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
 
 
 def binomial_ci_halfwidth(p: float, n: int, z: float = 1.96) -> float:

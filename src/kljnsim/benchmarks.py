@@ -13,13 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .attack import (
     AttackCalibration,
     AttackOutcome,
     STREAM_CALIBRATION,
     STREAM_EVE_TIE,
+    _mean_se,
     attack_statistics,
     calibrate,
 )
@@ -85,7 +84,6 @@ BENCHMARKS: dict[str, BenchmarkRow] = {
     )
 }
 
-BENCHMARK_NAMES = tuple(BENCHMARKS)
 VMG_BENCHMARK_NAMES = ("vmg1", "vmg2", "vmg3")
 EQUILIBRIUM_BENCHMARK_NAMES = ("kljn", "fck1")
 
@@ -104,16 +102,6 @@ def match_benchmark(scheme: SchemeConfig) -> BenchmarkRow | None:
         if all(math.isclose(a, b, rel_tol=1e-9) for a, b in zip(quad, ref)):
             return row
     return None
-
-
-def _mean_se(values) -> tuple[float, float]:
-    """Mean and its standard error; NaN where fewer than two values leave it undefined."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return math.nan, math.nan
-    if arr.size == 1:
-        return float(arr[0]), math.nan
-    return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
 
 
 @dataclass(frozen=True)

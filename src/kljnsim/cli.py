@@ -22,10 +22,9 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from . import __version__
-from .attack import MIN_CALIBRATION_BITS, binomial_ci_halfwidth, histogram
+from .attack import MIN_CALIBRATION_BITS, _mean_se, binomial_ci_halfwidth, histogram
 from .benchmarks import (
     BENCHMARKS,
-    _mean_se,
     benchmark_scheme,
     case_moments,
     match_benchmark,

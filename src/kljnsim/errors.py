@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer rule for counts and seeds."""
+
+from numbers import Integral
 
 
 class ConfigurationError(ValueError):
@@ -19,3 +21,11 @@ class UnphysicalSchemeError(ValueError):
 
 class CalibrationError(RuntimeError):
     """Eavesdropper calibration could not produce usable statistics."""
+
+
+def _check_integer(name: str, value, minimum: int) -> None:
+    """Raise ConfigurationError unless ``value`` is an integer, not a bool, >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigurationError(f"{name} must be >= {minimum}, got {value}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _check_integer
 
 #: Boltzmann constant, J/K (exact in the SI since 2019).
 BOLTZMANN = 1.380649e-23
@@ -240,10 +240,8 @@ class NoiseSpec:
             raise ConfigurationError(
                 f"sample_rate {self.sample_rate} violates Nyquist for bandwidth {self.bandwidth}"
             )
-        if self.num_samples < 2:
-            raise ConfigurationError(f"num_samples must be >= 2, got {self.num_samples}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed}")
+        _check_integer("num_samples", self.num_samples, 2)
+        _check_integer("seed", self.seed, 0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,26 +17,17 @@ import atexit
 import os
 import warnings
 from dataclasses import dataclass, fields
-from numbers import Integral
 
 import numpy as np
 
 from . import attack
 from .circuit import solve_wire
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _check_integer
 from .noise import _in_band_bin_count, fill_band, stream_generators
 from .schemes import CASES, SchemeConfig, case_branches, level_table
 
 STREAM_CHOICES = 0
 BRANCH_STREAMS = {"LA": 1, "HA": 2, "LB": 3, "HB": 4}
-
-
-def _check_integer(name: str, value, minimum: int) -> None:
-    """Raise ConfigurationError unless ``value`` is an integer, not a bool, >= ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigurationError(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kljnsim import protocol
 from kljnsim.attack import (
+    STREAM_CALIBRATION,
     STREAM_EVE_TIE,
     ZC_MODES,
     AttackCalibration,
@@ -13,7 +16,6 @@ from kljnsim.attack import (
     binomial_ci_halfwidth,
     block_zero_crossings,
     calibrate,
-    eve_guess_bit,
     histogram,
 )
 from kljnsim.circuit import analytic_moments
@@ -254,6 +256,24 @@ class TestCalibrate:
             calibrate(classic_scheme, Sampling(128, 16, "sample_after"),
                       calibration_bits=100, seed=1)
 
+    @pytest.mark.parametrize("fan_out", [False, True])
+    def test_means_are_those_of_two_per_case_calls(self, vmg_scheme, monkeypatch, fan_out):
+        # One call over both hypotheses gives the columns of one call per hypothesis,
+        # also when the merged call runs in the worker pool and the per-case ones do not.
+        sampling, n, seed = Sampling(1024, 4, "interpolated"), 100, 42
+        means = [
+            float(simulate_bits(vmg_scheme, sampling, [CASES.index(case)] * n,
+                                [(seed, STREAM_CALIBRATION, case_idx, bit) for bit in range(n)]
+                                ).u_zc2.mean())
+            for case_idx, case in enumerate(("LH", "HL"))
+        ]
+        if fan_out:
+            monkeypatch.setattr(protocol, "FAN_OUT_SAMPLES", (n + 1) * 1024)
+            monkeypatch.setattr(protocol, "WORKERS", 2)
+        cal = calibrate(vmg_scheme, sampling, calibration_bits=n, seed=seed)
+        assert [cal.mean_zc_lh, cal.mean_zc_hl] == means
+        assert cal.threshold == 0.5 * (means[0] + means[1])
+
     def test_too_few_bits(self, classic_scheme):
         with pytest.raises(ValueError):
             calibrate(classic_scheme, Sampling(8192, 8, "sample_after"),
@@ -265,19 +285,19 @@ class TestEveGuess:
                             threshold=0.4385, polarity="hl_above")
 
     def test_above_threshold(self):
-        assert eve_guess_bit(0.55, self.CAL, tie_seed=0) == "HL"
+        assert attack_statistics(_session([("HL", 0.55)]), self.CAL).p == 1.0
 
     def test_below_threshold(self):
-        assert eve_guess_bit(0.30, self.CAL, tie_seed=0) == "LH"
+        assert attack_statistics(_session([("LH", 0.30)]), self.CAL).p == 1.0
 
     def test_lh_above_polarity(self):
         cal = AttackCalibration(0.576, 0.301, 0.4385, "lh_above")
-        assert eve_guess_bit(0.55, cal, tie_seed=0) == "LH"
+        assert attack_statistics(_session([("LH", 0.55)]), cal).p == 1.0
 
     def test_indistinct_is_fair_coin(self):
+        # Every bit is HL, so p is the rate of HL guesses.
         cal = AttackCalibration(0.5, 0.5, 0.5, "indistinct")
-        guesses = [eve_guess_bit(0.7, cal, tie_seed=s) for s in range(2000)]
-        rate = guesses.count("HL") / len(guesses)
+        rate = attack_statistics(_session([("HL", 0.7)] * 2000), cal).p
         assert abs(rate - 0.5) < 4 * math.sqrt(0.25 / 2000)
 
 
@@ -336,20 +356,88 @@ class TestAttackStatistics:
 
 @pytest.mark.parametrize("guess_seed", [0, 2**40 + 3])
 def test_coin_flip_p_matches_per_bit_guesses(guess_seed):
-    # Under indistinct calibration each secure bit's guess is
-    # eve_guess_bit with tie seed derive_seed(guess_seed, run, bit, STREAM_EVE_TIE).
+    # Under indistinct calibration secure bit b of run r guesses HL when
+    # default_rng(derive_seed(guess_seed, r, b, STREAM_EVE_TIE)).integers(0, 2) is 1.
     cal = AttackCalibration(0.5, 0.5, 0.5, "indistinct")
     rng = np.random.default_rng(21)
     runs = [[(CASES[c], 0.5) for c in rng.integers(0, 4, size=60)] for _ in range(4)]
     expected = []
     for run_idx, run in enumerate(runs):
-        hits = [eve_guess_bit(v, cal, derive_seed(guess_seed, run_idx, bit_idx, STREAM_EVE_TIE))
-                == case
-                for bit_idx, (case, v) in enumerate(run) if case in ("LH", "HL")]
+        hits = [("HL" if np.random.default_rng(
+                    derive_seed(guess_seed, run_idx, bit_idx, STREAM_EVE_TIE)).integers(0, 2)
+                 else "LH") == case
+                for bit_idx, (case, _) in enumerate(run) if case in ("LH", "HL")]
         expected.append(sum(hits) / len(hits))
     out = attack_statistics(_session(*runs), cal, guess_seed=guess_seed)
     assert out.per_run_p == tuple(expected)
     assert out.p == float(np.mean(expected))
+
+
+def reference_attack_statistics(session, cal, guess_seed):
+    """Eve's score bit by bit: ``(per_run_p, n_secure_bits, warnings)``."""
+    case = session.per_run(session.bits.case).tolist()
+    u_zc2 = session.per_run(session.bits.u_zc2).tolist()
+    per_run_p, n_secure, messages = [], 0, []
+    for run_idx, (run_cases, run_values) in enumerate(zip(case, u_zc2)):
+        hits = []
+        for bit_idx, (c, v) in enumerate(zip(run_cases, run_values)):
+            if CASES[c] not in ("LH", "HL"):
+                continue
+            if cal.polarity == "indistinct":
+                coin = np.random.default_rng(
+                    derive_seed(guess_seed, run_idx, bit_idx, STREAM_EVE_TIE)).integers(0, 2)
+                guess = "HL" if coin else "LH"
+            elif cal.polarity == "hl_above":
+                guess = "HL" if v > cal.threshold else "LH"
+            else:
+                guess = "LH" if v > cal.threshold else "HL"
+            hits.append(guess == CASES[c])
+        if not hits:
+            messages.append(f"run {run_idx} has no secure bits; excluded from attack statistics")
+            continue
+        per_run_p.append(sum(hits) / len(hits))
+        n_secure += len(hits)
+    return per_run_p, n_secure, messages
+
+
+@st.composite
+def scored_sessions(draw):
+    """A session of 1-5 runs of 1-11 bits, with a calibration and a guess seed."""
+    threshold = draw(st.sampled_from([0.45, 0.0, 1e-300]))
+    value = st.one_of(st.sampled_from([math.nan, threshold, np.nextafter(threshold, 1.0),
+                                       np.nextafter(threshold, -1.0)]),
+                      st.floats(0.0, 1.0))
+    bits_per_run = draw(st.integers(1, 11))
+    runs = [[(draw(st.sampled_from(CASES)), draw(value)) for _ in range(bits_per_run)]
+            for _ in range(draw(st.integers(1, 5)))]
+    polarity = draw(st.sampled_from(["hl_above", "lh_above", "indistinct"]))
+    cal = AttackCalibration(0.3, 0.6, threshold, polarity)
+    return _session(*runs), cal, draw(st.integers(0, 2**64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scored_sessions())
+def test_scoring_matches_per_bit_reference(scored):
+    session, cal, guess_seed = scored
+    per_run_p, n_secure, messages = reference_attack_statistics(session, cal, guess_seed)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = attack_statistics(session, cal, guess_seed=guess_seed)
+        except RuntimeError as exc:
+            assert not per_run_p
+            assert str(exc) == "no run contained a secure bit; increase bits_per_run or runs"
+            out = None
+    assert [str(w.message) for w in caught] == messages
+    assert all(w.category is UserWarning for w in caught)
+    if out is None:
+        return
+    assert out.per_run_p == tuple(per_run_p)
+    assert out.p == float(np.mean(per_run_p))
+    assert out.sigma_p == (float(np.std(per_run_p, ddof=1)) if len(per_run_p) > 1 else 0.0)
+    assert out.n_secure_bits == n_secure
+    assert out.n_runs == len(per_run_p)
+    assert out.n_excluded_runs == len(messages)
 
 
 class TestEndToEndEquilibrium:

@@ -367,7 +367,7 @@ def test_broken_worker_pool_exit_4(tmp_path, monkeypatch, capsys, pool_spy):
 
 
 def test_one_pool_serves_calibration_and_session(tmp_path, monkeypatch, pool_spy):
-    # An attack simulates Eve's LH and HL calibration bits, then the session.
+    # An attack simulates Eve's LH and HL calibration bits in one call, then the session.
     cfg_path = write_config(tmp_path, CLASSIC_TEXT + SMALL_COMMON + "calibration_bits = 100\n")
     monkeypatch.setattr(protocol, "FAN_OUT_SAMPLES", 1)
     monkeypatch.setattr(protocol, "WORKERS", 2)
@@ -380,7 +380,7 @@ def test_one_pool_serves_calibration_and_session(tmp_path, monkeypatch, pool_spy
 
     monkeypatch.setattr(protocol, "simulate_bits", counted)
     assert main(["attack", cfg_path, "--output-prefix", str(tmp_path / "a")]) == 0
-    assert len(calls) == 3 and min(calls) >= 2
+    assert len(calls) == 2 and calls[0] == 2 * 100 and min(calls) >= 2
     assert pool_spy == [2]
 
 

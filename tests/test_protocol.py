@@ -7,7 +7,7 @@ import pytest
 from scipy.stats import chi2
 
 from kljnsim import benchmarks, protocol
-from kljnsim.attack import ZC_MODES
+from kljnsim.attack import ZC_MODES, calibrate
 from kljnsim.circuit import MomentSummary
 from kljnsim.errors import ConfigurationError
 from kljnsim.noise import NoiseSpec, _in_band_bin_count, derive_seed, synthesize
@@ -359,6 +359,28 @@ def test_session_counts_and_seed_must_be_integers(classic_scheme, field, value):
     # Sampling's rule: a float or a bool is refused, not truncated or read as 0/1.
     with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
         SessionConfig(classic_scheme, **{field: value})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda s: NoiseSpec(1.0, 500.0, 16000.0, 256.5, 0), "num_samples must be an integer"),
+    (lambda s: NoiseSpec(1.0, 500.0, 16000.0, True, 0), "num_samples must be an integer"),
+    (lambda s: NoiseSpec(1.0, 500.0, 16000.0, 1, 0), "num_samples must be >= 2, got 1"),
+    (lambda s: NoiseSpec(1.0, 500.0, 16000.0, 256, 1.5), "seed must be an integer"),
+    (lambda s: NoiseSpec(1.0, 500.0, 16000.0, 256, True), "seed must be an integer"),
+    (lambda s: NoiseSpec(1.0, 500.0, 16000.0, 256, -1), "seed must be >= 0, got -1"),
+    (lambda s: calibrate(s, Sampling(1024, 4.0), calibration_bits=150.5),
+     "calibration_bits must be an integer"),
+    (lambda s: calibrate(s, Sampling(1024, 4.0), calibration_bits=True),
+     "calibration_bits must be an integer"),
+    (lambda s: calibrate(s, Sampling(1024, 4.0), calibration_bits=99),
+     "calibration_bits must be >= 100, got 99"),
+], ids=["num_samples=256.5", "num_samples=True", "num_samples=1", "seed=1.5", "seed=True",
+        "seed=-1", "calibration_bits=150.5", "calibration_bits=True", "calibration_bits=99"])
+def test_library_counts_and_seeds_follow_one_integer_rule(classic_scheme, build, message):
+    # The rule SessionConfig and Sampling follow: a float or a bool is
+    # refused up front, not failed on later or read as 0/1.
+    with pytest.raises(ConfigurationError, match=message):
+        build(classic_scheme)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
