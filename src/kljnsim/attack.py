@@ -1,14 +1,14 @@
 """Eve's passive zero-crossing attack.
 
-Eve watches the wire, finds the instants where the current crosses zero,
-samples the wire voltage there, and forms the per-bit mean-square of those
-samples.  After calibrating both secure hypotheses offline (every parameter
-except the bit choices is public), she thresholds the statistic to guess
-each secure bit.  Calibration and scoring work on the per-bit columns that
-:func:`protocol.simulate_bits` returns: one call rehearses both hypotheses,
-and a session's guesses are scored as (runs, bits_per_run) arrays.
-Aggregated over runs this yields her success probability p and its
-run-to-run spread sigma_p.
+Eve samples the wire voltage where the current crosses zero and forms the
+per-bit mean-square of those samples: the ``u_zc2`` column that
+:func:`protocol.simulate_bits` fills with :func:`circuit.block_zero_crossings`.
+After calibrating both secure hypotheses offline (every parameter except
+the bit choices is public), she thresholds the statistic to guess each
+secure bit.  One ``simulate_bits`` call rehearses both hypotheses, and a
+session's guesses are scored as (runs, bits_per_run) arrays.  Aggregated
+over runs this yields her success probability p and its run-to-run spread
+sigma_p.
 """
 
 from __future__ import annotations
@@ -16,27 +16,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import protocol
 from .errors import CalibrationError, _check_integer
 from .noise import stream_generators
 from .schemes import CASES, SchemeConfig
-
-if TYPE_CHECKING:
-    from .protocol import Sampling
-
-#: How the voltage at a detected crossing is read off.  A crossing exists
-#: between samples k and k+1 iff i[k] and i[k+1] have opposite signs (an
-#: exact zero sample is itself a crossing).  "interpolated" reads the
-#: linearly interpolated voltage at the linear-interpolation zero of the
-#: current; the three sample-aligned modes read a neighboring grid sample
-#: instead.  Note the interpolant of a band-limited process has slightly
-#: less variance than the process, so interpolated-mode mean squares run
-#: low by roughly (1 - sinc(1/oversample)) / 3 until the oversampling ratio
-#: is large; sample-aligned modes are free of that shrinkage.
-ZC_MODES = ("interpolated", "sample_before", "sample_after", "nearest")
 
 STREAM_EVE_TIE = 5
 STREAM_CALIBRATION = 6
@@ -64,80 +50,6 @@ class AttackOutcome:
     n_excluded_runs: int = 0
 
 
-def block_zero_crossings(i: np.ndarray, u: np.ndarray, mode: str, sample_rate: float):
-    """Locate each row's current zero crossings and sample its voltage there, in one pass.
-
-    Row r of the 2-D arrays ``i`` and ``u`` is one trace's current and
-    voltage, sampled at ``sample_rate``; each row is its own trace, so no
-    crossing is reported between the end of one row and the start of the
-    next.  ``mode`` is one of ``ZC_MODES``.  A row whose current keeps one
-    sign has no crossing and counts 0.  Two crossings of a row at one time,
-    such as two adjacent sign changes that elect the same sample in
-    "nearest" mode, collapse into the first.  Returns ``(counts, times,
-    values)``: ``counts[r]`` is row r's number of crossings, and ``times``
-    and ``values`` hold every row's crossings, row after row, each row's
-    times (from its first sample) strictly increasing.
-    """
-    if mode not in ZC_MODES:
-        raise ValueError(f"mode must be one of {ZC_MODES}, got {mode!r}")
-    if i.size == 0:
-        raise ValueError("wire trace is empty")
-    rows, n = i.shape
-    i = i.ravel()
-    u = u.ravel()
-    dt = 1.0 / sample_rate
-
-    exact = np.flatnonzero(i == 0.0)
-    # Compare signs, not products: the product of two tiny currents rounds to 0.
-    neg, pos = i < 0.0, i > 0.0
-    change = (neg[:-1] & pos[1:]) | (pos[:-1] & neg[1:])
-    change[n - 1 :: n] = False   # the pairs that straddle two rows
-    first, times, values = _sample_crossings(i, u, np.flatnonzero(change), rows, n, mode, dt)
-
-    if exact.size:
-        first = np.concatenate([first, exact - exact % n])
-        times = np.concatenate([times, (exact % n) * dt])
-        values = np.concatenate([values, u[exact]])
-        # Stable: equal times in one row keep their order, so the first is kept below.
-        order = np.lexsort((times, first))
-        first = first[order]
-        times = times[order]
-        values = values[order]
-    # Row r's crossings are bounds[r]:bounds[r + 1].
-    bounds = np.searchsorted(first, np.arange(rows + 1) * n)
-    # Drop a crossing at its predecessor's time, unless it starts a row.
-    keep = np.concatenate([[True], np.diff(times) > 0.0])
-    starts = bounds[:-1]
-    keep[starts[starts < times.size]] = True
-    if not keep.all():
-        kept = np.flatnonzero(keep)
-        times = times[kept]
-        values = values[kept]
-        bounds = np.searchsorted(kept, bounds)
-    return np.diff(bounds), times, values
-
-
-def _sample_crossings(i: np.ndarray, u: np.ndarray, kk: np.ndarray, rows: int, n: int,
-                      mode: str, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each sign change's row start, time (from that start) and voltage.
-
-    ``kk`` holds the flat indices of the first samples of the sign changes of
-    ``rows`` rows of ``n`` samples, in order, so each row's are contiguous.
-    """
-    per_row = np.diff(np.searchsorted(kk, np.arange(rows + 1) * n))
-    first = np.repeat(np.arange(rows) * n, per_row)
-    if mode == "interpolated":
-        frac = i[kk] / (i[kk] - i[kk + 1])
-        return first, (kk - first + frac) * dt, u[kk] + frac * (u[kk + 1] - u[kk])
-    if mode == "sample_before":
-        pick = kk
-    elif mode == "sample_after":
-        pick = kk + 1
-    else:  # nearest
-        pick = kk + (np.abs(i[kk + 1]) < np.abs(i[kk]))
-    return first, (pick - first) * dt, u[pick]
-
-
 #: Calibration aborts when crossings are scarcer than this per bit on average.
 MIN_CROSSINGS_PER_BIT = 10.0
 
@@ -151,7 +63,7 @@ POLARITY_SIGMAS = 4.0
 
 def calibrate(
     scheme: SchemeConfig,
-    sampling: Sampling,
+    sampling: protocol.Sampling,
     *,
     calibration_bits: int = 200,
     seed: int = 0,
@@ -167,11 +79,10 @@ def calibrate(
     "indistinct" when the two means differ by less than ``POLARITY_SIGMAS``
     combined standard errors.
     """
-    from .protocol import simulate_bits  # deferred: protocol imports this module
-
     _check_integer("calibration_bits", calibration_bits, MIN_CALIBRATION_BITS)
+    _check_integer("seed", seed, 0)
     n = calibration_bits
-    bits = simulate_bits(
+    bits = protocol.simulate_bits(
         scheme, sampling, [CASES.index("LH")] * n + [CASES.index("HL")] * n,
         [(seed, STREAM_CALIBRATION, case_idx, bit) for case_idx in (0, 1) for bit in range(n)],
     )
@@ -209,6 +120,7 @@ def attack_statistics(session, cal: AttackCalibration, guess_seed: int = 0) -> A
     sample standard deviation.  Runs without secure bits are excluded
     (counted in ``n_excluded_runs``); RuntimeError when no run has one.
     """
+    _check_integer("guess_seed", guess_seed, 0)
     secure = session.per_run(session.bits.secure)
     if cal.polarity == "indistinct":
         guess_hl = np.zeros_like(secure)
@@ -253,11 +165,11 @@ def _mean_se(values) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
 
 
-def binomial_ci_halfwidth(p: float, n: int, z: float = 1.96) -> float:
-    """Half-width of the normal-approximation binomial confidence interval."""
+def binomial_ci_halfwidth(p: float, n: int) -> float:
+    """Normal-approximation binomial CI half-width; 1.96 is the two-sided 95% normal quantile."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return z * math.sqrt(max(p * (1.0 - p), 0.0) / n)
+    return 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
 def histogram(values, bins: int, value_range: tuple[float, float]):

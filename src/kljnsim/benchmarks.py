@@ -22,6 +22,7 @@ from .attack import (
     attack_statistics,
     calibrate,
 )
+from .errors import _check_integer
 from .noise import derive_seed
 from .protocol import (
     BitColumns,
@@ -118,7 +119,6 @@ class CaseMoments:
     p_ab_se: float
     u_zc2: float
     u_zc2_se: float
-    mean_crossings: float
 
 
 def case_moments(bits: BitColumns, case: str) -> CaseMoments:
@@ -127,16 +127,14 @@ def case_moments(bits: BitColumns, case: str) -> CaseMoments:
     ``bits`` must hold at least one bit of ``case``.
     """
     sel = bits.case == CASES.index(case)
-    n_bits = int(sel.sum())
     u2_m, u2_se = _mean_se(bits.u2[sel])
     i2_m, i2_se = _mean_se(bits.i2[sel])
     p_m, p_se = _mean_se(bits.p_ab[sel])
     zc_m, zc_se = _mean_se(bits.u_zc2[sel])
     return CaseMoments(
-        case=case, n_bits=n_bits,
+        case=case, n_bits=int(sel.sum()),
         u2=u2_m, u2_se=u2_se, i2=i2_m, i2_se=i2_se, p_ab=p_m, p_ab_se=p_se,
         u_zc2=zc_m, u_zc2_se=zc_se,
-        mean_crossings=int(bits.n_zc[sel].sum()) / n_bits,
     )
 
 
@@ -150,6 +148,8 @@ def measure_case_moments(
     dispersion.  Effective sample count per bit is roughly
     samples_per_bit / oversample.
     """
+    _check_integer("n_bits", n_bits, 1)
+    _check_integer("seed", seed, 0)
     tag = CASES.index(case)
     bits = simulate_bits(scheme, sampling, [tag] * n_bits,
                          [(seed, tag, bit) for bit in range(n_bits)])

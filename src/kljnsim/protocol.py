@@ -5,10 +5,13 @@ resistor, the connected branches get fresh synthetic noise, and both
 parties classify the partner's choice from the measured wire mean-square
 voltage.  The eavesdropper's zero-crossing statistics are recorded per bit.
 
-Seeding contract: every random draw derives its seed from
-(master_seed, run index, bit index, stream tag) so that results are
-independent of execution order and per-bit traces are independent across
-bits.  Stream tags 0-4 are used here; the attack module uses higher tags.
+Seeding contract: every random draw is seeded with ``derive_seed(*prefix, tag)``,
+so results are independent of execution order and per-bit traces are
+independent across bits.  Prefixes: (master_seed, run, bit) in a session and
+(guess_seed, run, bit) for Eve's coins, (seed, 6, h, b) in her calibration,
+(seed, case, bit) in the fixed-case tables.  Tags: 0-4 here (``STREAM_CHOICES``,
+``BRANCH_STREAMS``), 5-6 in ``attack`` (``STREAM_EVE_TIE``,
+``STREAM_CALIBRATION``), 7 in ``cli`` (``STREAM_TABLE``).
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import attack
-from .circuit import solve_wire
+from .circuit import ZC_MODES, block_zero_crossings, solve_wire
 from .errors import ConfigurationError, _check_integer
 from .noise import _in_band_bin_count, fill_band, stream_generators
 from .schemes import CASES, SchemeConfig, case_branches, level_table
@@ -54,10 +56,8 @@ class Sampling:
                 f"samples_per_bit ({self.samples_per_bit}) must be >= 2 * oversample "
                 f"({self.oversample:g}), or no DFT bin falls inside the noise band"
             )
-        if self.zc_mode not in attack.ZC_MODES:
-            raise ConfigurationError(
-                f"zc_mode must be one of {attack.ZC_MODES}, got {self.zc_mode!r}"
-            )
+        if self.zc_mode not in ZC_MODES:
+            raise ConfigurationError(f"zc_mode must be one of {ZC_MODES}, got {self.zc_mode!r}")
 
     def sample_rate(self, bandwidth: float) -> float:
         """Samples per second for a noise band of ``bandwidth`` Hz."""
@@ -255,13 +255,6 @@ def _simulate_bits(scheme: SchemeConfig, sampling: Sampling, case: np.ndarray,
         for block in blocks for side in (0, 1) for k in range(block.start, block.stop)
     )
 
-    def parseval(x: np.ndarray, y: np.ndarray) -> float:
-        """Sample mean of the product of two traces, from their band parts."""
-        s = 2.0 * float(np.dot(x[:m2], y[:m2]))
-        if has_nyquist:
-            s += float(x[m2] * y[m2])
-        return s / (n * n)
-
     u2 = np.empty(n_bits)
     i2 = np.empty(n_bits)
     p_ab = np.empty(n_bits)
@@ -277,8 +270,12 @@ def _simulate_bits(scheme: SchemeConfig, sampling: Sampling, case: np.ndarray,
         parts = bands.view(np.float64)
         u, i = parts[:width], parts[width:]   # X_A and X_B, turned into U and I in place
         solve_wire(u, i, r_a[c, None], r_b[c, None])
-        for j, k in enumerate(range(block.start, block.stop)):
-            u2[k], i2[k], p_ab[k] = parseval(u[j], u[j]), parseval(i[j], i[j]), parseval(u[j], i[j])
+        # Parseval: each row's sample mean of x * y, from the band parts.
+        for column, x, y in ((u2, u, u), (i2, i, i), (p_ab, u, i)):
+            s = 2.0 * np.vecdot(x[:, :m2], y[:, :m2])
+            if has_nyquist:
+                s += x[:, m2] * y[:, m2]
+            column[block] = s / (n * n)
         return spectra
 
     n_zc = np.empty(n_bits, dtype=np.int64)
@@ -287,8 +284,8 @@ def _simulate_bits(scheme: SchemeConfig, sampling: Sampling, case: np.ndarray,
     def cross_block(block: slice, wire: np.ndarray) -> None:
         """Count each bit's current zero crossings; take the mean square of the voltage there."""
         width = block.stop - block.start
-        counts, _, values = attack.block_zero_crossings(wire[width:], wire[:width],
-                                                        sampling.zc_mode, sample_rate)
+        counts, _, values = block_zero_crossings(wire[width:], wire[:width],
+                                                 sampling.zc_mode, sample_rate)
         n_zc[block] = counts
         squares = values * values
         ends = np.cumsum(counts).tolist()

@@ -10,15 +10,13 @@ from kljnsim import protocol
 from kljnsim.attack import (
     STREAM_CALIBRATION,
     STREAM_EVE_TIE,
-    ZC_MODES,
     AttackCalibration,
     attack_statistics,
     binomial_ci_halfwidth,
-    block_zero_crossings,
     calibrate,
     histogram,
 )
-from kljnsim.circuit import analytic_moments
+from kljnsim.circuit import ZC_MODES, analytic_moments, block_zero_crossings
 from kljnsim.errors import CalibrationError
 from kljnsim.noise import derive_seed
 from kljnsim.protocol import (

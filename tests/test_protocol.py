@@ -7,8 +7,8 @@ import pytest
 from scipy.stats import chi2
 
 from kljnsim import benchmarks, protocol
-from kljnsim.attack import ZC_MODES, calibrate
-from kljnsim.circuit import MomentSummary
+from kljnsim.attack import attack_statistics, calibrate
+from kljnsim.circuit import ZC_MODES, MomentSummary
 from kljnsim.errors import ConfigurationError
 from kljnsim.noise import NoiseSpec, _in_band_bin_count, derive_seed, synthesize
 from kljnsim.protocol import (
@@ -374,8 +374,27 @@ def test_session_counts_and_seed_must_be_integers(classic_scheme, field, value):
      "calibration_bits must be an integer"),
     (lambda s: calibrate(s, Sampling(1024, 4.0), calibration_bits=99),
      "calibration_bits must be >= 100, got 99"),
+    (lambda s: calibrate(s, Sampling(1024, 4.0), seed=1.5), "seed must be an integer"),
+    (lambda s: calibrate(s, Sampling(1024, 4.0), seed=True), "seed must be an integer"),
+    (lambda s: attack_statistics(None, None, guess_seed=1.5), "guess_seed must be an integer"),
+    (lambda s: attack_statistics(None, None, guess_seed=True), "guess_seed must be an integer"),
+    (lambda s: benchmarks.measure_case_moments(s, Sampling(1024, 4.0), "LH", n_bits=0),
+     "n_bits must be >= 1, got 0"),
+    (lambda s: benchmarks.measure_case_moments(s, Sampling(1024, 4.0), "LH", n_bits=-3),
+     "n_bits must be >= 1, got -3"),
+    (lambda s: benchmarks.measure_case_moments(s, Sampling(1024, 4.0), "LH", n_bits=2.5),
+     "n_bits must be an integer"),
+    (lambda s: benchmarks.measure_case_moments(s, Sampling(1024, 4.0), "LH", n_bits=True),
+     "n_bits must be an integer"),
+    (lambda s: benchmarks.measure_case_moments(s, Sampling(1024, 4.0), "LH", n_bits=4,
+                                               seed=1.5), "seed must be an integer"),
+    (lambda s: benchmarks.measure_case_moments(s, Sampling(1024, 4.0), "LH", n_bits=4,
+                                               seed=-1), "seed must be >= 0, got -1"),
 ], ids=["num_samples=256.5", "num_samples=True", "num_samples=1", "seed=1.5", "seed=True",
-        "seed=-1", "calibration_bits=150.5", "calibration_bits=True", "calibration_bits=99"])
+        "seed=-1", "calibration_bits=150.5", "calibration_bits=True", "calibration_bits=99",
+        "calibrate-seed=1.5", "calibrate-seed=True", "guess_seed=1.5", "guess_seed=True",
+        "n_bits=0", "n_bits=-3", "n_bits=2.5", "n_bits=True", "moments-seed=1.5",
+        "moments-seed=-1"])
 def test_library_counts_and_seeds_follow_one_integer_rule(classic_scheme, build, message):
     # The rule SessionConfig and Sampling follow: a float or a bool is
     # refused up front, not failed on later or read as 0/1.
