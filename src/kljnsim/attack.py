@@ -6,9 +6,9 @@ per-bit mean-square of those samples: the ``u_zc2`` column that
 After calibrating both secure hypotheses offline (every parameter except
 the bit choices is public), she thresholds the statistic to guess each
 secure bit.  One ``simulate_bits`` call rehearses both hypotheses, and a
-session's guesses are scored as (runs, bits_per_run) arrays.  Aggregated
-over runs this yields her success probability p and its run-to-run spread
-sigma_p.
+session's secure bits are scored as arrays against its grid of cases.
+Aggregated over runs this yields her success probability p and its
+run-to-run spread sigma_p.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ class AttackOutcome:
     sigma_p: float
     n_secure_bits: int
     n_runs: int
-    per_run_p: tuple[float, ...]
+    per_run_p: tuple[float, ...]     # the runs with a secure bit only
+    per_run_secure: tuple[int, ...]  # every run's secure bit count, 0 for an excluded run
     n_excluded_runs: int = 0
 
 
@@ -106,10 +107,13 @@ def calibrate(
     )
 
 
-def attack_statistics(session, cal: AttackCalibration, guess_seed: int = 0) -> AttackOutcome:
-    """Aggregate Eve's per-run success probability over secure bits.
+def attack_statistics(cases, u_zc2, cal: AttackCalibration, guess_seed: int = 0) -> AttackOutcome:
+    """Aggregate Eve's per-run success probability over a session's secure bits.
 
-    Eve guesses HL for a secure bit when its ``u_zc2`` exceeds the threshold
+    ``cases`` is the session's ``(runs, bits_per_run)`` grid of indices into
+    ``CASES``, and ``u_zc2`` holds the statistic of its LH and HL bits only,
+    run-major (:func:`protocol.simulate_secure_bits` returns both).  Eve
+    guesses HL for a secure bit when its ``u_zc2`` exceeds the threshold
     under "hl_above" polarity, and when it does not under "lh_above"; a NaN
     exceeds nothing.  Under "indistinct" calibration every guess is a fair
     coin from a stream disjoint from the simulation seeds, namespaced by
@@ -121,22 +125,27 @@ def attack_statistics(session, cal: AttackCalibration, guess_seed: int = 0) -> A
     (counted in ``n_excluded_runs``); RuntimeError when no run has one.
     """
     _check_integer("guess_seed", guess_seed, 0)
-    secure = session.per_run(session.bits.secure)
+    cases = np.asarray(cases)
+    u_zc2 = np.asarray(u_zc2, dtype=float)
+    if cases.ndim != 2:
+        raise ValueError("cases must be a (runs, bits_per_run) grid of indices into CASES")
+    secure_run, secure_bit = np.nonzero(protocol._is_secure(cases))
+    if u_zc2.shape != secure_run.shape:
+        raise ValueError("u_zc2 must hold one value per LH or HL bit of cases")
     if cal.polarity == "indistinct":
-        guess_hl = np.zeros_like(secure)
-        guess_hl[secure] = [
+        guess_hl = np.array([
             rng.integers(0, 2) == 1
             for rng in stream_generators(
                 (guess_seed, run_idx, bit_idx, STREAM_EVE_TIE)
-                for run_idx, bit_idx in zip(*(a.tolist() for a in np.nonzero(secure)))
+                for run_idx, bit_idx in zip(secure_run.tolist(), secure_bit.tolist())
             )
-        ]
+        ], dtype=bool)
     else:
-        above = session.per_run(session.bits.u_zc2) > cal.threshold
+        above = u_zc2 > cal.threshold
         guess_hl = above if cal.polarity == "hl_above" else ~above
-    is_hl = session.per_run(session.bits.case) == CASES.index("HL")
-    correct = (secure & (guess_hl == is_hl)).sum(axis=1)
-    n_secure = secure.sum(axis=1)
+    is_hl = cases[secure_run, secure_bit] == CASES.index("HL")
+    n_secure = np.bincount(secure_run, minlength=len(cases))
+    correct = np.bincount(secure_run[guess_hl == is_hl], minlength=len(cases))
     scored = n_secure > 0
     for run_idx in np.flatnonzero(~scored).tolist():
         warnings.warn(f"run {run_idx} has no secure bits; excluded from attack statistics")
@@ -151,6 +160,7 @@ def attack_statistics(session, cal: AttackCalibration, guess_seed: int = 0) -> A
         n_secure_bits=int(n_secure.sum()),
         n_runs=len(per_run_p),
         per_run_p=tuple(per_run_p),
+        per_run_secure=tuple(n_secure.tolist()),
         n_excluded_runs=int((~scored).sum()),
     )
 

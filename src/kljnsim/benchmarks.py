@@ -22,16 +22,9 @@ from .attack import (
     attack_statistics,
     calibrate,
 )
-from .errors import _check_integer
+from .errors import ConfigurationError, _check_integer
 from .noise import derive_seed
-from .protocol import (
-    BitColumns,
-    Sampling,
-    SessionConfig,
-    SessionResult,
-    run_session,
-    simulate_bits,
-)
+from .protocol import BitColumns, Sampling, SessionConfig, simulate_bits, simulate_secure_bits
 from .schemes import CASES, SchemeConfig, scheme_for_kind
 
 
@@ -121,12 +114,19 @@ class CaseMoments:
     u_zc2_se: float
 
 
+def _case_index(case: str) -> int:
+    """Index of ``case`` in ``CASES``; ConfigurationError for any other value."""
+    if case not in CASES:
+        raise ConfigurationError(f"case must be one of {CASES}, got {case!r}")
+    return CASES.index(case)
+
+
 def case_moments(bits: BitColumns, case: str) -> CaseMoments:
     """Mean and standard error of each wire statistic over the ``case`` bits of ``bits``.
 
     ``bits`` must hold at least one bit of ``case``.
     """
-    sel = bits.case == CASES.index(case)
+    sel = bits.case == _case_index(case)
     u2_m, u2_se = _mean_se(bits.u2[sel])
     i2_m, i2_se = _mean_se(bits.i2[sel])
     p_m, p_se = _mean_se(bits.p_ab[sel])
@@ -148,9 +148,9 @@ def measure_case_moments(
     dispersion.  Effective sample count per bit is roughly
     samples_per_bit / oversample.
     """
+    tag = _case_index(case)
     _check_integer("n_bits", n_bits, 1)
     _check_integer("seed", seed, 0)
-    tag = CASES.index(case)
     bits = simulate_bits(scheme, sampling, [tag] * n_bits,
                          [(seed, tag, bit) for bit in range(n_bits)])
     return case_moments(bits, case)
@@ -158,15 +158,18 @@ def measure_case_moments(
 
 def run_attack_experiment(
     session: SessionConfig, calibration_bits: int = 200
-) -> tuple[AttackOutcome, AttackCalibration, SessionResult]:
-    """Calibrate Eve, simulate ``session``, and score her guesses.
+) -> tuple[AttackOutcome, AttackCalibration, BitColumns]:
+    """Calibrate Eve, simulate the LH and HL bits of ``session``, and score her guesses.
 
+    Returns the outcome, the calibration and the secure bits' columns
+    (:func:`protocol.simulate_secure_bits`); Eve scores no other bit.
     Calibration, the session, and Eve's tie-break coins draw from three
     disjoint seed streams derived from the session's master seed.
     """
     seed = session.master_seed
     cal = calibrate(session.scheme, session.sampling, calibration_bits=calibration_bits,
                     seed=derive_seed(seed, STREAM_CALIBRATION))
-    results = run_session(session)
-    outcome = attack_statistics(results, cal, guess_seed=derive_seed(seed, STREAM_EVE_TIE))
-    return outcome, cal, results
+    cases, bits = simulate_secure_bits(session)
+    outcome = attack_statistics(cases, bits.u_zc2, cal,
+                                guess_seed=derive_seed(seed, STREAM_EVE_TIE))
+    return outcome, cal, bits

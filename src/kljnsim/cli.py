@@ -33,7 +33,7 @@ from .benchmarks import (
 )
 from .errors import CalibrationError, ConfigurationError, UnphysicalSchemeError
 from .noise import GENERATOR_ID, derive_seed
-from .protocol import Sampling, SessionConfig, run_session
+from .protocol import Sampling, SessionConfig, run_session, simulate_secure_bits
 from .schemes import (
     CASES,
     SchemeConfig,
@@ -287,13 +287,11 @@ def cmd_simulate(config: ExperimentConfig) -> int:
 def cmd_attack(config: ExperimentConfig) -> int:
     """Calibrate Eve, attack a session, and report p with its dispersion."""
     scheme = build_scheme(config)
-    outcome, cal, session = run_attack_experiment(_session(config, scheme),
-                                                  config.calibration_bits)
-    rows = []
+    outcome, cal, bits = run_attack_experiment(_session(config, scheme),
+                                               config.calibration_bits)
     run_ps = iter(outcome.per_run_p)
-    bits = session.bits
-    for run_idx, n_secure in enumerate(session.per_run(bits.secure).sum(axis=1).tolist()):
-        rows.append((run_idx, n_secure, next(run_ps) if n_secure > 0 else None))
+    rows = [(run_idx, n_secure, next(run_ps) if n_secure > 0 else None)
+            for run_idx, n_secure in enumerate(outcome.per_run_secure)]
     hw = binomial_ci_halfwidth(outcome.p, outcome.n_secure_bits)
     zc_lh, zc_lh_se = _mean_se(bits.n_zc[bits.case == CASES.index("LH")])
     zc_hl, zc_hl_se = _mean_se(bits.n_zc[bits.case == CASES.index("HL")])
@@ -346,7 +344,7 @@ def cmd_hist(config: ExperimentConfig, statistic: str, bins: int) -> int:
     if bins < 1:
         raise ConfigurationError(f"bins must be >= 1, got {bins}")
     scheme = build_scheme(config)
-    bits = run_session(_session(config, scheme)).bits
+    _, bits = simulate_secure_bits(_session(config, scheme))
     column = getattr(bits, statistic)
     values = {case: column[bits.case == CASES.index(case)] for case in ("LH", "HL")}
     combined = np.concatenate([values["LH"], values["HL"]])

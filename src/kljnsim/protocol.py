@@ -12,6 +12,13 @@ independent across bits.  Prefixes: (master_seed, run, bit) in a session and
 (seed, case, bit) in the fixed-case tables.  Tags: 0-4 here (``STREAM_CHOICES``,
 ``BRANCH_STREAMS``), 5-6 in ``attack`` (``STREAM_EVE_TIE``,
 ``STREAM_CALIBRATION``), 7 in ``cli`` (``STREAM_TABLE``).
+
+A session's cases come from its choice draws alone, before any wire is
+simulated, and each bit's columns depend only on its case and prefix.  So
+:func:`run_session` (``kljnsim simulate``) simulates every bit, while
+:func:`simulate_secure_bits` (``attack``, ``table2`` and ``hist``, which
+read no LL or HH bit) simulates only the LH and HL bits, and their columns
+are the same in both.
 """
 
 from __future__ import annotations
@@ -94,7 +101,12 @@ class BitColumns:
     @property
     def secure(self) -> np.ndarray:
         """Mask of the LH and HL bits."""
-        return (self.case == 1) | (self.case == 2)
+        return _is_secure(self.case)
+
+
+def _is_secure(case: np.ndarray) -> np.ndarray:
+    """Mask of the LH and HL entries of an array of indices into ``CASES``."""
+    return (case == 1) | (case == 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,11 +115,6 @@ class SessionResult:
 
     bits: BitColumns
     misclassified: np.ndarray    # either party misread the partner's choice
-    bits_per_run: int
-
-    def per_run(self, column: np.ndarray) -> np.ndarray:
-        """``column`` as a (runs, bits_per_run) array."""
-        return column.reshape(-1, self.bits_per_run)
 
 
 #: simulate_bits inverse-transforms max(1, BLOCK_SAMPLES // samples_per_bit)
@@ -320,6 +327,27 @@ def _infer_partner(own: np.ndarray, measured_u2: np.ndarray, levels: dict) -> np
     return np.where(degenerate | (d_same == d_secure), 0, partner)
 
 
+def _draw_cases(config: SessionConfig) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """Every bit's case and entropy prefix, run-major; no wire is simulated.
+
+    Bit k of run r has prefix ``(master_seed, r, k)``; Alice and Bob each
+    draw a fair choice, 0 for L and 1 for H, as
+    ``default_rng(derive_seed(*prefix, STREAM_CHOICES)).integers(0, 2, size=2)``,
+    and the case index is ``2 * alice + bob``.
+    """
+    seed = config.master_seed
+    prefixes = [
+        (seed, run_idx, bit_idx)
+        for run_idx in range(config.runs)
+        for bit_idx in range(config.bits_per_run)
+    ]
+    alice, bob = np.array([
+        rng.integers(0, 2, size=2)
+        for rng in stream_generators((*prefix, STREAM_CHOICES) for prefix in prefixes)
+    ]).T
+    return 2 * alice + bob, prefixes
+
+
 def run_session(config: SessionConfig) -> SessionResult:
     """Simulate ``config.runs`` runs of ``config.bits_per_run`` bit exchanges.
 
@@ -329,23 +357,28 @@ def run_session(config: SessionConfig) -> SessionResult:
     from the wire's mean-square voltage.
     Deterministic for a fixed config.
     """
-    seed = config.master_seed
-    prefixes = [
-        (seed, run_idx, bit_idx)
-        for run_idx in range(config.runs)
-        for bit_idx in range(config.bits_per_run)
-    ]
-    choices = np.array([
-        rng.integers(0, 2, size=2)
-        for rng in stream_generators((*prefix, STREAM_CHOICES) for prefix in prefixes)
-    ]).T   # row 0: Alice, row 1: Bob
-    bits = simulate_bits(config.scheme, config.sampling, 2 * choices[0] + choices[1], prefixes)
+    cases, prefixes = _draw_cases(config)
+    bits = simulate_bits(config.scheme, config.sampling, cases, prefixes)
+    choices = np.stack(np.divmod(cases, 2))   # row 0: Alice, row 1: Bob
     inferred = _infer_partner(choices, bits.u2, level_table(config.scheme))
     return SessionResult(
         bits=bits,
         misclassified=(inferred != choices[::-1]).any(axis=0),
-        bits_per_run=config.bits_per_run,
     )
+
+
+def simulate_secure_bits(config: SessionConfig) -> tuple[np.ndarray, BitColumns]:
+    """Draw a session's cases as :func:`run_session` does, but simulate only its LH and HL bits.
+
+    Returns the ``(runs, bits_per_run)`` grid of case indices and the
+    secure bits' columns, run-major: the LH and HL rows of
+    ``run_session(config).bits``.
+    """
+    cases, prefixes = _draw_cases(config)
+    secure = np.flatnonzero(_is_secure(cases))
+    bits = simulate_bits(config.scheme, config.sampling, cases[secure],
+                         [prefixes[k] for k in secure.tolist()])
+    return cases.reshape(config.runs, config.bits_per_run), bits
 
 
 def secure_bit_value(case_label: str, hl_value: int = 1) -> int:

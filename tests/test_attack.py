@@ -19,15 +19,7 @@ from kljnsim.attack import (
 from kljnsim.circuit import ZC_MODES, analytic_moments, block_zero_crossings
 from kljnsim.errors import CalibrationError
 from kljnsim.noise import derive_seed
-from kljnsim.protocol import (
-    CASES,
-    BitColumns,
-    Sampling,
-    SessionConfig,
-    SessionResult,
-    run_session,
-    simulate_bits,
-)
+from kljnsim.protocol import CASES, Sampling, SessionConfig, simulate_bits, simulate_secure_bits
 from kljnsim.schemes import classic_kljn, solve_vmg
 from test_protocol import case_wire, reference_zero_crossings
 
@@ -283,73 +275,80 @@ class TestEveGuess:
                             threshold=0.4385, polarity="hl_above")
 
     def test_above_threshold(self):
-        assert attack_statistics(_session([("HL", 0.55)]), self.CAL).p == 1.0
+        assert attack_statistics(*_scored([("HL", 0.55)]), self.CAL).p == 1.0
 
     def test_below_threshold(self):
-        assert attack_statistics(_session([("LH", 0.30)]), self.CAL).p == 1.0
+        assert attack_statistics(*_scored([("LH", 0.30)]), self.CAL).p == 1.0
 
     def test_lh_above_polarity(self):
         cal = AttackCalibration(0.576, 0.301, 0.4385, "lh_above")
-        assert attack_statistics(_session([("LH", 0.55)]), cal).p == 1.0
+        assert attack_statistics(*_scored([("LH", 0.55)]), cal).p == 1.0
 
     def test_indistinct_is_fair_coin(self):
         # Every bit is HL, so p is the rate of HL guesses.
         cal = AttackCalibration(0.5, 0.5, 0.5, "indistinct")
-        rate = attack_statistics(_session([("HL", 0.7)] * 2000), cal).p
+        rate = attack_statistics(*_scored([("HL", 0.7)] * 2000), cal).p
         assert abs(rate - 0.5) < 4 * math.sqrt(0.25 / 2000)
 
 
-def _session(*runs):
-    """A session of equally long runs, each a list of (case, u_zc2) bits."""
-    bits = [bit for run in runs for bit in run]
-    ones = np.ones(len(bits))
-    columns = BitColumns(
-        case=np.array([CASES.index(case) for case, _ in bits]),
-        u2=ones, i2=ones, p_ab=0.0 * ones,
-        n_zc=np.full(len(bits), 5),
-        u_zc2=np.array([v for _, v in bits]),
-    )
-    return SessionResult(bits=columns, misclassified=np.zeros(len(bits), dtype=bool),
-                         bits_per_run=len(runs[0]))
+def _scored(*runs):
+    """Eve's scoring inputs for equally long runs, each a list of (case, u_zc2) bits.
+
+    Returns the (runs, bits_per_run) grid of case indices and the u_zc2
+    values of its LH and HL bits, run-major; the values of the other bits
+    are dropped, as a session that simulates only its secure bits never has them.
+    """
+    cases = np.array([[CASES.index(case) for case, _ in run] for run in runs])
+    u_zc2 = np.array([v for run in runs for case, v in run if case in ("LH", "HL")])
+    return cases, u_zc2
 
 
 class TestAttackStatistics:
     CAL = AttackCalibration(0.3, 0.6, 0.45, "hl_above")
 
     def test_all_correct(self):
-        runs = _session([("HL", 0.55), ("LH", 0.31)], [("HL", 0.62), ("LH", 0.29)])
-        out = attack_statistics(runs, self.CAL)
+        scored = _scored([("HL", 0.55), ("LH", 0.31)], [("HL", 0.62), ("LH", 0.29)])
+        out = attack_statistics(*scored, self.CAL)
         assert out.p == 1.0
         assert out.sigma_p == 0.0
         assert out.n_secure_bits == 4
         assert out.n_runs == 2
 
     def test_insecure_bits_ignored(self):
-        runs = _session([("HH", 0.99), ("HL", 0.55)])
-        out = attack_statistics(runs, self.CAL)
+        scored = _scored([("HH", 0.99), ("HL", 0.55)])
+        out = attack_statistics(*scored, self.CAL)
         assert out.n_secure_bits == 1
         assert out.p == 1.0
 
     def test_run_without_secure_bits_excluded(self):
-        runs = _session([("HL", 0.55)], [("LL", 0.2)])
+        scored = _scored([("HL", 0.55)], [("LL", 0.2)])
         with pytest.warns(UserWarning, match="no secure bits"):
-            out = attack_statistics(runs, self.CAL)
+            out = attack_statistics(*scored, self.CAL)
         assert out.n_runs == 1
         assert out.n_excluded_runs == 1
 
     def test_per_run_mean_and_std(self):
-        runs = _session(
+        scored = _scored(
             [("HL", 0.55), ("HL", 0.20)],  # p = 0.5
             [("LH", 0.31), ("LH", 0.30)],  # p = 1.0
         )
-        out = attack_statistics(runs, self.CAL)
+        out = attack_statistics(*scored, self.CAL)
         assert out.p == pytest.approx(0.75)
         assert out.sigma_p == pytest.approx(np.std([0.5, 1.0], ddof=1))
 
     def test_no_secure_bits_anywhere(self):
         with pytest.raises(RuntimeError, match="no run contained a secure bit"):
             with pytest.warns(UserWarning):
-                attack_statistics(_session([("LL", 0.2)]), self.CAL)
+                attack_statistics(*_scored([("LL", 0.2)]), self.CAL)
+
+    @pytest.mark.parametrize("cases, u_zc2, message", [
+        ([1, 2], [0.5, 0.5], "cases must be a"),
+        ([[1, 2, 0]], [0.5], "u_zc2 must hold one value per LH or HL bit"),
+        ([[1, 0]], [0.5, 0.5], "u_zc2 must hold one value per LH or HL bit"),
+    ], ids=["flat_cases", "value_short", "value_too_many"])
+    def test_inputs_must_match(self, cases, u_zc2, message):
+        with pytest.raises(ValueError, match=message):
+            attack_statistics(cases, u_zc2, self.CAL)
 
 
 @pytest.mark.parametrize("guess_seed", [0, 2**40 + 3])
@@ -366,20 +365,21 @@ def test_coin_flip_p_matches_per_bit_guesses(guess_seed):
                  else "LH") == case
                 for bit_idx, (case, _) in enumerate(run) if case in ("LH", "HL")]
         expected.append(sum(hits) / len(hits))
-    out = attack_statistics(_session(*runs), cal, guess_seed=guess_seed)
+    out = attack_statistics(*_scored(*runs), cal, guess_seed=guess_seed)
     assert out.per_run_p == tuple(expected)
     assert out.p == float(np.mean(expected))
 
 
-def reference_attack_statistics(session, cal, guess_seed):
-    """Eve's score bit by bit: ``(per_run_p, n_secure_bits, warnings)``."""
-    case = session.per_run(session.bits.case).tolist()
-    u_zc2 = session.per_run(session.bits.u_zc2).tolist()
+def reference_attack_statistics(runs, cal, guess_seed):
+    """Eve's score bit by bit: ``(per_run_p, n_secure_bits, warnings)``.
+
+    ``runs`` is a list of equally long runs, each a list of (case, u_zc2) bits.
+    """
     per_run_p, n_secure, messages = [], 0, []
-    for run_idx, (run_cases, run_values) in enumerate(zip(case, u_zc2)):
+    for run_idx, run in enumerate(runs):
         hits = []
-        for bit_idx, (c, v) in enumerate(zip(run_cases, run_values)):
-            if CASES[c] not in ("LH", "HL"):
+        for bit_idx, (case, v) in enumerate(run):
+            if case not in ("LH", "HL"):
                 continue
             if cal.polarity == "indistinct":
                 coin = np.random.default_rng(
@@ -389,7 +389,7 @@ def reference_attack_statistics(session, cal, guess_seed):
                 guess = "HL" if v > cal.threshold else "LH"
             else:
                 guess = "LH" if v > cal.threshold else "HL"
-            hits.append(guess == CASES[c])
+            hits.append(guess == case)
         if not hits:
             messages.append(f"run {run_idx} has no secure bits; excluded from attack statistics")
             continue
@@ -410,18 +410,18 @@ def scored_sessions(draw):
             for _ in range(draw(st.integers(1, 5)))]
     polarity = draw(st.sampled_from(["hl_above", "lh_above", "indistinct"]))
     cal = AttackCalibration(0.3, 0.6, threshold, polarity)
-    return _session(*runs), cal, draw(st.integers(0, 2**64))
+    return runs, cal, draw(st.integers(0, 2**64))
 
 
 @settings(max_examples=300, deadline=None)
 @given(scored_sessions())
 def test_scoring_matches_per_bit_reference(scored):
-    session, cal, guess_seed = scored
-    per_run_p, n_secure, messages = reference_attack_statistics(session, cal, guess_seed)
+    runs, cal, guess_seed = scored
+    per_run_p, n_secure, messages = reference_attack_statistics(runs, cal, guess_seed)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            out = attack_statistics(session, cal, guess_seed=guess_seed)
+            out = attack_statistics(*_scored(*runs), cal, guess_seed=guess_seed)
         except RuntimeError as exc:
             assert not per_run_p
             assert str(exc) == "no run contained a secure bit; increase bits_per_run or runs"
@@ -434,6 +434,8 @@ def test_scoring_matches_per_bit_reference(scored):
     assert out.p == float(np.mean(per_run_p))
     assert out.sigma_p == (float(np.std(per_run_p, ddof=1)) if len(per_run_p) > 1 else 0.0)
     assert out.n_secure_bits == n_secure
+    assert out.per_run_secure == tuple(
+        sum(case in ("LH", "HL") for case, _ in run) for run in runs)
     assert out.n_runs == len(per_run_p)
     assert out.n_excluded_runs == len(messages)
 
@@ -444,7 +446,8 @@ class TestEndToEndEquilibrium:
                         calibration_bits=100, seed=9)
         cfg = SessionConfig(scheme=classic_scheme, sampling=Sampling(4096, 4),
                             bits_per_run=400, runs=2, master_seed=9)
-        out = attack_statistics(run_session(cfg), cal, guess_seed=123)
+        cases, bits = simulate_secure_bits(cfg)
+        out = attack_statistics(cases, bits.u_zc2, cal, guess_seed=123)
         assert cal.polarity == "indistinct"
         assert abs(out.p - 0.5) < 4 * math.sqrt(0.25 / out.n_secure_bits)
 

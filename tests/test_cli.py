@@ -367,7 +367,8 @@ def test_broken_worker_pool_exit_4(tmp_path, monkeypatch, capsys, pool_spy):
 
 
 def test_one_pool_serves_calibration_and_session(tmp_path, monkeypatch, pool_spy):
-    # An attack simulates Eve's LH and HL calibration bits in one call, then the session.
+    # An attack simulates Eve's LH and HL calibration bits in one call, then
+    # the session's LH and HL bits in a second.
     cfg_path = write_config(tmp_path, CLASSIC_TEXT + SMALL_COMMON + "calibration_bits = 100\n")
     monkeypatch.setattr(protocol, "FAN_OUT_SAMPLES", 1)
     monkeypatch.setattr(protocol, "WORKERS", 2)

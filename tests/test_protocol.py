@@ -1,6 +1,7 @@
 import concurrent.futures
 import math
 import multiprocessing
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from kljnsim.protocol import (
     run_session,
     secure_bit_value,
     simulate_bits,
+    simulate_secure_bits,
 )
 from kljnsim.schemes import case_branches, classic_kljn, fck1_kljn, level_table, solve_vmg
 
@@ -317,6 +319,49 @@ def test_session_keeps_its_choices(classic_scheme, master_seed):
     assert session.bits.case.tolist() == expected
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_attack_simulates_the_session_secure_rows(monkeypatch, pool_spy, workers):
+    # The attack draws the session's cases and simulates only its LH and HL
+    # bits; each bit depends only on its case and prefix, so the columns are
+    # the session's secure rows, pooled or not.
+    config = SessionConfig(solve_vmg(46416.0, 278.0, 278.0, 100.0, 1.0, 500.0),
+                           Sampling(1024, 4.0, "interpolated"), bits_per_run=25, runs=3,
+                           master_seed=11)
+    monkeypatch.setattr(protocol, "FAN_OUT_SAMPLES", 1)
+    monkeypatch.setattr(protocol, "WORKERS", workers)
+    cases, secure_bits = simulate_secure_bits(config)
+    _, _, attack_bits = benchmarks.run_attack_experiment(config, calibration_bits=100)
+    session = run_session(config).bits
+    assert pool_spy == ([2] if workers == 2 else [])
+    assert cases.shape == (3, 25)
+    assert np.array_equal(cases.ravel(), session.case)
+    assert 0 < secure_bits.case.size < session.case.size
+    for name in COLUMNS:
+        expected = getattr(session, name)[session.secure]
+        assert np.array_equal(getattr(secure_bits, name), expected), name
+        assert np.array_equal(getattr(attack_bits, name), expected), name
+
+
+def test_attack_without_secure_bit_simulates_none(classic_scheme, monkeypatch):
+    # Seed 1's one bit is not secure (as in the CLI's exit-4 test): the
+    # session's call gets no bit, and scoring still warns and raises.
+    config = SessionConfig(classic_scheme, Sampling(1024, 4.0), bits_per_run=1, runs=1,
+                           master_seed=1)
+    assert not run_session(config).bits.secure.any()
+    calls = []
+    simulate = protocol.simulate_bits
+
+    def counted(*args):
+        calls.append(len(args[3]))
+        return simulate(*args)
+
+    monkeypatch.setattr(protocol, "simulate_bits", counted)
+    with pytest.warns(UserWarning, match="run 0 has no secure bits"):
+        with pytest.raises(RuntimeError, match="no run contained a secure bit"):
+            benchmarks.run_attack_experiment(config, calibration_bits=100)
+    assert calls == [200, 0]   # Eve's calibration, then the session
+
+
 @pytest.mark.parametrize("mode", ZC_MODES)
 @pytest.mark.parametrize("samples_per_bit", [2, 3, 8, 64])
 def test_zero_mean_current_always_crosses_zero(mode, samples_per_bit):
@@ -376,8 +421,10 @@ def test_session_counts_and_seed_must_be_integers(classic_scheme, field, value):
      "calibration_bits must be >= 100, got 99"),
     (lambda s: calibrate(s, Sampling(1024, 4.0), seed=1.5), "seed must be an integer"),
     (lambda s: calibrate(s, Sampling(1024, 4.0), seed=True), "seed must be an integer"),
-    (lambda s: attack_statistics(None, None, guess_seed=1.5), "guess_seed must be an integer"),
-    (lambda s: attack_statistics(None, None, guess_seed=True), "guess_seed must be an integer"),
+    (lambda s: attack_statistics(None, None, None, guess_seed=1.5),
+     "guess_seed must be an integer"),
+    (lambda s: attack_statistics(None, None, None, guess_seed=True),
+     "guess_seed must be an integer"),
     (lambda s: benchmarks.measure_case_moments(s, Sampling(1024, 4.0), "LH", n_bits=0),
      "n_bits must be >= 1, got 0"),
     (lambda s: benchmarks.measure_case_moments(s, Sampling(1024, 4.0), "LH", n_bits=-3),
@@ -390,14 +437,19 @@ def test_session_counts_and_seed_must_be_integers(classic_scheme, field, value):
                                                seed=1.5), "seed must be an integer"),
     (lambda s: benchmarks.measure_case_moments(s, Sampling(1024, 4.0), "LH", n_bits=4,
                                                seed=-1), "seed must be >= 0, got -1"),
+    (lambda s: benchmarks.measure_case_moments(s, Sampling(1024, 4.0), "XY", n_bits=4),
+     re.escape(f"case must be one of {CASES}, got 'XY'")),
+    (lambda s: benchmarks.case_moments(simulate_bits(s, Sampling(1024, 4.0), [1], [(0, 1, 0)]),
+                                       "XY"), re.escape(f"case must be one of {CASES}, got 'XY'")),
 ], ids=["num_samples=256.5", "num_samples=True", "num_samples=1", "seed=1.5", "seed=True",
         "seed=-1", "calibration_bits=150.5", "calibration_bits=True", "calibration_bits=99",
         "calibrate-seed=1.5", "calibrate-seed=True", "guess_seed=1.5", "guess_seed=True",
         "n_bits=0", "n_bits=-3", "n_bits=2.5", "n_bits=True", "moments-seed=1.5",
-        "moments-seed=-1"])
+        "moments-seed=-1", "moments-case=XY", "case_moments-case=XY"])
 def test_library_counts_and_seeds_follow_one_integer_rule(classic_scheme, build, message):
     # The rule SessionConfig and Sampling follow: a float or a bool is
-    # refused up front, not failed on later or read as 0/1.
+    # refused up front, not failed on later or read as 0/1.  A case label
+    # outside CASES is refused the same way, naming the argument.
     with pytest.raises(ConfigurationError, match=message):
         build(classic_scheme)
 
