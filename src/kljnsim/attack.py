@@ -21,7 +21,7 @@ import numpy as np
 
 from . import protocol
 from .errors import CalibrationError, _check_integer
-from .noise import stream_generators
+from .noise import first_outputs
 from .schemes import CASES, SchemeConfig
 
 STREAM_EVE_TIE = 5
@@ -119,9 +119,10 @@ def attack_statistics(cases, u_zc2, cal: AttackCalibration, guess_seed: int = 0)
     coin from a stream disjoint from the simulation seeds, namespaced by
     ``guess_seed``: bit b of run r guesses HL when
     ``default_rng(derive_seed(guess_seed, r, b, STREAM_EVE_TIE)).integers(0, 2)``
-    is 1.  Per run, p is the fraction of secure bits guessed correctly; the
-    overall p is the unweighted mean of the per-run values and sigma_p their
-    sample standard deviation.  Runs without secure bits are excluded
+    is 1, which is bit 31 of that generator's first output
+    (:func:`noise.first_outputs`).  Per run, p is the fraction of secure bits
+    guessed correctly; the overall p is the unweighted mean of the per-run
+    values and sigma_p their sample standard deviation.  Runs without secure bits are excluded
     (counted in ``n_excluded_runs``); RuntimeError when no run has one.
     """
     _check_integer("guess_seed", guess_seed, 0)
@@ -133,13 +134,11 @@ def attack_statistics(cases, u_zc2, cal: AttackCalibration, guess_seed: int = 0)
     if u_zc2.shape != secure_run.shape:
         raise ValueError("u_zc2 must hold one value per LH or HL bit of cases")
     if cal.polarity == "indistinct":
-        guess_hl = np.array([
-            rng.integers(0, 2) == 1
-            for rng in stream_generators(
-                (guess_seed, run_idx, bit_idx, STREAM_EVE_TIE)
-                for run_idx, bit_idx in zip(secure_run.tolist(), secure_bit.tolist())
-            )
-        ], dtype=bool)
+        raw = first_outputs(
+            (guess_seed, run_idx, bit_idx, STREAM_EVE_TIE)
+            for run_idx, bit_idx in zip(secure_run.tolist(), secure_bit.tolist())
+        )
+        guess_hl = (raw >> 31 & 1).astype(bool)
     else:
         above = u_zc2 > cal.threshold
         guess_hl = above if cal.polarity == "hl_above" else ~above

@@ -192,13 +192,13 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, meta: dict, header: list[str], rows, footer: dict | None = None):
+    """Write metadata lines, the header and ``rows``, whose fields are formatted strings."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key, value in meta.items():
             fh.write(f"# {key}={_fmt(value)}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
         if footer:
             for key, value in footer.items():
                 fh.write(f"# {key}={_fmt(value)}\n")
@@ -240,7 +240,7 @@ def cmd_solve(config: ExperimentConfig) -> int:
         Path(f"{config.output_prefix}_solution.csv"),
         meta,
         ["branch", "resistance_ohm", "mean_square_v2", "temperature_k"],
-        rows,
+        (map(_fmt, row) for row in rows),
     )
     return 0
 
@@ -255,12 +255,15 @@ def cmd_simulate(config: ExperimentConfig) -> int:
     scheme = build_scheme(config)
     session = run_session(_session(config, scheme))
     bits = session.bits
-    columns = zip(bits.case.tolist(), bits.u2.tolist(), bits.i2.tolist(), bits.p_ab.tolist(),
-                  bits.n_zc.tolist(), bits.u_zc2.tolist(), bits.secure.tolist())
-    rows = [
-        (k // config.bits_per_run, k % config.bits_per_run, *CASES[c], CASES[c],
-         u2, i2, p_ab, n_zc, u_zc2, secure)
-        for k, (c, u2, i2, p_ab, n_zc, u_zc2, secure) in enumerate(columns)
+    # One formatter per column, as _fmt would format each field.
+    run, bit = np.divmod(np.arange(bits.case.size), config.bits_per_run)
+    labels = [CASES[c] for c in bits.case.tolist()]
+    columns = [
+        map(str, run.tolist()), map(str, bit.tolist()),
+        [label[0] for label in labels], [label[1] for label in labels], labels,
+        *(map(repr, column.tolist()) for column in (bits.u2, bits.i2, bits.p_ab)),
+        map(str, bits.n_zc.tolist()), map(repr, bits.u_zc2.tolist()),
+        np.where(bits.secure, "1", "0").tolist(),
     ]
     meta = _base_meta(config, "simulate")
     meta.update(zc_mode=config.zc_mode, oversample=config.oversample,
@@ -269,7 +272,7 @@ def cmd_simulate(config: ExperimentConfig) -> int:
         Path(f"{config.output_prefix}_bits.csv"),
         meta,
         ["run", "bit", "alice", "bob", "case", "u2", "i2", "p_ab", "n_zc", "u_zc2", "secure"],
-        rows,
+        zip(*columns),
     )
     print(f"{bits.case.size} bits simulated "
           f"({int(bits.secure.sum())} secure, "
@@ -320,7 +323,7 @@ def cmd_attack(config: ExperimentConfig) -> int:
         Path(f"{config.output_prefix}_attack.csv"),
         _base_meta(config, "attack"),
         ["run", "n_secure", "p_run"],
-        rows,
+        (map(_fmt, row) for row in rows),
         footer=footer,
     )
     print(f"p = {outcome.p:.4f} (sigma_p {outcome.sigma_p:.4f}, 95% CI +-{hw:.4f}, "
@@ -366,7 +369,7 @@ def cmd_hist(config: ExperimentConfig, statistic: str, bins: int) -> int:
         Path(f"{config.output_prefix}_hist.csv"),
         meta,
         ["stat", "case", "bin_lo", "bin_hi", "count"],
-        rows,
+        (map(_fmt, row) for row in rows),
     )
     print(f"{statistic}: {len(values['LH'])} LH and {len(values['HL'])} HL values "
           f"binned into {bins} bins over [{lo:.4g}, {hi:.4g}]")
@@ -406,7 +409,7 @@ def cmd_table1(config: ExperimentConfig) -> int:
         ["scheme", "case", "r_alice_ohm", "r_bob_ohm",
          "u2_sim", "u2_se", "u2_ref", "i2_sim", "i2_se", "i2_ref",
          "p_sim", "p_se", "p_ref", "u_zc2_sim", "u_zc2_se", "u_zc2_ref"],
-        rows,
+        (map(_fmt, row) for row in rows),
     )
     return 0
 
@@ -437,7 +440,7 @@ def cmd_table2(config: ExperimentConfig) -> int:
         meta,
         ["scheme", "p_sim", "sigma_p_sim", "ci95_halfwidth", "n_secure",
          "polarity", "threshold_v2", "p_ref", "sigma_p_ref"],
-        rows,
+        (map(_fmt, row) for row in rows),
     )
     return 0
 

@@ -42,6 +42,7 @@ MASK32 = 0xFFFFFFFF
 #: PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
 PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 MASK128 = (1 << 128) - 1
+MASK64 = (1 << 64) - 1
 
 #: Entropy rows hashed per vectorized pass by :func:`stream_generators`.
 SEED_CHUNK = 1024
@@ -168,24 +169,33 @@ def derive_seed(*entropy: int) -> int:
     return int(derive_seeds([entropy])[0])
 
 
-def seeded_generators(seeds) -> Iterator[np.random.Generator]:
-    """Yield, for each 64-bit seed, a generator in ``np.random.default_rng(seed)``'s first state.
+def _pcg64_seeding(seeds) -> Iterator[tuple[int, int]]:
+    """Yield, for each 64-bit seed, PCG64's 128-bit ``(state, inc)`` as ``default_rng(seed)`` sets it.
 
-    All seeds are hashed in one vectorized pass to PCG64's seeding words;
-    each seed's 128-bit state is then set on one reused generator, which is
-    yielded every time.  Draw from it before taking the next one.
+    All seeds are hashed in one vectorized pass to PCG64's four seeding
+    words; the state and increment are then Python ints, one seed at a time.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     words = np.zeros((POOL_SIZE, seeds.size), np.uint32)
     words[0] = seeds & MASK32
     words[1] = seeds >> 32
     pcg_words = _generate_state(_mix_entropy(words), 4)
-    rng = np.random.Generator(np.random.PCG64(0))
     # One row of Python ints at a time: only the compact array is held.
     for s_hi, s_lo, q_hi, q_lo in map(np.ndarray.tolist, pcg_words.T):
         # PCG64 seeding: inc = 2 * initseq + 1; from state 0 step, add initstate, step.
         inc = (q_hi << 65 | q_lo << 1 | 1) & MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * PCG64_MULT + inc) & MASK128
+        yield ((inc + (s_hi << 64 | s_lo)) * PCG64_MULT + inc) & MASK128, inc
+
+
+def seeded_generators(seeds) -> Iterator[np.random.Generator]:
+    """Yield, for each 64-bit seed, a generator in ``np.random.default_rng(seed)``'s first state.
+
+    Each seed's 128-bit state (:func:`_pcg64_seeding`) is set on one reused
+    generator, which is yielded every time.  Draw from it before taking the
+    next one.
+    """
+    rng = np.random.Generator(np.random.PCG64(0))
+    for state, inc in _pcg64_seeding(seeds):
         rng.bit_generator.state = {
             "bit_generator": "PCG64",
             "state": {"state": state, "inc": inc},
@@ -205,6 +215,41 @@ def stream_generators(entropy_rows) -> Iterator[np.random.Generator]:
     rows = iter(entropy_rows)
     while (seeds := derive_seeds(itertools.islice(rows, SEED_CHUNK))).size:
         yield from seeded_generators(seeds)
+
+
+def _first_outputs(seeds) -> Iterator[int]:
+    """Yield ``np.random.default_rng(seed).bit_generator.random_raw()`` of each 64-bit seed.
+
+    PCG64 steps its LCG once from the seeded state (:func:`_pcg64_seeding`)
+    and outputs XSL-RR of the new state: its high and low 64-bit halves
+    xor-ed, rotated right by its top six bits.
+    """
+    for state, inc in _pcg64_seeding(seeds):
+        state = (state * PCG64_MULT + inc) & MASK128
+        word = (state >> 64) ^ (state & MASK64)
+        rot = state >> 122
+        yield (word >> rot | word << (64 - rot)) & MASK64
+
+
+def first_outputs(entropy_rows) -> np.ndarray:
+    """``default_rng(derive_seed(*row)).bit_generator.random_raw()`` of every entropy row.
+
+    Returns a uint64 array, one 64-bit output per row, computed without
+    building a generator (:func:`_first_outputs`).  Rows are hashed
+    ``SEED_CHUNK`` at a time, as in :func:`stream_generators`.
+
+    A fair bit numpy draws first from such a generator is one bit of this
+    output: ``integers(0, 2)`` is bit 31, the top bit of the low 32-bit
+    half, and ``integers(0, 2, size=2)`` is bits 31 and 63.  numpy's bounded
+    draw for a range of two keeps the top bit of a 32-bit draw, and it takes
+    a 64-bit output's low half first and keeps the high half for the next
+    32-bit draw.
+    """
+    rows = iter(entropy_rows)
+    outputs = []
+    while (seeds := derive_seeds(itertools.islice(rows, SEED_CHUNK))).size:
+        outputs.extend(_first_outputs(seeds))
+    return np.array(outputs, dtype=np.uint64)
 
 
 @dataclass(frozen=True)

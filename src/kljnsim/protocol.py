@@ -11,7 +11,12 @@ independent across bits.  Prefixes: (master_seed, run, bit) in a session and
 (guess_seed, run, bit) for Eve's coins, (seed, 6, h, b) in her calibration,
 (seed, case, bit) in the fixed-case tables.  Tags: 0-4 here (``STREAM_CHOICES``,
 ``BRANCH_STREAMS``), 5-6 in ``attack`` (``STREAM_EVE_TIE``,
-``STREAM_CALIBRATION``), 7 in ``cli`` (``STREAM_TABLE``).
+``STREAM_CALIBRATION``), 7 in ``cli`` (``STREAM_TABLE``).  The fair bits
+(the session's choices, Eve's coins) are numpy's first draws from such a
+generator, which are bits of its first 64-bit output:
+``integers(0, 2, size=2)`` is bits 31 and 63 and ``integers(0, 2)`` is bit
+31.  :func:`noise.first_outputs` computes that output without building a
+generator.
 
 A session's cases come from its choice draws alone, before any wire is
 simulated, and each bit's columns depend only on its case and prefix.  So
@@ -32,7 +37,7 @@ import numpy as np
 
 from .circuit import ZC_MODES, block_zero_crossings, solve_wire
 from .errors import ConfigurationError, _check_integer
-from .noise import _in_band_bin_count, fill_band, stream_generators
+from .noise import _in_band_bin_count, fill_band, first_outputs, stream_generators
 from .schemes import CASES, SchemeConfig, case_branches, level_table
 
 STREAM_CHOICES = 0
@@ -333,7 +338,9 @@ def _draw_cases(config: SessionConfig) -> tuple[np.ndarray, list[tuple[int, int,
     Bit k of run r has prefix ``(master_seed, r, k)``; Alice and Bob each
     draw a fair choice, 0 for L and 1 for H, as
     ``default_rng(derive_seed(*prefix, STREAM_CHOICES)).integers(0, 2, size=2)``,
-    and the case index is ``2 * alice + bob``.
+    and the case index is ``2 * alice + bob``.  Those two draws are bits 31
+    and 63 of the generator's first output, so they are read from
+    :func:`noise.first_outputs` without building a generator.
     """
     seed = config.master_seed
     prefixes = [
@@ -341,11 +348,8 @@ def _draw_cases(config: SessionConfig) -> tuple[np.ndarray, list[tuple[int, int,
         for run_idx in range(config.runs)
         for bit_idx in range(config.bits_per_run)
     ]
-    alice, bob = np.array([
-        rng.integers(0, 2, size=2)
-        for rng in stream_generators((*prefix, STREAM_CHOICES) for prefix in prefixes)
-    ]).T
-    return 2 * alice + bob, prefixes
+    raw = first_outputs((*prefix, STREAM_CHOICES) for prefix in prefixes)
+    return (2 * (raw >> 31 & 1) + (raw >> 63)).astype(np.int64), prefixes
 
 
 def run_session(config: SessionConfig) -> SessionResult:

@@ -341,6 +341,17 @@ class TestAttackStatistics:
             with pytest.warns(UserWarning):
                 attack_statistics(*_scored([("LL", 0.2)]), self.CAL)
 
+    def test_no_secure_bits_under_indistinct_calibration(self):
+        # No coin is drawn: every run is excluded with its warning, then the error.
+        cal = AttackCalibration(0.5, 0.5, 0.5, "indistinct")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(RuntimeError, match="no run contained a secure bit"):
+                attack_statistics(*_scored([("LL", 0.2), ("HH", 0.9)], [("HH", 0.1), ("LL", 0.3)],
+                                           [("LL", 0.5), ("LL", 0.6)]), cal)
+        assert [str(w.message) for w in caught] == [
+            f"run {r} has no secure bits; excluded from attack statistics" for r in range(3)]
+
     @pytest.mark.parametrize("cases, u_zc2, message", [
         ([1, 2], [0.5, 0.5], "cases must be a"),
         ([[1, 2, 0]], [0.5], "u_zc2 must hold one value per LH or HL bit"),

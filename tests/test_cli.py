@@ -9,6 +9,9 @@ import pytest
 from kljnsim import protocol
 from kljnsim.cli import (
     ExperimentConfig,
+    _base_meta,
+    _fmt,
+    _session,
     build_scheme,
     cmd_attack,
     cmd_hist,
@@ -22,6 +25,7 @@ from kljnsim.cli import (
     serialize_config,
 )
 from kljnsim.errors import ConfigurationError
+from kljnsim.protocol import CASES, run_session
 
 CLASSIC_TEXT = """
 # minimal classic scheme
@@ -216,6 +220,40 @@ class TestSimulateCommand:
         assert first[0] == "0" and first[1] == "0"
         assert first[4] in ("LL", "LH", "HL", "HH")
         assert first[10] in ("0", "1")
+
+
+def reference_bits_csv(config: ExperimentConfig) -> bytes:
+    """The ``simulate`` CSV written row by row, every field through ``_fmt``."""
+    session = run_session(_session(config, build_scheme(config)))
+    bits = session.bits
+    rows = [
+        (k // config.bits_per_run, k % config.bits_per_run, *CASES[c], CASES[c],
+         u2, i2, p_ab, n_zc, u_zc2, secure)
+        for k, (c, u2, i2, p_ab, n_zc, u_zc2, secure) in enumerate(zip(
+            bits.case.tolist(), bits.u2.tolist(), bits.i2.tolist(), bits.p_ab.tolist(),
+            bits.n_zc.tolist(), bits.u_zc2.tolist(), bits.secure.tolist()))
+    ]
+    meta = _base_meta(config, "simulate")
+    meta.update(zc_mode=config.zc_mode, oversample=config.oversample,
+                samples_per_bit=config.samples_per_bit)
+    lines = [f"# {key}={_fmt(value)}" for key, value in meta.items()]
+    lines.append("run,bit,alice,bob,case,u2,i2,p_ab,n_zc,u_zc2,secure")
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+def test_simulate_csv_matches_row_by_row_writer(tmp_path, capsys):
+    # 32 samples per bit at oversample 4 leave 4 in-band bins, so the level
+    # classification fails on some bits; all four cases occur.
+    cfg_path = write_config(tmp_path, CLASSIC_TEXT + "samples_per_bit = 32\noversample = 4\n"
+                            "bits_per_run = 25\nruns = 3\nseed = 11\n"
+                            f"output_prefix = {tmp_path}/sim\n")
+    assert main(["simulate", cfg_path]) == 0
+    assert "75 bits simulated (45 secure, 24 classification errors)" in capsys.readouterr().out
+    config = parse_config(Path(cfg_path).read_text())
+    text = (tmp_path / "sim_bits.csv").read_bytes()
+    assert text == reference_bits_csv(config)
+    assert {line.split(b",")[4] for line in text.splitlines()[-75:]} == {b"LL", b"LH", b"HL", b"HH"}
 
 
 class TestAttackCommand:

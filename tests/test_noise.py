@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import kurtosis
 
@@ -16,6 +16,7 @@ from kljnsim.noise import (
     derive_seed,
     derive_seeds,
     estimate_psd,
+    first_outputs,
     johnson_mean_square,
     noise_temperature,
     seeded_generators,
@@ -202,6 +203,9 @@ WORD_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64]
 #: Entropy integers: word edges, and any integer up to 2**70.
 ENTROPY_INT = st.one_of(st.sampled_from(WORD_EDGES), st.integers(0, 2**70))
 
+#: 64-bit seeds at the word and sign-bit edges.
+SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
 #: 64-bit seeds, word edges included.
 SEED = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]), st.integers(0, 2**64 - 1))
 
@@ -247,3 +251,41 @@ class TestVectorizedSeeding:
             derive_seeds([(1, -1)])
         with pytest.raises(TypeError):
             derive_seeds([(1, 2.5)])
+
+
+def assert_first_output_rule(seed: int, raw: int) -> None:
+    """``raw`` is ``default_rng(seed)``'s first output, and its bits 31 and 63 are numpy's fair bits."""
+    assert raw == int(np.random.default_rng(seed).bit_generator.random_raw())
+    pair = np.random.default_rng(seed).integers(0, 2, size=2).tolist()
+    assert pair == [raw >> 31 & 1, raw >> 63]
+    assert np.random.default_rng(seed).integers(0, 2) == raw >> 31 & 1
+
+
+class TestFirstOutputs:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(ENTROPY_INT, min_size=1, max_size=6).map(tuple), max_size=12))
+    def test_first_output_of_each_row(self, rows):
+        got = first_outputs(iter(rows))
+        assert got.dtype == np.uint64 and got.shape == (len(rows),)
+        for row, raw in zip(rows, got.tolist()):
+            assert_first_output_rule(derive_seed(*row), raw)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
+    @example(SEED_EDGES)
+    def test_first_output_of_each_seed(self, seeds):
+        for seed, raw in zip(seeds, noise._first_outputs(seeds), strict=True):
+            assert_first_output_rule(seed, raw)
+
+    def test_rows_cross_chunks(self, monkeypatch):
+        monkeypatch.setattr(noise, "SEED_CHUNK", 3)
+        rows = [(2**40 + 1, run, bit, 0) for run in range(2) for bit in range(4)]
+        got = first_outputs(iter(rows))
+        assert got.tolist() == [
+            int(np.random.default_rng(derive_seed(*row)).bit_generator.random_raw())
+            for row in rows
+        ]
+
+    def test_no_rows(self):
+        got = first_outputs(iter([]))
+        assert got.dtype == np.uint64 and got.shape == (0,)
