@@ -13,17 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .attack import (
-    AttackCalibration,
-    AttackOutcome,
-    STREAM_CALIBRATION,
-    STREAM_EVE_TIE,
-    _mean_se,
-    attack_statistics,
-    calibrate,
-)
+from .attack import AttackCalibration, AttackOutcome, _mean_se, attack_statistics, calibrate
 from .errors import ConfigurationError, _check_integer
-from .noise import derive_seed
+from .noise import STREAM_CALIBRATION, STREAM_EVE_TIE, derive_seed
 from .protocol import BitColumns, Sampling, SessionConfig, simulate_bits, simulate_secure_bits
 from .schemes import CASES, SchemeConfig, scheme_for_kind
 
@@ -148,11 +140,11 @@ def measure_case_moments(
     dispersion.  Effective sample count per bit is roughly
     samples_per_bit / oversample.
     """
-    tag = _case_index(case)
+    case_idx = _case_index(case)
     _check_integer("n_bits", n_bits, 1)
     _check_integer("seed", seed, 0)
-    bits = simulate_bits(scheme, sampling, [tag] * n_bits,
-                         [(seed, tag, bit) for bit in range(n_bits)])
+    bits = simulate_bits(scheme, sampling, [case_idx] * n_bits,
+                         [(seed, case_idx, bit) for bit in range(n_bits)])
     return case_moments(bits, case)
 
 

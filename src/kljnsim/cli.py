@@ -32,7 +32,7 @@ from .benchmarks import (
     run_attack_experiment,
 )
 from .errors import CalibrationError, ConfigurationError, UnphysicalSchemeError
-from .noise import GENERATOR_ID, derive_seed
+from .noise import GENERATOR_ID, STREAM_TABLE, derive_seed
 from .protocol import Sampling, SessionConfig, run_session, simulate_secure_bits
 from .schemes import (
     CASES,
@@ -43,8 +43,6 @@ from .schemes import (
     scheme_for_kind,
     security_check,
 )
-
-STREAM_TABLE = 7
 
 HIST_STATISTICS = ("u2", "i2", "u_zc2")
 

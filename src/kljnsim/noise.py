@@ -6,6 +6,27 @@ above B.  Synthesis works in the frequency domain: independent Gaussian
 real/imaginary coefficients on the in-band bins, zero everywhere else
 (including DC), conjugate symmetry, inverse real FFT.  The scale is chosen
 so the expected sample mean-square equals the requested level exactly.
+
+Seeding contract: every draw of a session, a calibration or a table comes
+from the generator ``default_rng(derive_seed(*key))`` of an integer key, so
+results do not depend on the order in which bits run.  Every stream tag is
+defined in this module, and the keys are laid out as follows (``b`` names a
+branch, ``case`` indexes ``CASES``, ``h`` is 0 for LH and 1 for HL):
+
+- ``(master_seed, run, bit, STREAM_CHOICES)``: Alice's and Bob's choices
+  for one bit of a session (:func:`fair_bits`);
+- ``(master_seed, run, bit, BRANCH_STREAMS[b])``: branch ``b``'s noise in
+  one bit of a session;
+- ``(seed, STREAM_CALIBRATION, h, bit, BRANCH_STREAMS[b])``: branch noise
+  in Eve's calibration;
+- ``(seed, case, bit, BRANCH_STREAMS[b])``: branch noise in a fixed-case
+  table, which meets a session's key when ``case == run`` (ROADMAP item 4);
+- ``(guess_seed, run, bit, STREAM_EVE_TIE)``: Eve's coin for one secure
+  bit under an ``indistinct`` calibration (:func:`fair_bits`);
+- ``(master_seed, STREAM_CALIBRATION)`` and ``(master_seed, STREAM_EVE_TIE)``:
+  the calibration ``seed`` and the ``guess_seed`` of an attack experiment;
+- ``(seed, STREAM_TABLE, row)``: the seed of benchmark row ``row`` in the
+  ``table1`` and ``table2`` commands.
 """
 
 from __future__ import annotations
@@ -27,6 +48,13 @@ BOLTZMANN = 1.380649e-23
 #: Recorded in experiment output metadata so results can be reproduced.
 GENERATOR_ID = f"numpy.random.PCG64/numpy-{np.__version__}"
 
+#: Stream tags, one per kind of draw (see the module docstring).
+STREAM_CHOICES = 0
+BRANCH_STREAMS = {"LA": 1, "HA": 2, "LB": 3, "HB": 4}
+STREAM_EVE_TIE = 5
+STREAM_CALIBRATION = 6
+STREAM_TABLE = 7
+
 
 #: numpy ``SeedSequence`` hashing constants (numpy/random/bit_generator.pyx).
 INIT_A = 0x43B0D7E5
@@ -44,7 +72,7 @@ PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 MASK128 = (1 << 128) - 1
 MASK64 = (1 << 64) - 1
 
-#: Entropy rows hashed per vectorized pass by :func:`stream_generators`.
+#: Entropy rows hashed per vectorized pass by :func:`_stream_states`.
 SEED_CHUNK = 1024
 
 
@@ -187,15 +215,26 @@ def _pcg64_seeding(seeds) -> Iterator[tuple[int, int]]:
         yield ((inc + (s_hi << 64 | s_lo)) * PCG64_MULT + inc) & MASK128, inc
 
 
-def seeded_generators(seeds) -> Iterator[np.random.Generator]:
-    """Yield, for each 64-bit seed, a generator in ``np.random.default_rng(seed)``'s first state.
+def _stream_states(entropy_rows) -> Iterator[tuple[int, int]]:
+    """Yield, for each entropy row, PCG64's ``(state, inc)`` as ``default_rng(derive_seed(*row))`` sets it.
 
-    Each seed's 128-bit state (:func:`_pcg64_seeding`) is set on one reused
+    Rows are read and hashed ``SEED_CHUNK`` at a time, so only compact
+    arrays are held.
+    """
+    rows = iter(entropy_rows)
+    while (seeds := derive_seeds(itertools.islice(rows, SEED_CHUNK))).size:
+        yield from _pcg64_seeding(seeds)
+
+
+def stream_generators(entropy_rows) -> Iterator[np.random.Generator]:
+    """Yield, for each entropy row, a generator in ``default_rng(derive_seed(*row))``'s first state.
+
+    Each row's state (:func:`_stream_states`) is set on one reused
     generator, which is yielded every time.  Draw from it before taking the
     next one.
     """
     rng = np.random.Generator(np.random.PCG64(0))
-    for state, inc in _pcg64_seeding(seeds):
+    for state, inc in _stream_states(entropy_rows):
         rng.bit_generator.state = {
             "bit_generator": "PCG64",
             "state": {"state": state, "inc": inc},
@@ -205,51 +244,31 @@ def seeded_generators(seeds) -> Iterator[np.random.Generator]:
         yield rng
 
 
-def stream_generators(entropy_rows) -> Iterator[np.random.Generator]:
-    """Yield, for each entropy row, a generator in ``default_rng(derive_seed(*row))``'s first state.
+def fair_bits(entropy_rows) -> np.ndarray:
+    """The first two fair bits numpy draws from ``default_rng(derive_seed(*row))``, per entropy row.
 
-    Rows are read and hashed ``SEED_CHUNK`` at a time, so only compact
-    arrays are held.  As with :func:`seeded_generators`, one reused
-    generator is yielded every time.
+    Returns a bool array of shape ``(rows, 2)``: row r holds
+    ``integers(0, 2, size=2)`` of row r's generator, and its column 0 alone
+    is that generator's ``integers(0, 2)``.  No generator is built.
+
+    Both bits come from PCG64's first 64-bit output (M. E. O'Neill, "PCG: A
+    Family of Simple Fast Space-Efficient Statistically Good Algorithms for
+    Random Number Generation", 2014): one step of the LCG from the seeded
+    state (:func:`_stream_states`), then XSL-RR, the state's high and low
+    64-bit halves xor-ed and rotated right by its top six bits.  The first
+    fair bit is bit 31 of that output and the second is bit 63: numpy's
+    bounded draw for a range of two (D. Lemire, ACM TOMACS 2019) keeps the
+    top bit of a 32-bit draw, and it takes a 64-bit output's low half first
+    and keeps the high half for the next 32-bit draw.
     """
-    rows = iter(entropy_rows)
-    while (seeds := derive_seeds(itertools.islice(rows, SEED_CHUNK))).size:
-        yield from seeded_generators(seeds)
-
-
-def _first_outputs(seeds) -> Iterator[int]:
-    """Yield ``np.random.default_rng(seed).bit_generator.random_raw()`` of each 64-bit seed.
-
-    PCG64 steps its LCG once from the seeded state (:func:`_pcg64_seeding`)
-    and outputs XSL-RR of the new state: its high and low 64-bit halves
-    xor-ed, rotated right by its top six bits.
-    """
-    for state, inc in _pcg64_seeding(seeds):
+    outputs = []
+    for state, inc in _stream_states(entropy_rows):
         state = (state * PCG64_MULT + inc) & MASK128
         word = (state >> 64) ^ (state & MASK64)
         rot = state >> 122
-        yield (word >> rot | word << (64 - rot)) & MASK64
-
-
-def first_outputs(entropy_rows) -> np.ndarray:
-    """``default_rng(derive_seed(*row)).bit_generator.random_raw()`` of every entropy row.
-
-    Returns a uint64 array, one 64-bit output per row, computed without
-    building a generator (:func:`_first_outputs`).  Rows are hashed
-    ``SEED_CHUNK`` at a time, as in :func:`stream_generators`.
-
-    A fair bit numpy draws first from such a generator is one bit of this
-    output: ``integers(0, 2)`` is bit 31, the top bit of the low 32-bit
-    half, and ``integers(0, 2, size=2)`` is bits 31 and 63.  numpy's bounded
-    draw for a range of two keeps the top bit of a 32-bit draw, and it takes
-    a 64-bit output's low half first and keeps the high half for the next
-    32-bit draw.
-    """
-    rows = iter(entropy_rows)
-    outputs = []
-    while (seeds := derive_seeds(itertools.islice(rows, SEED_CHUNK))).size:
-        outputs.extend(_first_outputs(seeds))
-    return np.array(outputs, dtype=np.uint64)
+        outputs.append((word >> rot | word << (64 - rot)) & MASK64)
+    raw = np.array(outputs, dtype=np.uint64)
+    return np.stack([raw >> 31 & 1, raw >> 63], axis=1, dtype=bool, casting="unsafe")
 
 
 @dataclass(frozen=True)

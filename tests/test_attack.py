@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from kljnsim import protocol
 from kljnsim.attack import (
-    STREAM_CALIBRATION,
-    STREAM_EVE_TIE,
     AttackCalibration,
     attack_statistics,
     binomial_ci_halfwidth,
@@ -18,7 +16,7 @@ from kljnsim.attack import (
 )
 from kljnsim.circuit import ZC_MODES, analytic_moments, block_zero_crossings
 from kljnsim.errors import CalibrationError
-from kljnsim.noise import derive_seed
+from kljnsim.noise import STREAM_CALIBRATION, STREAM_EVE_TIE, derive_seed
 from kljnsim.protocol import CASES, Sampling, SessionConfig, simulate_bits, simulate_secure_bits
 from kljnsim.schemes import classic_kljn, solve_vmg
 from test_protocol import case_wire, reference_zero_crossings

@@ -467,6 +467,36 @@ def test_no_worker_outlives_the_command(tmp_path, mode, code):
             os.kill(pid, 0)
 
 
+POOLED_COMMAND = """
+import sys
+from kljnsim import protocol
+from kljnsim.cli import main
+
+if __name__ == "__main__":
+    protocol.FAN_OUT_SAMPLES = 1
+    protocol.WORKERS = 2
+    code = main([sys.argv[1], sys.argv[2], "--output-prefix", sys.argv[3]])
+    assert "numpy.random" not in sys.modules
+    sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command", ["simulate", "attack"])
+def test_pooled_command_leaves_numpy_random_unloaded(tmp_path, command):
+    # Pooled, every generator is built in a worker, and the choices and
+    # Eve's coins come from noise.fair_bits, which builds none: importing
+    # numpy.random in the calling process would raise its peak memory.
+    cfg_path = write_config(tmp_path, CLASSIC_TEXT + SMALL_COMMON)
+    script = tmp_path / "pooled_command.py"
+    script.write_text(POOLED_COMMAND, encoding="utf-8")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src),
+                                                                     os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(script), command, cfg_path, str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=300, check=False)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_import_leaves_the_process_pool_unloaded():
     # concurrent.futures is imported only when a call fans out: at import time
     # it would add tens of milliseconds to every command's start-up.

@@ -16,10 +16,9 @@ from kljnsim.noise import (
     derive_seed,
     derive_seeds,
     estimate_psd,
-    first_outputs,
+    fair_bits,
     johnson_mean_square,
     noise_temperature,
-    seeded_generators,
     stream_generators,
     synthesize,
 )
@@ -206,9 +205,6 @@ ENTROPY_INT = st.one_of(st.sampled_from(WORD_EDGES), st.integers(0, 2**70))
 #: 64-bit seeds at the word and sign-bit edges.
 SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 
-#: 64-bit seeds, word edges included.
-SEED = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]), st.integers(0, 2**64 - 1))
-
 
 class TestVectorizedSeeding:
     @settings(max_examples=300, deadline=None)
@@ -224,12 +220,21 @@ class TestVectorizedSeeding:
         assert derive_seed(*entropy) == seed_sequence_seed(entropy)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(SEED, min_size=1, max_size=6), st.integers(1, 9))
-    def test_reseeded_generator_is_default_rng(self, seeds, k):
-        for seed, rng in zip(seeds, seeded_generators(seeds), strict=True):
-            reference = np.random.default_rng(seed)
+    @given(st.lists(st.lists(ENTROPY_INT, min_size=1, max_size=6).map(tuple), min_size=1,
+                    max_size=6), st.integers(1, 9))
+    def test_reseeded_generator_is_default_rng(self, rows, k):
+        for row, rng in zip(rows, stream_generators(rows), strict=True):
+            reference = np.random.default_rng(derive_seed(*row))
             assert np.array_equal(rng.standard_normal(k), reference.standard_normal(k))
             assert np.array_equal(rng.integers(0, 2, size=2), reference.integers(0, 2, size=2))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
+    @example(SEED_EDGES)
+    def test_seeding_of_each_seed(self, seeds):
+        for seed, (state, inc) in zip(seeds, noise._pcg64_seeding(seeds), strict=True):
+            reference = np.random.default_rng(seed).bit_generator.state["state"]
+            assert (state, inc) == (reference["state"], reference["inc"])
 
     def test_stream_generators_cross_chunks(self, monkeypatch):
         monkeypatch.setattr(noise, "SEED_CHUNK", 3)
@@ -253,39 +258,38 @@ class TestVectorizedSeeding:
             derive_seeds([(1, 2.5)])
 
 
-def assert_first_output_rule(seed: int, raw: int) -> None:
-    """``raw`` is ``default_rng(seed)``'s first output, and its bits 31 and 63 are numpy's fair bits."""
-    assert raw == int(np.random.default_rng(seed).bit_generator.random_raw())
-    pair = np.random.default_rng(seed).integers(0, 2, size=2).tolist()
-    assert pair == [raw >> 31 & 1, raw >> 63]
-    assert np.random.default_rng(seed).integers(0, 2) == raw >> 31 & 1
+def assert_fair_bits_rule(row: tuple, bits: list) -> None:
+    """``bits`` are the first fair bits numpy draws from ``default_rng(derive_seed(*row))``."""
+    seed = derive_seed(*row)
+    assert bits == np.random.default_rng(seed).integers(0, 2, size=2).tolist()
+    assert bits[0] == np.random.default_rng(seed).integers(0, 2)
 
 
 class TestFirstOutputs:
+    """``fair_bits`` reads numpy's first fair bits from PCG64's first output."""
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(ENTROPY_INT, min_size=1, max_size=6).map(tuple), max_size=12))
     def test_first_output_of_each_row(self, rows):
-        got = first_outputs(iter(rows))
-        assert got.dtype == np.uint64 and got.shape == (len(rows),)
-        for row, raw in zip(rows, got.tolist()):
-            assert_first_output_rule(derive_seed(*row), raw)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
-    @example(SEED_EDGES)
-    def test_first_output_of_each_seed(self, seeds):
-        for seed, raw in zip(seeds, noise._first_outputs(seeds), strict=True):
-            assert_first_output_rule(seed, raw)
+        got = fair_bits(iter(rows))
+        assert got.dtype == bool and got.shape == (len(rows), 2)
+        for row, bits in zip(rows, got.tolist()):
+            assert_fair_bits_rule(row, bits)
 
     def test_rows_cross_chunks(self, monkeypatch):
         monkeypatch.setattr(noise, "SEED_CHUNK", 3)
         rows = [(2**40 + 1, run, bit, 0) for run in range(2) for bit in range(4)]
-        got = first_outputs(iter(rows))
-        assert got.tolist() == [
-            int(np.random.default_rng(derive_seed(*row)).bit_generator.random_raw())
-            for row in rows
-        ]
+        got = fair_bits(iter(rows))
+        assert got.shape == (len(rows), 2)
+        for row, bits in zip(rows, got.tolist()):
+            assert_fair_bits_rule(row, bits)
 
     def test_no_rows(self):
-        got = first_outputs(iter([]))
-        assert got.dtype == np.uint64 and got.shape == (0,)
+        got = fair_bits(iter([]))
+        assert got.dtype == bool and got.shape == (0, 2)
+
+
+def test_stream_tags_are_distinct():
+    tags = [value for name, value in vars(noise).items() if name.startswith("STREAM_")]
+    tags += noise.BRANCH_STREAMS.values()
+    assert len(tags) == 8 and len(set(tags)) == len(tags)

@@ -11,12 +11,17 @@ from kljnsim import benchmarks, protocol
 from kljnsim.attack import attack_statistics, calibrate
 from kljnsim.circuit import ZC_MODES, MomentSummary
 from kljnsim.errors import ConfigurationError
-from kljnsim.noise import NoiseSpec, _in_band_bin_count, derive_seed, synthesize
+from kljnsim.noise import (
+    BRANCH_STREAMS,
+    STREAM_CHOICES,
+    NoiseSpec,
+    _in_band_bin_count,
+    derive_seed,
+    synthesize,
+)
 from kljnsim.protocol import (
     BLOCK_SAMPLES,
-    BRANCH_STREAMS,
     CASES,
-    STREAM_CHOICES,
     Sampling,
     SessionConfig,
     _infer_partner,
