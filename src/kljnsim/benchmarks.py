@@ -75,9 +75,12 @@ EQUILIBRIUM_BENCHMARK_NAMES = ("kljn", "fck1")
 
 
 def benchmark_scheme(name: str, bandwidth: float = 500.0, u2_la: float = 1.0) -> SchemeConfig:
-    """Build the named benchmark configuration."""
+    """Build the named benchmark configuration (a classic row's pair is its LA and HA)."""
     row = BENCHMARKS[name]
-    return scheme_for_kind(row.kind, row.r_ha, row.r_la, row.r_hb, row.r_lb, u2_la, bandwidth)
+    if row.kind == "classic":
+        return scheme_for_kind("classic", u2_la, bandwidth, r_l=row.r_la, r_h=row.r_ha)
+    return scheme_for_kind(row.kind, u2_la, bandwidth,
+                           r_ha=row.r_ha, r_la=row.r_la, r_hb=row.r_hb, r_lb=row.r_lb)
 
 
 def match_benchmark(scheme: SchemeConfig) -> BenchmarkRow | None:

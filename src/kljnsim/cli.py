@@ -5,6 +5,10 @@ simulation, attack scoring, or histogram extraction, and writes
 machine-readable CSV with a provenance header (config hash, seed, generator
 id, artifact version).  Identical configs produce byte-identical files.
 
+The runner knows only the file format (keys, types, finite numbers); every
+other rule, down to which resistors a scheme kind takes, is checked by the
+library (``scheme_for_kind``, ``Sampling``, ``SessionConfig``) on reading.
+
 Exit codes: 0 success, 2 configuration error, 3 unphysical scheme,
 4 runtime/calibration failure.
 """
@@ -31,7 +35,7 @@ from .benchmarks import (
     measure_case_moments,
     run_attack_experiment,
 )
-from .errors import CalibrationError, ConfigurationError, UnphysicalSchemeError
+from .errors import CalibrationError, ConfigurationError, UnphysicalSchemeError, _check_integer
 from .noise import GENERATOR_ID, STREAM_TABLE, derive_seed
 from .protocol import Sampling, SessionConfig, run_session, simulate_secure_bits
 from .schemes import (
@@ -39,7 +43,6 @@ from .schemes import (
     SchemeConfig,
     branch_temperatures,
     case_branches,
-    fck1_fourth_resistor,
     scheme_for_kind,
     security_check,
 )
@@ -58,21 +61,15 @@ class ExperimentConfig:
     r_lb: float | None = None
     u_la_sq: float = 1.0
     bandwidth_hz: float = 500.0
-    oversample: float = 16.0
-    samples_per_bit: int = 16384
-    bits_per_run: int = 1000
-    runs: int = 10
-    seed: int = 1
-    zc_mode: str = "sample_after"
+    oversample: float = Sampling.oversample
+    samples_per_bit: int = Sampling.samples_per_bit
+    bits_per_run: int = SessionConfig.bits_per_run
+    runs: int = SessionConfig.runs
+    seed: int = SessionConfig.master_seed
+    zc_mode: str = Sampling.zc_mode
     calibration_bits: int = 200
     output_prefix: str = "kljn"
 
-
-_RESISTANCES_BY_KIND = {
-    "classic": ("r_l", "r_h"),
-    "vmg": ("r_ha", "r_la", "r_hb", "r_lb"),
-    "fck1": ("r_ha", "r_la", "r_hb"),  # r_lb optional, derived
-}
 
 #: Value parser of each config key, taken from ExperimentConfig's annotations.
 _PARSERS = {
@@ -82,10 +79,12 @@ _PARSERS = {
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse flat ``key = value`` config text ('#' starts a comment).
+    """Parse flat ``key = value`` config text ('#' starts a comment) and check it in full.
 
-    Unknown keys, unparsable or non-finite values, and invariant violations
-    raise ConfigurationError naming the key (and the line, for the first two).
+    Unknown keys and unparsable or non-finite values raise ConfigurationError
+    naming the key and the line.  Every other rule is the library's: the
+    scheme, sampling, session and calibration constructors raise
+    ConfigurationError naming their argument.
     """
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -111,46 +110,15 @@ def parse_config(text: str) -> ExperimentConfig:
         if parse is float and not math.isfinite(values[key]):
             raise ConfigurationError(f"line {lineno}: key {key!r}: must be finite, got {value!r}")
     config = ExperimentConfig(**values)
-    validate_config(config)
-    return config
-
-
-def validate_config(config: ExperimentConfig) -> None:
-    """Check the rules of the file format, then build the scheme and session.
-
-    The library constructors check every value's range.  A resistor set
-    without a physical solution is left to the commands that solve it
-    (exit 3); ``table1`` and ``table2`` never do.
-    """
-    if config.kind not in _RESISTANCES_BY_KIND:
-        raise ConfigurationError(
-            f"key 'kind': must be one of {tuple(_RESISTANCES_BY_KIND)}, got {config.kind!r}"
-        )
-    required = _RESISTANCES_BY_KIND[config.kind]
-    allowed = set(required) | ({"r_lb"} if config.kind == "fck1" else set())
-    for key in ("r_l", "r_h", "r_ha", "r_la", "r_hb", "r_lb"):
-        value = getattr(config, key)
-        if key in required and value is None:
-            raise ConfigurationError(f"key {key!r}: required for kind {config.kind!r}")
-        if value is not None and key not in allowed:
-            raise ConfigurationError(f"key {key!r}: not applicable to kind {config.kind!r}")
-    if config.calibration_bits < MIN_CALIBRATION_BITS:
-        raise ConfigurationError(
-            f"key 'calibration_bits': must be >= {MIN_CALIBRATION_BITS}, "
-            f"got {config.calibration_bits}"
-        )
-    if config.kind == "fck1" and config.r_lb is not None:
-        derived = fck1_fourth_resistor(config.r_ha, config.r_la, config.r_hb)
-        if not math.isclose(config.r_lb, derived, rel_tol=1e-9):
-            raise ConfigurationError(
-                f"key 'r_lb': {config.r_lb} violates the zero-power condition "
-                f"(expected {derived!r})"
-            )
+    # A resistor set without a physical solution is left to the commands
+    # that solve it (exit 3); table1 and table2 never do.
     try:
         scheme = build_scheme(config)
     except UnphysicalSchemeError:
-        scheme = None  # reported, after every range fault, by the commands that solve it
+        scheme = None
+    _check_integer("calibration_bits", config.calibration_bits, MIN_CALIBRATION_BITS)
     _session(config, scheme)
+    return config
 
 
 def serialize_config(config: ExperimentConfig) -> str:
@@ -171,11 +139,9 @@ def config_hash(config: ExperimentConfig) -> str:
 
 
 def build_scheme(config: ExperimentConfig) -> SchemeConfig:
-    # A classic config names its pair r_l / r_h and leaves r_ha / r_la unset.
-    classic = config.kind == "classic"
-    return scheme_for_kind(config.kind, config.r_h if classic else config.r_ha,
-                           config.r_l if classic else config.r_la,
-                           config.r_hb, config.r_lb, config.u_la_sq, config.bandwidth_hz)
+    return scheme_for_kind(config.kind, config.u_la_sq, config.bandwidth_hz,
+                           r_l=config.r_l, r_h=config.r_h, r_ha=config.r_ha,
+                           r_la=config.r_la, r_hb=config.r_hb, r_lb=config.r_lb)
 
 
 def _fmt(value) -> str:
@@ -338,10 +304,6 @@ def cmd_attack(config: ExperimentConfig) -> int:
 
 def cmd_hist(config: ExperimentConfig, statistic: str, bins: int) -> int:
     """Write per-case histograms of a per-bit statistic for the LH/HL populations."""
-    if statistic not in HIST_STATISTICS:
-        raise ConfigurationError(
-            f"statistic must be one of {HIST_STATISTICS}, got {statistic!r}"
-        )
     if bins < 1:
         raise ConfigurationError(f"bins must be >= 1, got {bins}")
     scheme = build_scheme(config)
@@ -452,6 +414,8 @@ def _load_config(path: str) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
+    import warnings
+
     parser = argparse.ArgumentParser(
         prog="kljnsim",
         description="KLJN-family key exchanger simulation and zero-crossing attack harness",
@@ -473,6 +437,9 @@ def main(argv=None) -> int:
             p.add_argument("--statistic", default="u_zc2", choices=HIST_STATISTICS)
             p.add_argument("--bins", type=int, default=30)
     args = parser.parse_args(argv)
+    # A warning prints as one line, without the library's source path and line.
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_args, **_kwargs: f"warning: {message}\n"
     try:
         config = _load_config(args.config)
         if args.output_prefix is not None:
@@ -497,6 +464,8 @@ def main(argv=None) -> int:
     except (CalibrationError, RuntimeError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 4
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

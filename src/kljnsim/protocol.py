@@ -55,6 +55,8 @@ class Sampling:
         _check_integer("samples_per_bit", self.samples_per_bit, 2)
         if not self.oversample >= 1:
             raise ConfigurationError(f"oversample must be >= 1, got {self.oversample}")
+        if self.oversample == float("inf"):
+            raise ConfigurationError(f"oversample must be finite, got {self.oversample}")
         # The band edge falls at bin samples_per_bit / (2 * oversample).
         if _in_band_bin_count(self.samples_per_bit, self.sample_rate(1.0), 1.0) == 0:
             raise ConfigurationError(

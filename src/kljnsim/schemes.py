@@ -27,7 +27,14 @@ from .errors import ConfigurationError, UnphysicalSchemeError
 from .noise import noise_temperature
 
 BRANCH_IDS = ("HA", "LA", "HB", "LB")
-SCHEME_KINDS = ("classic", "vmg", "fck1")
+
+#: The resistors each kind's builder takes, in its argument order.
+_KIND_RESISTORS = {
+    "classic": ("r_l", "r_h"),
+    "vmg": ("r_ha", "r_la", "r_hb", "r_lb"),
+    "fck1": ("r_ha", "r_la", "r_hb"),
+}
+SCHEME_KINDS = tuple(_KIND_RESISTORS)
 
 #: Resistor pairings, Alice's choice first.  A bit's case is stored as its
 #: index here, 2 * alice + bob with L = 0 and H = 1.
@@ -47,10 +54,12 @@ def case_branches(case: str) -> tuple[str, str]:
 
 
 def _require_positive(**values: float) -> None:
-    """Raise ConfigurationError naming the first argument that is not > 0."""
+    """Raise ConfigurationError naming the first argument that is not finite and > 0."""
     for name, value in values.items():
         if not value > 0:
             raise ConfigurationError(f"{name} must be > 0, got {value}")
+        if value == math.inf:
+            raise ConfigurationError(f"{name} must be finite, got {value}")
 
 
 def _relative(a: float, b: float) -> float:
@@ -81,8 +90,7 @@ class SchemeConfig:
             )
         if self.kind not in SCHEME_KINDS:
             raise ConfigurationError(f"kind must be one of {SCHEME_KINDS}, got {self.kind!r}")
-        if self.bandwidth <= 0:
-            raise ConfigurationError(f"bandwidth must be > 0, got {self.bandwidth}")
+        _require_positive(bandwidth=self.bandwidth)
         for bid in BRANCH_IDS:
             b = self.branches[bid]
             if b.mean_square <= 0:
@@ -90,7 +98,7 @@ class SchemeConfig:
                     f"branch {bid} mean_square must be > 0, got {b.mean_square}"
                 )
         report = security_check(self)
-        if report.max_relative_mismatch > SECURITY_RTOL:
+        if not report.max_relative_mismatch <= SECURITY_RTOL:  # NaN fails too
             raise ConfigurationError(
                 "secure-case moment equality violated: relative mismatch "
                 f"{report.max_relative_mismatch:.3e} exceeds {SECURITY_RTOL:.0e}"
@@ -236,21 +244,36 @@ def fck1_kljn(
 
 
 def scheme_for_kind(
-    kind: str, r_ha: float, r_la: float, r_hb: float, r_lb: float | None,
-    u2_la: float, bandwidth: float,
+    kind: str, u2_la: float, bandwidth: float, *,
+    r_l: float | None = None, r_h: float | None = None,
+    r_ha: float | None = None, r_la: float | None = None,
+    r_hb: float | None = None, r_lb: float | None = None,
 ) -> SchemeConfig:
-    """Build a scheme of ``kind`` from its resistor quadruple.
+    """Build a scheme of ``kind`` from the resistors it takes, by builder name.
 
-    ``classic`` reads its pair as (r_la, r_ha); ``fck1`` ignores ``r_lb``
-    and derives it.
+    ``classic`` takes ``r_l`` and ``r_h``, ``vmg`` takes ``r_ha``, ``r_la``,
+    ``r_hb`` and ``r_lb``, and ``fck1`` takes ``r_ha``, ``r_la`` and ``r_hb``,
+    plus an optional ``r_lb`` that must equal ``fck1_fourth_resistor``'s.
+    An unknown kind, a missing or inapplicable resistor, and a mismatched
+    ``r_lb`` raise ConfigurationError naming the argument.
     """
-    if kind == "classic":
-        return classic_kljn(r_la, r_ha, u2_la, bandwidth)
-    if kind == "fck1":
-        return fck1_kljn(r_ha, r_la, r_hb, u2_la, bandwidth)
-    if kind == "vmg":
-        return solve_vmg(r_ha, r_la, r_hb, r_lb, u2_la, bandwidth)
-    raise ConfigurationError(f"kind must be one of {SCHEME_KINDS}, got {kind!r}")
+    if kind not in SCHEME_KINDS:
+        raise ConfigurationError(f"kind must be one of {SCHEME_KINDS}, got {kind!r}")
+    takes = _KIND_RESISTORS[kind]
+    resistors = {"r_l": r_l, "r_h": r_h, "r_ha": r_ha, "r_la": r_la, "r_hb": r_hb, "r_lb": r_lb}
+    for name, value in resistors.items():
+        if value is None and name in takes:
+            raise ConfigurationError(f"{name} is required for kind {kind!r}")
+        if value is not None and name not in takes and (kind, name) != ("fck1", "r_lb"):
+            raise ConfigurationError(f"{name} does not apply to kind {kind!r}")
+    if kind == "fck1" and r_lb is not None:
+        derived = fck1_fourth_resistor(r_ha, r_la, r_hb)
+        if not math.isclose(r_lb, derived, rel_tol=1e-9):
+            raise ConfigurationError(
+                f"r_lb = {r_lb} violates the zero-power condition (expected {derived!r})"
+            )
+    build = {"classic": classic_kljn, "vmg": solve_vmg, "fck1": fck1_kljn}[kind]
+    return build(*(resistors[name] for name in takes), u2_la, bandwidth)
 
 
 def branch_temperatures(config: SchemeConfig) -> dict[str, float]:

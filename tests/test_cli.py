@@ -13,12 +13,6 @@ from kljnsim.cli import (
     _fmt,
     _session,
     build_scheme,
-    cmd_attack,
-    cmd_hist,
-    cmd_simulate,
-    cmd_solve,
-    cmd_table1,
-    cmd_table2,
     config_hash,
     main,
     parse_config,
@@ -287,6 +281,22 @@ class TestAttackCommand:
         err = capsys.readouterr().err
         assert "runtime error: no run contained a secure bit" in err
         assert "Traceback" not in err
+
+    def test_warning_prints_as_one_line(self, tmp_path):
+        # The session of test_session_without_secure_bit_exit_4, run as a command.
+        cfg_path = write_config(
+            tmp_path,
+            CLASSIC_TEXT + "bits_per_run = 1\nruns = 1\nseed = 1\nsamples_per_bit = 1024\n"
+            + f"oversample = 4\ncalibration_bits = 100\noutput_prefix = {tmp_path}/atk\n",
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "kljnsim", "attack", cfg_path], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=300, check=False)
+        assert proc.returncode == 4, proc.stderr
+        assert "warning: run 0 has no secure bits" in proc.stderr
+        assert "attack.py" not in proc.stderr
 
     def test_calibration_failure_exit_4(self, tmp_path, capsys):
         cfg_path = write_config(

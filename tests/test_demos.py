@@ -1,4 +1,4 @@
-"""Every demo runs to completion against the library in ``src/``."""
+"""Every demo and every sample config runs to completion against the library in ``src/``."""
 
 import os
 import subprocess
@@ -7,8 +7,18 @@ from pathlib import Path
 
 import pytest
 
+from kljnsim.cli import main, parse_config
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+CONFIGS = sorted((ROOT / "demos").glob("*.cfg"))
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=[config.name for config in CONFIGS])
+def test_sample_config_parses_and_solves(config, tmp_path):
+    parse_config(config.read_text(encoding="utf-8"))
+    assert main(["solve", str(config), "--output-prefix", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out_solution.csv").is_file()
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.name for demo in DEMOS])

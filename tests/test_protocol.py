@@ -387,6 +387,7 @@ SAMPLING_FAULTS = [
     ({"samples_per_bit": True}, "samples_per_bit"),
     ({"oversample": 0.5}, "oversample"),
     ({"oversample": math.nan}, "oversample"),
+    ({"oversample": math.inf}, "oversample"),
     ({"samples_per_bit": 16, "oversample": 16}, "samples_per_bit"),
     ({"zc_mode": "bogus"}, "zc_mode"),
 ]

@@ -4,6 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
+from kljnsim.benchmarks import BENCHMARKS, benchmark_scheme
 from kljnsim.circuit import Branch, analytic_moments
 from kljnsim.errors import ConfigurationError, UnphysicalSchemeError
 from kljnsim.noise import noise_temperature
@@ -182,18 +183,80 @@ class TestFck1:
             fck1_fourth_resistor(0.0, 1.0, 1.0)
 
 
+#: Each kind's resistors, by builder name, and the scheme its builder makes of them.
+KIND_RESISTORS = {
+    "classic": ({"r_l": 1e3, "r_h": 1e4}, classic_kljn(1e3, 1e4, 1.0, 500.0)),
+    "vmg": ({"r_ha": 46416.0, "r_la": 278.0, "r_hb": 278.0, "r_lb": 100.0},
+            solve_vmg(46416.0, 278.0, 278.0, 100.0, 1.0, 500.0)),
+    "fck1": ({"r_ha": 1e5, "r_la": 1e4, "r_hb": 1e4}, fck1_kljn(1e5, 1e4, 1e4, 1.0, 500.0)),
+}
+RESISTOR_NAMES = ("r_l", "r_h", "r_ha", "r_la", "r_hb", "r_lb")
+MISSING = [(kind, name) for kind, (given, _) in KIND_RESISTORS.items() for name in given]
+INAPPLICABLE = [(kind, name) for kind, (given, _) in KIND_RESISTORS.items()
+                for name in RESISTOR_NAMES
+                if name not in given and (kind, name) != ("fck1", "r_lb")]
+
+
 class TestSchemeForKind:
     def test_dispatch_matches_builders(self):
-        assert scheme_for_kind("classic", 1e4, 1e3, None, None, 1.0, 500.0) == classic_kljn(
-            1e3, 1e4, 1.0, 500.0)
-        assert scheme_for_kind("fck1", 1e5, 1e4, 1e4, None, 1.0, 500.0) == fck1_kljn(
-            1e5, 1e4, 1e4, 1.0, 500.0)
-        assert scheme_for_kind("vmg", 46416.0, 278.0, 278.0, 100.0, 1.0, 500.0) == solve_vmg(
-            46416.0, 278.0, 278.0, 100.0, 1.0, 500.0)
+        for kind, (given, scheme) in KIND_RESISTORS.items():
+            assert scheme_for_kind(kind, 1.0, 500.0, **given) == scheme
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigurationError, match="kind"):
-            scheme_for_kind("other", 1e4, 1e3, 1e4, 1e3, 1.0, 500.0)
+            scheme_for_kind("other", 1.0, 500.0, r_l=1e3, r_h=1e4)
+
+    @pytest.mark.parametrize("kind, name", MISSING)
+    def test_missing_resistor_is_named(self, kind, name):
+        given = dict(KIND_RESISTORS[kind][0])
+        del given[name]
+        with pytest.raises(ConfigurationError, match=f"{name} is required for kind '{kind}'"):
+            scheme_for_kind(kind, 1.0, 500.0, **given)
+
+    @pytest.mark.parametrize("kind, name", INAPPLICABLE)
+    def test_inapplicable_resistor_is_named(self, kind, name):
+        given = {**KIND_RESISTORS[kind][0], name: 500.0}
+        with pytest.raises(ConfigurationError, match=f"{name} does not apply to kind '{kind}'"):
+            scheme_for_kind(kind, 1.0, 500.0, **given)
+
+    @pytest.mark.parametrize("r_lb", [2e3, 0.0, -1e3, math.nan])
+    def test_fck1_refuses_a_mismatched_r_lb(self, r_lb):
+        with pytest.raises(ConfigurationError, match="r_lb .* zero-power condition"):
+            scheme_for_kind("fck1", 1.0, 500.0, r_ha=1e5, r_la=1e4, r_hb=1e4, r_lb=r_lb)
+
+    def test_fck1_accepts_the_derived_r_lb(self):
+        given, scheme = KIND_RESISTORS["fck1"]
+        r_lb = fck1_fourth_resistor(1e5, 1e4, 1e4)
+        assert scheme_for_kind("fck1", 1.0, 500.0, **given, r_lb=r_lb) == scheme
+        assert scheme_for_kind("fck1", 1.0, 500.0, **given, r_lb=r_lb * (1 + 1e-12)) == scheme
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    def test_benchmark_scheme_matches_its_builder(self, name):
+        row = BENCHMARKS[name]
+        if row.kind == "classic":
+            direct = classic_kljn(row.r_la, row.r_ha, 2.0, 300.0)
+        elif row.kind == "fck1":
+            direct = fck1_kljn(row.r_ha, row.r_la, row.r_hb, 2.0, 300.0)
+        else:
+            direct = solve_vmg(row.r_ha, row.r_la, row.r_hb, row.r_lb, 2.0, 300.0)
+        assert benchmark_scheme(name, bandwidth=300.0, u2_la=2.0) == direct
+
+
+BUILDER_ARGS = {
+    classic_kljn: {"r_l": 1e3, "r_h": 1e4, "u2_ref": 1.0, "bandwidth": 500.0},
+    solve_vmg: {"r_ha": 46416.0, "r_la": 278.0, "r_hb": 278.0, "r_lb": 100.0, "u2_la": 1.0,
+                "bandwidth": 500.0},
+    fck1_kljn: {"r_ha": 1e5, "r_la": 1e4, "r_hb": 1e4, "u2_la": 1.0, "bandwidth": 500.0},
+}
+NON_FINITE = [(build, name, value) for build, args in BUILDER_ARGS.items() for name in args
+              for value in (math.nan, math.inf)]
+
+
+@pytest.mark.parametrize("build, name, value", NON_FINITE,
+                         ids=[f"{b.__name__}-{n}={v}" for b, n, v in NON_FINITE])
+def test_builders_refuse_non_finite_values(build, name, value):
+    with pytest.raises(ConfigurationError, match=f"^{name} must be"):
+        build(**{**BUILDER_ARGS[build], name: value})
 
 
 class TestBranchTemperatures:
@@ -251,9 +314,9 @@ class TestSchemeConfigValidation:
         branches["LB"] = Branch(1e3, 2.0)   # the scheme keeps its own copy
         assert sch.branches["LB"] == Branch(1e3, 1.0)
 
-    @pytest.mark.parametrize("kind", ["classic", "vmg", "fck1"])
+    @pytest.mark.parametrize("kind", sorted(KIND_RESISTORS))
     def test_pickle_round_trip_keeps_the_branches(self, kind):
-        sch = scheme_for_kind(kind, 46416.0, 278.0, 278.0, 100.0, 1.0, 500.0)
+        sch = KIND_RESISTORS[kind][1]
         copy = pickle.loads(pickle.dumps(sch))
         assert copy == sch
         assert dict(copy.branches) == dict(sch.branches)
