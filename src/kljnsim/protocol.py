@@ -121,6 +121,14 @@ class SessionResult:
 #: bits at a time, one at a time when a bit is longer than BLOCK_SAMPLES.
 BLOCK_SAMPLES = 2**16
 
+#: The Parseval sums take each row's dot product over column chunks of at
+#: most this many parts, folded left to right.  numpy hands np.vecdot to
+#: OpenBLAS ddot, which splits a vector longer than 10,000 elements over its
+#: own threads (kernel/x86_64/ddot.c): the sum's rounding then depends on the
+#: host's BLAS thread count, and the idle helper threads spin against the
+#: pool's workers.  A chunk this size runs on the calling thread.
+_DOT_CHUNK = 10_000
+
 #: simulate_bits splits a call over up to WORKERS processes, one contiguous
 #: chunk of bits each, once the call holds FAN_OUT_SAMPLES samples or more.
 #: Below that the pool costs more than it saves.  WORKERS is the number of
@@ -206,10 +214,10 @@ def simulate_bits(scheme: SchemeConfig, sampling: Sampling, cases, entropy_prefi
     Each bit depends only on its case and prefix, so a call of at least
     ``FAN_OUT_SAMPLES`` samples is split into ``min(WORKERS, n_bits)``
     contiguous chunks that run in the process's pool of ``WORKERS`` workers;
-    the columns are the same for any worker count.  The pool is opened by
-    the first such call, kept for later ones and shut down at exit.  A pool
-    that breaks raises ``BrokenProcessPool``, a ``RuntimeError``, and is
-    replaced on the next call.
+    the columns are the same for any worker count and any BLAS thread count.
+    The pool is opened by the first such call, kept for later ones and shut
+    down at exit.  A pool that breaks raises ``BrokenProcessPool``, a
+    ``RuntimeError``, and is replaced on the next call.
     """
     case = np.asarray(cases, dtype=np.int64)
     n_bits = len(entropy_prefixes)
@@ -277,9 +285,14 @@ def _simulate_bits(scheme: SchemeConfig, sampling: Sampling, case: np.ndarray,
         parts = bands.view(np.float64)
         u, i = parts[:width], parts[width:]   # X_A and X_B, turned into U and I in place
         solve_wire(u, i, r_a[c, None], r_b[c, None])
-        # Parseval: each row's sample mean of x * y, from the band parts.
+        # Parseval: each row's sample mean of x * y, from the band parts,
+        # summed in chunks of _DOT_CHUNK parts.
         for column, x, y in ((u2, u, u), (i2, i, i), (p_ab, u, i)):
-            s = 2.0 * np.vecdot(x[:, :m2], y[:, :m2])
+            xs, ys = x[:, :m2], y[:, :m2]
+            s = np.vecdot(xs[:, :_DOT_CHUNK], ys[:, :_DOT_CHUNK])
+            for lo in range(_DOT_CHUNK, m2, _DOT_CHUNK):
+                s += np.vecdot(xs[:, lo : lo + _DOT_CHUNK], ys[:, lo : lo + _DOT_CHUNK])
+            s *= 2.0
             if has_nyquist:
                 s += x[:, m2] * y[:, m2]
             column[block] = s / (n * n)

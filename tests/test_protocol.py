@@ -1,7 +1,11 @@
 import concurrent.futures
 import math
 import multiprocessing
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,17 +106,47 @@ def reference_fill_band(band, num_samples, mean_square, rng):
         parts[2 * m + 1] = 0.0
 
 
+def reference_band_geometry(scheme, sampling) -> tuple[int, bool, int]:
+    """``(k_max, has_nyquist, m2)``: in-band bins, whether the last is Nyquist, weight-2 parts."""
+    n = sampling.samples_per_bit
+    k_max = _in_band_bin_count(n, sampling.sample_rate(scheme.bandwidth), scheme.bandwidth)
+    has_nyquist = (n % 2 == 0) and (k_max == n // 2)
+    return k_max, has_nyquist, 2 * (k_max - 1 if has_nyquist else k_max)
+
+
+def reference_wire_spectra(scheme, sampling, case, prefix) -> np.ndarray:
+    """One bit's ``(2, n // 2 + 1)`` wire spectra, U then I, solved bin by bin as the kernel does."""
+    n = sampling.samples_per_bit
+    k_max, _, _ = reference_band_geometry(scheme, sampling)
+    a_id, b_id = case_branches(CASES[case])
+    a, b = scheme.branches[a_id], scheme.branches[b_id]
+    spectra = np.zeros((2, n // 2 + 1), dtype=np.complex128)
+    bands = spectra[:, 1 : k_max + 1]
+    for band, (bid, branch) in zip(bands, ((a_id, a), (b_id, b))):
+        rng = np.random.default_rng(derive_seed(*prefix, BRANCH_STREAMS[bid]))
+        reference_fill_band(band, n, branch.mean_square, rng)
+    u, i = bands.view(np.float64)
+    xb_ra = i * a.resistance
+    np.subtract(u, i, out=i)
+    i /= a.resistance + b.resistance
+    u *= b.resistance
+    u += xb_ra
+    u /= a.resistance + b.resistance
+    return spectra
+
+
 def reference_simulate_bits(scheme, sampling, cases, entropy_prefixes) -> dict:
     """Per-bit reference for ``simulate_bits``, with the same arithmetic: its columns by name.
 
     Each bit draws its two branch spectra, solves the wire bin by bin, takes
-    the moments by Parseval and inverse-transforms its own two traces.
+    the moments by Parseval and inverse-transforms its own two traces.  The
+    Parseval sum is one ``np.dot``, so it matches the kernel only for rows of
+    at most ``protocol._DOT_CHUNK`` parts.
     """
     n = sampling.samples_per_bit
     sample_rate = sampling.sample_rate(scheme.bandwidth)
-    k_max = _in_band_bin_count(n, sample_rate, scheme.bandwidth)
-    has_nyquist = (n % 2 == 0) and (k_max == n // 2)
-    m2 = 2 * (k_max - 1 if has_nyquist else k_max)
+    k_max, has_nyquist, m2 = reference_band_geometry(scheme, sampling)
+    assert m2 <= protocol._DOT_CHUNK
 
     def parseval(x, y):
         s = 2.0 * float(np.dot(x[:m2], y[:m2]))
@@ -122,20 +156,8 @@ def reference_simulate_bits(scheme, sampling, cases, entropy_prefixes) -> dict:
 
     columns = {name: [] for name in COLUMNS}
     for case, prefix in zip(cases, entropy_prefixes):
-        a_id, b_id = case_branches(CASES[case])
-        a, b = scheme.branches[a_id], scheme.branches[b_id]
-        spectra = np.zeros((2, n // 2 + 1), dtype=np.complex128)
-        bands = spectra[:, 1 : k_max + 1]
-        for band, (bid, branch) in zip(bands, ((a_id, a), (b_id, b))):
-            rng = np.random.default_rng(derive_seed(*prefix, BRANCH_STREAMS[bid]))
-            reference_fill_band(band, n, branch.mean_square, rng)
-        u, i = bands.view(np.float64)
-        xb_ra = i * a.resistance
-        np.subtract(u, i, out=i)
-        i /= a.resistance + b.resistance
-        u *= b.resistance
-        u += xb_ra
-        u /= a.resistance + b.resistance
+        spectra = reference_wire_spectra(scheme, sampling, case, prefix)
+        u, i = spectra[:, 1 : k_max + 1].view(np.float64)
         u_c, i_c = np.fft.irfft(spectra, n=n, axis=-1)
         values, _ = reference_zero_crossings(i_c, u_c, sampling.zc_mode, sample_rate)
         for name, value in (("case", case), ("u2", parseval(u, u)), ("i2", parseval(i, i)),
@@ -179,6 +201,7 @@ REFERENCE_FIXTURES = [
     (2, 1.0, 12),
     (3, 1.0, 12),
     (2**14, 16.0, BLOCK_SAMPLES // 2**14 * 2 + 2),
+    (10001, 1.0, 8),   # 10,000 parts per row: the longest row summed in one chunk
 ]
 
 
@@ -215,6 +238,72 @@ def test_simulate_bits_matches_per_bit_primitives(mode):
                 np.testing.assert_allclose(getattr(bits, name), ref[name], rtol=1e-12, atol=0)
             np.testing.assert_array_less(np.abs(bits.p_ab - ref["p_ab"]),
                                          1e-12 * np.sqrt(ref["u2"] * ref["i2"]))
+
+
+@pytest.mark.parametrize("samples_per_bit", [10003, 2**15])
+def test_parseval_sums_over_chunks_match_exact_sums(samples_per_bit):
+    # 10,002 and 32,766 parts per row: the kernel folds two and four chunk
+    # sums.  Each column lies within 1e-12 of the correctly rounded sum of
+    # the scaled products (p_ab, which is near 0, relative to sqrt(u2 * i2)).
+    scheme = solve_vmg(46416.0, 278.0, 278.0, 100.0, 1.0, 500.0)
+    sampling = Sampling(samples_per_bit, 1.0)
+    n = samples_per_bit
+    k_max, has_nyquist, m2 = reference_band_geometry(scheme, sampling)
+    assert m2 > protocol._DOT_CHUNK
+    cases = [0, 1, 2, 3]
+    prefixes = [(24, samples_per_bit, k) for k in range(4)]
+    bits = simulate_bits(scheme, sampling, cases, prefixes)
+
+    def exact(x, y):
+        terms = (2.0 * x[:m2] * y[:m2]).tolist()
+        if has_nyquist:
+            terms.append(x[m2] * y[m2])
+        return math.fsum(terms) / (n * n)
+
+    for k, (case, prefix) in enumerate(zip(cases, prefixes)):
+        spectra = reference_wire_spectra(scheme, sampling, case, prefix)
+        u, i = spectra[:, 1 : k_max + 1].view(np.float64)
+        u2, i2, p_ab = exact(u, u), exact(i, i), exact(u, i)
+        assert abs(bits.u2[k] - u2) <= 1e-12 * u2
+        assert abs(bits.i2[k] - i2) <= 1e-12 * i2
+        assert abs(bits.p_ab[k] - p_ab) <= 1e-12 * math.sqrt(u2 * i2)
+
+
+BLAS_THREAD_RUN = """
+import sys
+from kljnsim import protocol
+from kljnsim.protocol import Sampling, simulate_bits
+from kljnsim.schemes import solve_vmg
+
+protocol.FAN_OUT_SAMPLES = 1
+protocol.WORKERS = int(sys.argv[1])
+bits = simulate_bits(solve_vmg(46416.0, 278.0, 278.0, 100.0, 1.0, 500.0), Sampling(2**15, 1.0),
+                     [1, 2, 3], [(25, 0, k) for k in range(3)])
+for name in ("case", "u2", "i2", "p_ab", "n_zc", "u_zc2"):
+    print(name, getattr(bits, name).tobytes().hex())
+"""
+
+
+def test_columns_are_independent_of_the_blas_thread_count(tmp_path):
+    # 32,766 parts per row: one np.vecdot per row would hand OpenBLAS ddot a
+    # vector it splits over its threads, so the sums would round differently
+    # with one BLAS thread and with two.  Each child sets its own thread count.
+    script = tmp_path / "blas_threads.py"
+    script.write_text(BLAS_THREAD_RUN, encoding="utf-8")
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = {}
+    for threads in ("1", "2"):
+        for workers in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [str(src),
+                                                               os.environ.get("PYTHONPATH")]))}
+            proc = subprocess.run([sys.executable, str(script), workers], env=env,
+                                  capture_output=True, text=True, timeout=300, check=False)
+            assert proc.returncode == 0, proc.stderr
+            outputs[threads, workers] = proc.stdout
+    assert len(outputs["1", "1"].splitlines()) == len(COLUMNS)
+    for key, stdout in outputs.items():
+        assert stdout == outputs["1", "1"], key
 
 
 def test_simulate_bits_is_independent_of_blocking():
