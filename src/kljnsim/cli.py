@@ -155,27 +155,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, meta: dict, header: list[str], rows, footer: dict | None = None):
-    """Write metadata lines, the header and ``rows``, whose fields are formatted strings."""
+def _write_csv(config: ExperimentConfig, command: str, name: str, header: list[str], rows,
+               meta: dict | None = None, footer: dict | None = None):
+    """Write ``<output_prefix>_<name>.csv``: the provenance lines, the command's ``meta``
+    lines, the header, ``rows`` (whose fields are formatted strings) and the ``footer`` lines."""
+    path = Path(f"{config.output_prefix}_{name}.csv")
     path.parent.mkdir(parents=True, exist_ok=True)
+    head = {"artifact": f"kljnsim/{__version__}", "command": command,
+            "config_hash": config_hash(config), "seed": config.seed, "generator": GENERATOR_ID,
+            **(meta or {})}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key, value in meta.items():
-            fh.write(f"# {key}={_fmt(value)}\n")
+        fh.writelines(f"# {key}={_fmt(value)}\n" for key, value in head.items())
         fh.write(",".join(header) + "\n")
         fh.writelines(",".join(row) + "\n" for row in rows)
-        if footer:
-            for key, value in footer.items():
-                fh.write(f"# {key}={_fmt(value)}\n")
-
-
-def _base_meta(config: ExperimentConfig, command: str) -> dict:
-    return {
-        "artifact": f"kljnsim/{__version__}",
-        "command": command,
-        "config_hash": config_hash(config),
-        "seed": config.seed,
-        "generator": GENERATOR_ID,
-    }
+        fh.writelines(f"# {key}={_fmt(value)}\n" for key, value in (footer or {}).items())
 
 
 def cmd_solve(config: ExperimentConfig) -> int:
@@ -198,20 +191,22 @@ def cmd_solve(config: ExperimentConfig) -> int:
     print(f"max relative mismatch: {report.max_relative_mismatch:.3e}")
     if report.power_is_zero is not None:
         print(f"equilibrium (zero net power): {'yes' if report.power_is_zero else 'NO'}")
-    meta = _base_meta(config, "solve")
-    meta["max_relative_mismatch"] = report.max_relative_mismatch
-    _write_csv(
-        Path(f"{config.output_prefix}_solution.csv"),
-        meta,
-        ["branch", "resistance_ohm", "mean_square_v2", "temperature_k"],
-        (map(_fmt, row) for row in rows),
-    )
+    _write_csv(config, "solve", "solution",
+               ["branch", "resistance_ohm", "mean_square_v2", "temperature_k"],
+               (map(_fmt, row) for row in rows),
+               meta={"max_relative_mismatch": report.max_relative_mismatch})
     return 0
 
 
+def _sampling_keys(config: ExperimentConfig) -> dict:
+    """``Sampling``'s arguments, in the order the commands that sample write them."""
+    return {"zc_mode": config.zc_mode, "oversample": config.oversample,
+            "samples_per_bit": config.samples_per_bit}
+
+
 def _session(config: ExperimentConfig, scheme: SchemeConfig | None) -> SessionConfig:
-    sampling = Sampling(config.samples_per_bit, config.oversample, config.zc_mode)
-    return SessionConfig(scheme, sampling, config.bits_per_run, config.runs, config.seed)
+    return SessionConfig(scheme, Sampling(**_sampling_keys(config)),
+                         config.bits_per_run, config.runs, config.seed)
 
 
 def cmd_simulate(config: ExperimentConfig) -> int:
@@ -229,15 +224,9 @@ def cmd_simulate(config: ExperimentConfig) -> int:
         map(str, bits.n_zc.tolist()), map(repr, bits.u_zc2.tolist()),
         np.where(bits.secure, "1", "0").tolist(),
     ]
-    meta = _base_meta(config, "simulate")
-    meta.update(zc_mode=config.zc_mode, oversample=config.oversample,
-                samples_per_bit=config.samples_per_bit)
-    _write_csv(
-        Path(f"{config.output_prefix}_bits.csv"),
-        meta,
-        ["run", "bit", "alice", "bob", "case", "u2", "i2", "p_ab", "n_zc", "u_zc2", "secure"],
-        zip(*columns),
-    )
+    _write_csv(config, "simulate", "bits", ["run", "bit", "alice", "bob", "case",
+                                            "u2", "i2", "p_ab", "n_zc", "u_zc2", "secure"],
+               zip(*columns), meta=_sampling_keys(config))
     print(f"{bits.case.size} bits simulated "
           f"({int(bits.secure.sum())} secure, "
           f"{int(session.misclassified.sum())} classification errors)")
@@ -283,13 +272,8 @@ def cmd_attack(config: ExperimentConfig) -> int:
     if row is not None:
         footer["reference_p"] = row.p_eve_ref
         footer["reference_sigma_p"] = row.sigma_p_ref
-    _write_csv(
-        Path(f"{config.output_prefix}_attack.csv"),
-        _base_meta(config, "attack"),
-        ["run", "n_secure", "p_run"],
-        (map(_fmt, row) for row in rows),
-        footer=footer,
-    )
+    _write_csv(config, "attack", "attack", ["run", "n_secure", "p_run"],
+               (map(_fmt, row) for row in rows), footer=footer)
     print(f"p = {outcome.p:.4f} (sigma_p {outcome.sigma_p:.4f}, 95% CI +-{hw:.4f}, "
           f"{outcome.n_secure_bits} secure bits over {outcome.n_runs} runs)")
     print(f"calibration: mean u_zc2 LH {cal.mean_zc_lh:.4g}, HL {cal.mean_zc_hl:.4g}, "
@@ -323,17 +307,19 @@ def cmd_hist(config: ExperimentConfig, statistic: str, bins: int) -> int:
             if is_sentinel and count == 0:
                 continue
             rows.append((statistic, case, bin_lo, bin_hi, count))
-    meta = _base_meta(config, "hist")
-    meta.update(statistic=statistic, bins=bins)
-    _write_csv(
-        Path(f"{config.output_prefix}_hist.csv"),
-        meta,
-        ["stat", "case", "bin_lo", "bin_hi", "count"],
-        (map(_fmt, row) for row in rows),
-    )
+    _write_csv(config, "hist", "hist", ["stat", "case", "bin_lo", "bin_hi", "count"],
+               (map(_fmt, row) for row in rows), meta={"statistic": statistic, "bins": bins})
     print(f"{statistic}: {len(values['LH'])} LH and {len(values['HL'])} HL values "
           f"binned into {bins} bins over [{lo:.4g}, {hi:.4g}]")
     return 0
+
+
+def _benchmark_rows(config: ExperimentConfig):
+    """Each benchmark row's name, reference values, scheme and seed under ``config``."""
+    for row_idx, (name, bench) in enumerate(BENCHMARKS.items()):
+        yield (name, bench,
+               benchmark_scheme(name, bandwidth=config.bandwidth_hz, u2_la=config.u_la_sq),
+               derive_seed(config.seed, STREAM_TABLE, row_idx))
 
 
 def cmd_table1(config: ExperimentConfig) -> int:
@@ -341,12 +327,10 @@ def cmd_table1(config: ExperimentConfig) -> int:
     rows = []
     print(f"{'scheme':<7}{'case':<6}{'u2 sim':>12}{'u2 ref':>9}{'i2 sim':>13}{'i2 ref':>11}"
           f"{'p sim':>13}{'p ref':>10}{'u_zc2 sim':>12}{'u_zc2 ref':>10}")
-    for row_idx, (name, bench) in enumerate(BENCHMARKS.items()):
-        scheme = benchmark_scheme(name, bandwidth=config.bandwidth_hz, u2_la=config.u_la_sq)
-        sampling = _session(config, scheme).sampling
+    sampling = Sampling(**_sampling_keys(config))
+    for name, bench, scheme, seed in _benchmark_rows(config):
         for case in ("LH", "HL"):
-            m = measure_case_moments(scheme, sampling, case, n_bits=config.bits_per_run,
-                                     seed=derive_seed(config.seed, STREAM_TABLE, row_idx))
+            m = measure_case_moments(scheme, sampling, case, n_bits=config.bits_per_run, seed=seed)
             r_alice, r_bob = (scheme.branches[bid].resistance for bid in case_branches(case))
             zc_ref = bench.u_zc2_lh_ref if case == "LH" else bench.u_zc2_hl_ref
             rows.append((
@@ -360,17 +344,12 @@ def cmd_table1(config: ExperimentConfig) -> int:
                   f"{m.i2:>13.4g}{bench.i2_ref:>11.3g}"
                   f"{m.p_ab:>13.4g}{bench.p_ref:>10.3g}"
                   f"{m.u_zc2:>12.4g}{zc_ref:>10.3g}")
-    meta = _base_meta(config, "table1")
-    meta.update(zc_mode=config.zc_mode, oversample=config.oversample,
-                samples_per_bit=config.samples_per_bit, n_bits_per_case=config.bits_per_run)
-    _write_csv(
-        Path(f"{config.output_prefix}_table1.csv"),
-        meta,
-        ["scheme", "case", "r_alice_ohm", "r_bob_ohm",
-         "u2_sim", "u2_se", "u2_ref", "i2_sim", "i2_se", "i2_ref",
-         "p_sim", "p_se", "p_ref", "u_zc2_sim", "u_zc2_se", "u_zc2_ref"],
-        (map(_fmt, row) for row in rows),
-    )
+    _write_csv(config, "table1", "table1",
+               ["scheme", "case", "r_alice_ohm", "r_bob_ohm",
+                "u2_sim", "u2_se", "u2_ref", "i2_sim", "i2_se", "i2_ref",
+                "p_sim", "p_se", "p_ref", "u_zc2_sim", "u_zc2_se", "u_zc2_ref"],
+               (map(_fmt, row) for row in rows),
+               meta={**_sampling_keys(config), "n_bits_per_case": config.bits_per_run})
     return 0
 
 
@@ -379,10 +358,8 @@ def cmd_table2(config: ExperimentConfig) -> int:
     rows = []
     print(f"{'scheme':<7}{'p sim':>9}{'sigma':>9}{'ci95':>9}{'p ref':>9}{'sigma ref':>11}"
           f"{'polarity':>12}")
-    for row_idx, (name, bench) in enumerate(BENCHMARKS.items()):
-        scheme = benchmark_scheme(name, bandwidth=config.bandwidth_hz, u2_la=config.u_la_sq)
-        session = replace(_session(config, scheme),
-                          master_seed=derive_seed(config.seed, STREAM_TABLE, row_idx))
+    for name, bench, scheme, seed in _benchmark_rows(config):
+        session = replace(_session(config, scheme), master_seed=seed)
         outcome, cal, _ = run_attack_experiment(session, config.calibration_bits)
         hw = binomial_ci_halfwidth(outcome.p, outcome.n_secure_bits)
         rows.append((
@@ -391,17 +368,12 @@ def cmd_table2(config: ExperimentConfig) -> int:
         ))
         print(f"{name:<7}{outcome.p:>9.4f}{outcome.sigma_p:>9.4f}{hw:>9.4f}"
               f"{bench.p_eve_ref:>9.4f}{bench.sigma_p_ref:>11.4f}{cal.polarity:>12}")
-    meta = _base_meta(config, "table2")
-    meta.update(zc_mode=config.zc_mode, oversample=config.oversample,
-                samples_per_bit=config.samples_per_bit,
-                bits_per_run=config.bits_per_run, runs=config.runs)
-    _write_csv(
-        Path(f"{config.output_prefix}_table2.csv"),
-        meta,
-        ["scheme", "p_sim", "sigma_p_sim", "ci95_halfwidth", "n_secure",
-         "polarity", "threshold_v2", "p_ref", "sigma_p_ref"],
-        (map(_fmt, row) for row in rows),
-    )
+    _write_csv(config, "table2", "table2",
+               ["scheme", "p_sim", "sigma_p_sim", "ci95_halfwidth", "n_secure",
+                "polarity", "threshold_v2", "p_ref", "sigma_p_ref"],
+               (map(_fmt, row) for row in rows),
+               meta={**_sampling_keys(config), "bits_per_run": config.bits_per_run,
+                     "runs": config.runs})
     return 0
 
 

@@ -10,13 +10,10 @@ class ConfigurationError(ValueError):
 class UnphysicalSchemeError(ValueError):
     """A resistor quadruple admits no physical (positive) noise-level solution."""
 
-    def __init__(self, branches, message=None):
+    def __init__(self, branches):
         self.branches = tuple(branches)
-        if message is None:
-            message = "unphysical solution: non-positive mean-square voltage for branch(es) %s" % (
-                ", ".join(self.branches)
-            )
-        super().__init__(message)
+        super().__init__("unphysical solution: non-positive mean-square voltage for branch(es) "
+                         + ", ".join(self.branches))
 
 
 class CalibrationError(RuntimeError):

@@ -44,7 +44,7 @@ from .errors import ConfigurationError, _check_integer
 #: Boltzmann constant, J/K (exact in the SI since 2019).
 BOLTZMANN = 1.380649e-23
 
-#: Identifier of the pseudo-random generator backing :func:`synthesize`.
+#: Identifier of the pseudo-random generator behind every draw of the package.
 #: Recorded in experiment output metadata so results can be reproduced.
 GENERATOR_ID = f"numpy.random.PCG64/numpy-{np.__version__}"
 

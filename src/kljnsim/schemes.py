@@ -72,8 +72,10 @@ class SchemeConfig:
     """A complete, validated exchanger configuration.
 
     Construction fails unless the secure-case (LH vs HL) analytic moments
-    agree to ``SECURITY_RTOL``; use the ``classic_kljn`` / ``solve_vmg`` /
-    ``fck1_kljn`` builders rather than assembling branches by hand.
+    agree to ``SECURITY_RTOL`` and, for the classic and fck1 kinds, no net
+    power flows in either secure case (``ZERO_POWER_RTOL``); use the
+    ``classic_kljn`` / ``solve_vmg`` / ``fck1_kljn`` builders rather than
+    assembling branches by hand.
     ``branches`` is stored as a read-only copy, so a checked scheme cannot
     be made unbalanced afterwards.
     """
@@ -102,6 +104,11 @@ class SchemeConfig:
             raise ConfigurationError(
                 "secure-case moment equality violated: relative mismatch "
                 f"{report.max_relative_mismatch:.3e} exceeds {SECURITY_RTOL:.0e}"
+            )
+        if report.power_is_zero is False:
+            raise ConfigurationError(
+                f"kind {self.kind!r} requires zero net power, got p_ab {report.p_lh:.3e} W "
+                f"(LH) and {report.p_hl:.3e} W (HL)"
             )
 
     def __reduce__(self):

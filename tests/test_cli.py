@@ -6,10 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from kljnsim import protocol
+from kljnsim import __version__, protocol
 from kljnsim.cli import (
     ExperimentConfig,
-    _base_meta,
     _fmt,
     _session,
     build_scheme,
@@ -19,6 +18,7 @@ from kljnsim.cli import (
     serialize_config,
 )
 from kljnsim.errors import ConfigurationError
+from kljnsim.noise import GENERATOR_ID
 from kljnsim.protocol import CASES, run_session
 
 CLASSIC_TEXT = """
@@ -227,9 +227,10 @@ def reference_bits_csv(config: ExperimentConfig) -> bytes:
             bits.case.tolist(), bits.u2.tolist(), bits.i2.tolist(), bits.p_ab.tolist(),
             bits.n_zc.tolist(), bits.u_zc2.tolist(), bits.secure.tolist()))
     ]
-    meta = _base_meta(config, "simulate")
-    meta.update(zc_mode=config.zc_mode, oversample=config.oversample,
-                samples_per_bit=config.samples_per_bit)
+    meta = {"artifact": f"kljnsim/{__version__}", "command": "simulate",
+            "config_hash": config_hash(config), "seed": config.seed, "generator": GENERATOR_ID,
+            "zc_mode": config.zc_mode, "oversample": config.oversample,
+            "samples_per_bit": config.samples_per_bit}
     lines = [f"# {key}={_fmt(value)}" for key, value in meta.items()]
     lines.append("run,bit,alice,bob,case,u2,i2,p_ab,n_zc,u_zc2,secure")
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
@@ -370,12 +371,25 @@ class TestTableCommands:
             assert 0.4 < p_ref < 0.8
 
 
-#: The file each subcommand writes after its output prefix.
-OUTPUT_SUFFIX = {"simulate": "_bits.csv", "attack": "_attack.csv", "hist": "_hist.csv",
-                 "table1": "_table1.csv", "table2": "_table2.csv"}
+#: The file each command writes after its output prefix.
+COMMAND_OUTPUT = {"solve": "solution", "simulate": "bits", "attack": "attack", "hist": "hist",
+                  "table1": "table1", "table2": "table2"}
 
 
-@pytest.mark.parametrize("command", sorted(OUTPUT_SUFFIX))
+@pytest.mark.parametrize("command", sorted(COMMAND_OUTPUT))
+def test_every_command_writes_its_file_under_the_provenance_lines(tmp_path, command):
+    text = CLASSIC_TEXT + TestTableCommands.TINY
+    cfg_path = write_config(tmp_path, text)
+    assert main([command, cfg_path, "--output-prefix", str(tmp_path / "out")]) == 0
+    name = f"out_{COMMAND_OUTPUT[command]}.csv"
+    assert [p.name for p in tmp_path.glob("out*")] == [name]
+    lines = (tmp_path / name).read_text().splitlines()
+    assert lines[:5] == [f"# artifact=kljnsim/{__version__}", f"# command={command}",
+                         f"# config_hash={config_hash(parse_config(text))}", "# seed=3",
+                         f"# generator={GENERATOR_ID}"]
+
+
+@pytest.mark.parametrize("command", sorted(set(COMMAND_OUTPUT) - {"solve"}))
 def test_output_is_independent_of_worker_count(tmp_path, monkeypatch, capsys, command):
     # With the fan-out floor at one sample, every simulate_bits call of two or
     # more bits runs in the pool when there are two workers.
@@ -390,7 +404,7 @@ def test_output_is_independent_of_worker_count(tmp_path, monkeypatch, capsys, co
     for workers in (1, 2):
         monkeypatch.setattr(protocol, "WORKERS", workers)
         assert main([command, cfg_path, "--output-prefix", str(tmp_path / "out")]) == 0
-        outputs.append(((tmp_path / f"out{OUTPUT_SUFFIX[command]}").read_bytes(),
+        outputs.append(((tmp_path / f"out_{COMMAND_OUTPUT[command]}.csv").read_bytes(),
                         capsys.readouterr()))
     assert outputs[0] == outputs[1]
 

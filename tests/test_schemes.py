@@ -305,6 +305,17 @@ class TestSchemeConfigValidation:
         with pytest.raises(ConfigurationError, match="mismatch"):
             SchemeConfig(branches=branches, bandwidth=500.0, kind="classic")
 
+    def test_vmg_labelled_fck1_rejected(self):
+        # Balanced, but p_ab is about 4.7e-4 W in both secure cases.
+        assert security_check(solve_vmg(46416.0, 278.0, 278.0, 100.0, 1.0, 500.0)).p_lh > 1e-4
+        with pytest.raises(ConfigurationError, match="zero net power"):
+            solve_vmg(46416.0, 278.0, 278.0, 100.0, 1.0, 500.0, kind="fck1")
+
+    def test_hand_built_classic_with_power_flow_rejected(self):
+        branches = dict(solve_vmg(46416.0, 278.0, 278.0, 100.0, 1.0, 500.0).branches)
+        with pytest.raises(ConfigurationError, match="kind 'classic' requires zero net power"):
+            SchemeConfig(branches=branches, bandwidth=500.0, kind="classic")
+
     def test_branches_are_read_only(self):
         branches = {"HA": Branch(1e4, 10.0), "LA": Branch(1e3, 1.0),
                     "HB": Branch(1e4, 10.0), "LB": Branch(1e3, 1.0)}
