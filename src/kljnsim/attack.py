@@ -177,23 +177,3 @@ def binomial_ci_halfwidth(p: float, n: int) -> float:
         raise ValueError(f"n must be >= 1, got {n}")
     return 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
-
-def histogram(values, bins: int, value_range: tuple[float, float]):
-    """Fixed-width binning with overflow sentinel bins.
-
-    Returns ``bins + 2`` rows of (bin_lo, bin_hi, count): a (-inf, lo)
-    underflow row, the interior bins, and a (hi, +inf) overflow row.
-    """
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
-    lo, hi = float(value_range[0]), float(value_range[1])
-    if not lo < hi:
-        raise ValueError(f"range must satisfy lo < hi, got ({lo}, {hi})")
-    values = np.asarray(values, dtype=float)
-    counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
-    rows = [(-math.inf, lo, int((values < lo).sum()))]
-    rows.extend(
-        (float(edges[j]), float(edges[j + 1]), int(counts[j])) for j in range(bins)
-    )
-    rows.append((hi, math.inf, int((values > hi).sum())))
-    return rows

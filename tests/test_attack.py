@@ -12,7 +12,6 @@ from kljnsim.attack import (
     attack_statistics,
     binomial_ci_halfwidth,
     calibrate,
-    histogram,
 )
 from kljnsim.circuit import ZC_MODES, analytic_moments, block_zero_crossings
 from kljnsim.errors import CalibrationError
@@ -497,31 +496,6 @@ class TestInterpolatedModeConsistency:
             # reported, not asserted against the oracle; sanity only
             assert 0.0 < means["LH"] < lh_moments.u2 * 1.5
             assert 0.0 < means["HL"] < lh_moments.u2 * 1.5
-
-
-class TestHistogram:
-    def test_single_bin(self):
-        rows = histogram([1.0, 1.0, 1.0], 1, (0.5, 1.5))
-        assert rows == [(-math.inf, 0.5, 0), (0.5, 1.5, 3), (1.5, math.inf, 0)]
-
-    def test_uniform_grid_equal_counts(self):
-        values = np.linspace(0.05, 3.95, 40)
-        rows = histogram(values, 4, (0.0, 4.0))
-        assert [r[2] for r in rows[1:-1]] == [10, 10, 10, 10]
-
-    def test_overflow_sentinels(self):
-        rows = histogram([-5.0, 0.5, 99.0, 100.0], 2, (0.0, 1.0))
-        assert rows[0][2] == 1      # below range
-        assert rows[-1][2] == 2     # above range
-        assert sum(r[2] for r in rows) == 4
-
-    def test_empty_input(self):
-        rows = histogram([], 3, (0.0, 1.0))
-        assert all(r[2] == 0 for r in rows)
-
-    def test_bad_bins(self):
-        with pytest.raises(ValueError):
-            histogram([1.0], 0, (0.0, 1.0))
 
 
 def test_binomial_ci_halfwidth():

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kljnsim import __version__, protocol
@@ -19,7 +20,7 @@ from kljnsim.cli import (
 )
 from kljnsim.errors import ConfigurationError
 from kljnsim.noise import GENERATOR_ID
-from kljnsim.protocol import CASES, run_session
+from kljnsim.protocol import CASES, run_session, simulate_secure_bits
 
 CLASSIC_TEXT = """
 # minimal classic scheme
@@ -131,6 +132,15 @@ class TestSolveCommand:
         assert float(u2) == pytest.approx(10334.676, rel=1e-4)
         assert float(temp) == pytest.approx(8.0671e18, rel=1e-3)
         assert "equilibrium" not in capsys.readouterr().out  # vmg kind: no zero-power claim
+
+    @pytest.mark.parametrize("text", [
+        CLASSIC_TEXT,
+        "kind = fck1\nr_ha = 1e5\nr_la = 1e4\nr_hb = 1e4\n",
+    ], ids=["classic", "fck1"])
+    def test_equilibrium_kinds_print_zero_power(self, tmp_path, capsys, text):
+        cfg_path = write_config(tmp_path, text + f"output_prefix = {tmp_path}/out\n")
+        assert main(["solve", cfg_path]) == 0
+        assert "equilibrium (zero net power): yes\n" in capsys.readouterr().out
 
     def test_unphysical_exit_3(self, tmp_path, capsys):
         cfg_path = write_config(
@@ -335,6 +345,40 @@ class TestHistCommand:
     def test_bad_bins_exit_2(self, tmp_path):
         cfg_path = write_config(tmp_path, CLASSIC_TEXT + SMALL_COMMON)
         assert main(["hist", cfg_path, "--bins", "0"]) == 2
+
+    TINY_SESSION = "samples_per_bit = 256\noversample = 2\nruns = 1\n"
+
+    @pytest.mark.parametrize("session, statistic, bins", [
+        (SMALL_COMMON, "u_zc2", 7),                             # LH and HL bits
+        (TINY_SESSION + "bits_per_run = 3\nseed = 1\n", "u2", 5),  # 2 LH bits, no HL bit
+        (TINY_SESSION + "bits_per_run = 1\nseed = 2\n", "i2", 3),  # one HL bit: range +-0.5
+    ], ids=["both_cases", "lh_only", "one_bit"])
+    def test_each_case_has_bins_rows_over_the_values_range(self, tmp_path, session,
+                                                           statistic, bins):
+        text = CLASSIC_TEXT + session
+        cfg_path = write_config(tmp_path, text)
+        assert main(["hist", cfg_path, "--statistic", statistic, "--bins", str(bins),
+                     "--output-prefix", str(tmp_path / "h")]) == 0
+        lines = [l for l in (tmp_path / "h_hist.csv").read_text().splitlines()
+                 if not l.startswith("#")]
+        rows = [l.split(",") for l in lines[1:]]
+        cfg = parse_config(text)
+        _, bits = simulate_secure_bits(_session(cfg, build_scheme(cfg)))
+        column = getattr(bits, statistic)
+        lo, hi = column.min().item(), column.max().item()
+        if lo == hi:
+            lo, hi = lo - 0.5, hi + 0.5
+        for case in ("LH", "HL"):
+            values = column[bits.case == CASES.index(case)]
+            counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
+            got = [r for r in rows if r[1] == case]
+            assert len(got) == bins
+            assert all(r[0] == statistic for r in got)
+            assert [float(r[2]) for r in got] == edges[:-1].tolist()
+            assert [float(r[3]) for r in got] == edges[1:].tolist()
+            assert [int(r[4]) for r in got] == counts.tolist()
+            assert sum(int(r[4]) for r in got) == values.size
+        assert len(rows) == 2 * bins
 
 
 class TestTableCommands:

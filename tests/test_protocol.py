@@ -706,7 +706,5 @@ class TestSecureBitHandling:
     def test_bit_value_convention(self):
         assert secure_bit_value("HL") == 1
         assert secure_bit_value("LH") == 0
-        assert secure_bit_value("HL", hl_value=0) == 0
-        assert secure_bit_value("LH", hl_value=0) == 1
         with pytest.raises(ValueError):
             secure_bit_value("HH")

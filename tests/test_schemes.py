@@ -70,7 +70,6 @@ class TestClassicKljn:
         rep = security_check(classic_kljn(1e3, 1e4, 1.0, 500.0))
         assert rep.p_lh == 0.0
         assert rep.p_hl == 0.0
-        assert rep.power_is_zero is True
 
     def test_ordering_enforced(self):
         with pytest.raises(ConfigurationError):
@@ -165,7 +164,6 @@ class TestFck1:
         rep = security_check(sch)
         assert rep.u2_lh == pytest.approx(0.500, rel=1e-9)
         assert rep.i2_lh == pytest.approx(5e-9, rel=1e-9, abs=0)
-        assert rep.power_is_zero is True
         scale = math.sqrt(rep.u2_lh * rep.i2_lh)
         assert abs(rep.p_lh) <= 1e-12 * scale
         assert abs(rep.p_hl) <= 1e-12 * scale
