@@ -298,6 +298,10 @@ def cmd_hist(config: ExperimentConfig, statistic: str, bins: int) -> int:
     lo, hi = column.min().item(), column.max().item()
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
+    if not (np.diff(np.linspace(lo, hi, bins + 1)) > 0).all():
+        # Too few floats for `bins` distinct edges (from 2**53, lo - 0.5 == lo).
+        half = 2 * bins * np.spacing(max(abs(lo), abs(hi)))
+        lo, hi = lo - half, hi + half
     values = {case: column[bits.case == CASES.index(case)] for case in ("LH", "HL")}
     rows = []
     for case in ("LH", "HL"):

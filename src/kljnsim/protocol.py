@@ -161,9 +161,29 @@ except AttributeError:   # no affinity API (macOS, Windows)
 #: reused by every later one (see _worker_pool).  A worker keeps the module
 #: state it started with: under fork, a constant patched after the pool
 #: opened (BLOCK_SAMPLES, noise.SEED_CHUNK) keeps its old value there.  No
-#: column depends on either, so the results do not change.
+#: column depends on either, so the results do not change.  A worker also
+#: keeps its peak heap between bits and calls (_keep_heap).
 _pool = None
 _pool_size = 0
+
+
+def _keep_heap() -> None:
+    """Pool initializer: let glibc's malloc keep freed buffers for reuse.
+
+    By default glibc maps each buffer of 128 KiB or more afresh and trims the
+    heap, so a 2**20-sample bit faulted in its spectra, draws and FFT scratch
+    again: about 7,000 minor faults.  Now buffers under 32 MiB come from the
+    heap, and up to 128 MiB of free heap is kept (either alone still faults).
+    Does nothing where ``mallopt`` is missing.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, TypeError):   # no mallopt (macOS), no CDLL(None) (Windows)
+        return
+    mallopt(-3, 32 * 2**20)    # M_MMAP_THRESHOLD
+    mallopt(-1, 128 * 2**20)   # M_TRIM_THRESHOLD
 
 
 def _worker_pool(size: int):
@@ -176,7 +196,7 @@ def _worker_pool(size: int):
         # Imported here: at module level it would add tens of ms to every start-up.
         from concurrent.futures import ProcessPoolExecutor
 
-        _pool, _pool_size = ProcessPoolExecutor(size), size
+        _pool, _pool_size = ProcessPoolExecutor(size, initializer=_keep_heap), size
     return _pool
 
 
@@ -284,18 +304,21 @@ def _simulate_bits(scheme: SchemeConfig, sampling: Sampling, case: np.ndarray,
         fill_band(bands, n, mean_square[:, c].ravel(), streams)
         parts = bands.view(np.float64)
         u, i = parts[:width], parts[width:]   # X_A and X_B, turned into U and I in place
-        solve_wire(u, i, r_a[c, None], r_b[c, None])
-        # Parseval: each row's sample mean of x * y, from the band parts,
-        # summed in chunks of _DOT_CHUNK parts.
-        for column, x, y in ((u2, u, u), (i2, i, i), (p_ab, u, i)):
-            xs, ys = x[:, :m2], y[:, :m2]
-            s = np.vecdot(xs[:, :_DOT_CHUNK], ys[:, :_DOT_CHUNK])
-            for lo in range(_DOT_CHUNK, m2, _DOT_CHUNK):
-                s += np.vecdot(xs[:, lo : lo + _DOT_CHUNK], ys[:, lo : lo + _DOT_CHUNK])
-            s *= 2.0
-            if has_nyquist:
-                s += x[:, m2] * y[:, m2]
-            column[block] = s / (n * n)
+        # One pass per column chunk of _DOT_CHUNK parts: solve the wire, then add
+        # each row's Parseval sums over the chunk's weight-2 parts, left to right.
+        # Past m2 a chunk holds only the Nyquist parts, which are solved too.
+        sums = np.zeros((3, width))   # of u * u, i * i and u * i
+        for lo in range(0, 2 * k_max, _DOT_CHUNK):
+            hi = lo + _DOT_CHUNK
+            solve_wire(u[:, lo:hi], i[:, lo:hi], r_a[c, None], r_b[c, None])
+            if lo < m2:
+                uc, ic = u[:, lo : min(hi, m2)], i[:, lo : min(hi, m2)]
+                sums += (np.vecdot(uc, uc), np.vecdot(ic, ic), np.vecdot(uc, ic))
+        # Parseval: each row's sample mean of x * y, from the band parts.
+        sums *= 2.0
+        if has_nyquist:
+            sums += (u[:, m2] * u[:, m2], i[:, m2] * i[:, m2], u[:, m2] * i[:, m2])
+        u2[block], i2[block], p_ab[block] = sums / (n * n)
         return spectra
 
     n_zc = np.empty(n_bits, dtype=np.int64)

@@ -380,6 +380,30 @@ class TestHistCommand:
             assert sum(int(r[4]) for r in got) == values.size
         assert len(rows) == 2 * bins
 
+    @pytest.mark.parametrize("bins", [1, 3, 30])
+    def test_one_value_past_2_to_the_53_gets_bins_distinct_bins(self, tmp_path, capsys, bins):
+        # u2 of about 8e16 V^2: lo - 0.5 == lo, so +-0.5 leaves an empty range.
+        text = (CLASSIC_TEXT + "u_la_sq = 1e17\n" + self.TINY_SESSION
+                + "bits_per_run = 1\nseed = 2\n")
+        cfg_path = write_config(tmp_path, text)
+        assert main(["hist", cfg_path, "--statistic", "u2", "--bins", str(bins),
+                     "--output-prefix", str(tmp_path / "h")]) == 0
+        assert f"binned into {bins} bins" in capsys.readouterr().out
+        cfg = parse_config(text)
+        _, bits = simulate_secure_bits(_session(cfg, build_scheme(cfg)))
+        (value,) = bits.u2.tolist()
+        assert value >= 2.0**53
+        lines = [l for l in (tmp_path / "h_hist.csv").read_text().splitlines()
+                 if not l.startswith("#")]
+        for case in ("LH", "HL"):
+            got = [l.split(",") for l in lines[1:] if l.split(",")[1] == case]
+            edges = [float(r[2]) for r in got] + [float(got[-1][3])]
+            assert len(got) == bins
+            assert all(a < b for a, b in zip(edges, edges[1:]))
+            assert edges[0] < value < edges[-1]
+            counts = [int(r[4]) for r in got]
+            assert sum(counts) == (1 if case == CASES[bits.case[0]] else 0)
+
 
 class TestTableCommands:
     TINY = (

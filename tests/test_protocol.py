@@ -140,16 +140,19 @@ def reference_simulate_bits(scheme, sampling, cases, entropy_prefixes) -> dict:
 
     Each bit draws its two branch spectra, solves the wire bin by bin, takes
     the moments by Parseval and inverse-transforms its own two traces.  The
-    Parseval sum is one ``np.dot``, so it matches the kernel only for rows of
-    at most ``protocol._DOT_CHUNK`` parts.
+    Parseval sum adds one ``np.dot`` per chunk of ``protocol._DOT_CHUNK``
+    parts, left to right, as the kernel folds its chunks.
     """
     n = sampling.samples_per_bit
     sample_rate = sampling.sample_rate(scheme.bandwidth)
     k_max, has_nyquist, m2 = reference_band_geometry(scheme, sampling)
-    assert m2 <= protocol._DOT_CHUNK
+    chunk = protocol._DOT_CHUNK
 
     def parseval(x, y):
-        s = 2.0 * float(np.dot(x[:m2], y[:m2]))
+        s = 0.0
+        for lo in range(0, m2, chunk):
+            s += float(np.dot(x[lo : min(lo + chunk, m2)], y[lo : min(lo + chunk, m2)]))
+        s *= 2.0
         if has_nyquist:
             s += float(x[m2] * y[m2])
         return s / (n * n)
@@ -193,7 +196,8 @@ class TestBitCase:
 
 #: (samples per bit, oversample, bits) of the reference fixtures: even n; odd
 #: n; even n at oversample 1, so the Nyquist bin is in band; the two shortest
-#: traces; and a bit count that is not a multiple of the inverse-FFT block.
+#: traces; a bit count that is not a multiple of the inverse-FFT block; and
+#: rows of one, four and 14 chunks of Parseval sums.
 REFERENCE_FIXTURES = [
     (256, 8.0, 20),
     (255, 8.0, 12),
@@ -202,6 +206,8 @@ REFERENCE_FIXTURES = [
     (3, 1.0, 12),
     (2**14, 16.0, BLOCK_SAMPLES // 2**14 * 2 + 2),
     (10001, 1.0, 8),   # 10,000 parts per row: the longest row summed in one chunk
+    (40002, 1.0, 4),   # 40,000 weight-2 parts, then the Nyquist bin alone in a fifth chunk
+    (2**17, 1.0, 4),   # one bit per block
 ]
 
 
@@ -304,6 +310,78 @@ def test_columns_are_independent_of_the_blas_thread_count(tmp_path):
     assert len(outputs["1", "1"].splitlines()) == len(COLUMNS)
     for key, stdout in outputs.items():
         assert stdout == outputs["1", "1"], key
+
+
+HEAP_RUN = """
+import resource, sys
+from kljnsim import protocol
+from kljnsim.protocol import Sampling, simulate_bits
+from kljnsim.schemes import classic_kljn
+
+if __name__ == "__main__":
+    protocol.WORKERS = 2
+    assert 4 * 2**19 >= protocol.FAN_OUT_SAMPLES
+    scheme = classic_kljn(1e3, 1e4, 1.0, 500.0)
+    for call in range(int(sys.argv[1])):
+        simulate_bits(scheme, Sampling(2**19, 1.0), [0, 1, 2, 3], [(26, call, k) for k in range(4)])
+    protocol._close_pool()
+    print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt)
+"""
+
+
+def _has_mallopt() -> bool:
+    import ctypes
+
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except TypeError:   # Windows
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="needs glibc's mallopt")
+def test_pool_workers_reuse_their_heap(tmp_path):
+    # A pooled call of 4 bits of 2**19 samples, 2 bits per worker.  Without
+    # the workers' heap settings every bit faults in its FFT scratch and
+    # draws afresh, about 4,000 pages.  The third call's faults are the
+    # three-call run's minus the two-call run's: the workers' heaps still grow
+    # during the second call (by about 4,000 pages in all) but not after it,
+    # so the workers' start-up and their heaps' growth cancel out.
+    script = tmp_path / "heap.py"
+    script.write_text(HEAP_RUN, encoding="utf-8")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src),
+                                                                     os.environ.get("PYTHONPATH")]))}
+    faults = {}
+    for calls in ("2", "3"):
+        proc = subprocess.run([sys.executable, str(script), calls], env=env,
+                              capture_output=True, text=True, timeout=300, check=False)
+        assert proc.returncode == 0, proc.stderr
+        faults[calls] = int(proc.stdout)
+    assert faults["2"] > 0   # the workers were reaped and counted
+    assert (faults["3"] - faults["2"]) / 4 < 1000
+
+
+def test_heap_settings_do_nothing_without_mallopt(monkeypatch):
+    import ctypes
+
+    calls = []
+
+    class Glibc:
+        def mallopt(self, param, value):
+            calls.append((param, value))
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: Glibc())
+    protocol._keep_heap()
+    assert calls == [(-3, 32 * 2**20), (-1, 128 * 2**20)]
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    protocol._keep_heap()
+
+    def no_library(name):
+        raise TypeError(name)
+
+    monkeypatch.setattr(ctypes, "CDLL", no_library)
+    protocol._keep_heap()
+    assert len(calls) == 2
 
 
 def test_simulate_bits_is_independent_of_blocking():
