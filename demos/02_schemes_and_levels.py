@@ -28,12 +28,12 @@ def show(scheme, title):
     for bid in ("HA", "LA", "HB", "LB"):
         br = scheme.branches[bid]
         print(f"{bid:<8}{br.resistance:>12.6g}{br.mean_square:>14.6g}{temps[bid]:>14.4g}")
-    rep = security_check(scheme)
-    print(f"secure levels: u2 = {rep.u2_lh:.4g} V^2, i2 = {rep.i2_lh:.4g} A^2, "
-          f"p = {rep.p_lh:.4g} W   (LH = HL to {rep.max_relative_mismatch:.1e})")
+    lt = level_table(scheme)
+    lh = lt["LH"]
+    print(f"secure levels: u2 = {lh.u2:.4g} V^2, i2 = {lh.i2:.4g} A^2, "
+          f"p = {lh.p_ab:.4g} W   (LH = HL to {security_check(scheme):.1e})")
     if scheme.kind != "vmg":
         print("zero net power flow: yes")
-    lt = level_table(scheme)
     print("wire mean-square voltage per case:",
           "  ".join(f"{c}={lt[c].u2:.4g}" for c in ("LL", "LH", "HL", "HH")))
 

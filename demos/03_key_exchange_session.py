@@ -23,7 +23,7 @@ def main() -> None:
     )
     print(f"simulating {config.runs} runs x {config.bits_per_run} bits "
           f"({config.sampling.samples_per_bit} samples/bit "
-          f"at {config.sampling.sample_rate(scheme.bandwidth):g} Hz)")
+          f"at {2 * scheme.bandwidth * config.sampling.oversample:g} Hz)")
     session = run_session(config)
 
     bits = session.bits

@@ -111,19 +111,19 @@ def conditional_zc_variance(m: MomentSummary) -> float:
 ZC_MODES = ("interpolated", "sample_before", "sample_after", "nearest")
 
 
-def block_zero_crossings(i: np.ndarray, u: np.ndarray, mode: str, sample_rate: float):
+def block_zero_crossings(i: np.ndarray, u: np.ndarray, mode: str):
     """Locate each row's current zero crossings and sample its voltage there, in one pass.
 
     Row r of the 2-D arrays ``i`` and ``u`` is one trace's current and
-    voltage, sampled at ``sample_rate``; each row is its own trace, so no
-    crossing is reported between the end of one row and the start of the
-    next.  ``mode`` is one of ``ZC_MODES``.  A row whose current keeps one
-    sign has no crossing and counts 0.  Two crossings of a row at one time,
-    such as two adjacent sign changes that elect the same sample in
-    "nearest" mode, collapse into the first.  Returns ``(counts, times,
-    values)``: ``counts[r]`` is row r's number of crossings, and ``times``
-    and ``values`` hold every row's crossings, row after row, each row's
-    times (from its first sample) strictly increasing.
+    voltage; each row is its own trace, so no crossing is reported between
+    the end of one row and the start of the next.  ``mode`` is one of
+    ``ZC_MODES``.  A row whose current keeps one sign has no crossing and
+    counts 0.  Two crossings of a row at one time, such as two adjacent sign
+    changes that elect the same sample in "nearest" mode, collapse into the
+    first.  Returns ``(counts, times, values)``: ``counts[r]`` is row r's
+    number of crossings, and ``times`` and ``values`` hold every row's
+    crossings, row after row, each row's times (in samples from its first
+    sample) strictly increasing.
     """
     if mode not in ZC_MODES:
         raise ValueError(f"mode must be one of {ZC_MODES}, got {mode!r}")
@@ -132,18 +132,17 @@ def block_zero_crossings(i: np.ndarray, u: np.ndarray, mode: str, sample_rate: f
     rows, n = i.shape
     i = i.ravel()
     u = u.ravel()
-    dt = 1.0 / sample_rate
 
     exact = np.flatnonzero(i == 0.0)
     # Compare signs, not products: the product of two tiny currents rounds to 0.
     neg, pos = i < 0.0, i > 0.0
     change = (neg[:-1] & pos[1:]) | (pos[:-1] & neg[1:])
     change[n - 1 :: n] = False   # the pairs that straddle two rows
-    first, times, values = _sample_crossings(i, u, np.flatnonzero(change), rows, n, mode, dt)
+    first, times, values = _sample_crossings(i, u, np.flatnonzero(change), rows, n, mode)
 
     if exact.size:
         first = np.concatenate([first, exact - exact % n])
-        times = np.concatenate([times, (exact % n) * dt])
+        times = np.concatenate([times, exact % n])
         values = np.concatenate([values, u[exact]])
         # Stable: equal times in one row keep their order, so the first is kept below.
         order = np.lexsort((times, first))
@@ -165,7 +164,7 @@ def block_zero_crossings(i: np.ndarray, u: np.ndarray, mode: str, sample_rate: f
 
 
 def _sample_crossings(i: np.ndarray, u: np.ndarray, kk: np.ndarray, rows: int, n: int,
-                      mode: str, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                      mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each sign change's row start, time (from that start) and voltage.
 
     ``kk`` holds the flat indices of the first samples of the sign changes of
@@ -175,11 +174,11 @@ def _sample_crossings(i: np.ndarray, u: np.ndarray, kk: np.ndarray, rows: int, n
     first = np.repeat(np.arange(rows) * n, per_row)
     if mode == "interpolated":
         frac = i[kk] / (i[kk] - i[kk + 1])
-        return first, (kk - first + frac) * dt, u[kk] + frac * (u[kk + 1] - u[kk])
+        return first, kk - first + frac, u[kk] + frac * (u[kk + 1] - u[kk])
     if mode == "sample_before":
         pick = kk
     elif mode == "sample_after":
         pick = kk + 1
     else:  # nearest
         pick = kk + (np.abs(i[kk + 1]) < np.abs(i[kk]))
-    return first, (pick - first) * dt, u[pick]
+    return first, pick - first, u[pick]

@@ -43,6 +43,7 @@ from .schemes import (
     SchemeConfig,
     branch_temperatures,
     case_branches,
+    level_table,
     scheme_for_kind,
     security_check,
 )
@@ -172,10 +173,12 @@ def _write_csv(config: ExperimentConfig, command: str, name: str, header: list[s
 
 
 def cmd_solve(config: ExperimentConfig) -> int:
-    """Solve and print the scheme's branch levels, temperatures, and security report."""
+    """Solve and print the scheme's branch levels, temperatures, and secure-case moments."""
     scheme = build_scheme(config)
     temps = branch_temperatures(scheme)
-    report = security_check(scheme)
+    levels = level_table(scheme)
+    lh, hl = levels["LH"], levels["HL"]
+    mismatch = security_check(scheme)
     print(f"scheme kind: {scheme.kind}   bandwidth: {scheme.bandwidth:g} Hz")
     print(f"{'branch':<8}{'resistance [ohm]':>18}{'mean square [V^2]':>20}{'temperature [K]':>18}")
     rows = []
@@ -184,17 +187,17 @@ def cmd_solve(config: ExperimentConfig) -> int:
         print(f"{bid:<8}{b.resistance:>18.6g}{b.mean_square:>20.6g}{temps[bid]:>18.6g}")
         rows.append((bid, b.resistance, b.mean_square, temps[bid]))
     print(
-        f"security: u2 {report.u2_lh:.6g}/{report.u2_hl:.6g} V^2, "
-        f"i2 {report.i2_lh:.6g}/{report.i2_hl:.6g} A^2, "
-        f"p {report.p_lh:.6g}/{report.p_hl:.6g} W (LH/HL)"
+        f"security: u2 {lh.u2:.6g}/{hl.u2:.6g} V^2, "
+        f"i2 {lh.i2:.6g}/{hl.i2:.6g} A^2, "
+        f"p {lh.p_ab:.6g}/{hl.p_ab:.6g} W (LH/HL)"
     )
-    print(f"max relative mismatch: {report.max_relative_mismatch:.3e}")
+    print(f"max relative mismatch: {mismatch:.3e}")
     if scheme.kind != "vmg":
         print("equilibrium (zero net power): yes")
     _write_csv(config, "solve", "solution",
                ["branch", "resistance_ohm", "mean_square_v2", "temperature_k"],
                (map(_fmt, row) for row in rows),
-               meta={"max_relative_mismatch": report.max_relative_mismatch})
+               meta={"max_relative_mismatch": mismatch})
     return 0
 
 

@@ -57,8 +57,7 @@ class Sampling:
             raise ConfigurationError(f"oversample must be >= 1, got {self.oversample}")
         if self.oversample == float("inf"):
             raise ConfigurationError(f"oversample must be finite, got {self.oversample}")
-        # The band edge falls at bin samples_per_bit / (2 * oversample).
-        if _in_band_bin_count(self.samples_per_bit, self.sample_rate(1.0), 1.0) == 0:
+        if self.band_bins == 0:
             raise ConfigurationError(
                 f"samples_per_bit ({self.samples_per_bit}) must be >= 2 * oversample "
                 f"({self.oversample:g}), or no DFT bin falls inside the noise band"
@@ -66,9 +65,10 @@ class Sampling:
         if self.zc_mode not in ZC_MODES:
             raise ConfigurationError(f"zc_mode must be one of {ZC_MODES}, got {self.zc_mode!r}")
 
-    def sample_rate(self, bandwidth: float) -> float:
-        """Samples per second for a noise band of ``bandwidth`` Hz."""
-        return 2.0 * bandwidth * self.oversample
+    @property
+    def band_bins(self) -> int:
+        """In-band DFT bins, 1 to band_bins: the edge is bin samples_per_bit / (2 * oversample)."""
+        return _in_band_bin_count(self.samples_per_bit, 2.0 * self.oversample, 1.0)
 
 
 @dataclass(frozen=True)
@@ -157,14 +157,13 @@ try:
 except AttributeError:   # no affinity API (macOS, Windows)
     WORKERS = os.cpu_count() or 1
 
-#: The process's worker pool, opened by the first call that fans out and
-#: reused by every later one (see _worker_pool).  A worker keeps the module
+#: The process's pool of WORKERS workers, opened by the first call that fans
+#: out and reused by every later one until exit.  A worker keeps the module
 #: state it started with: under fork, a constant patched after the pool
 #: opened (BLOCK_SAMPLES, noise.SEED_CHUNK) keeps its old value there.  No
 #: column depends on either, so the results do not change.  A worker also
 #: keeps its peak heap between bits and calls (_keep_heap).
 _pool = None
-_pool_size = 0
 
 
 def _keep_heap() -> None:
@@ -186,17 +185,14 @@ def _keep_heap() -> None:
     mallopt(-1, 128 * 2**20)   # M_TRIM_THRESHOLD
 
 
-def _worker_pool(size: int):
-    """The process's pool of ``size`` workers, replacing an open pool of another size."""
-    global _pool, _pool_size
-    if _pool is not None and _pool_size != size:
-        # Shut down and joined first, so the next fork finds no manager thread alive.
-        _close_pool()
+def _worker_pool():
+    """The process's pool of ``WORKERS`` workers, opened on first use."""
+    global _pool
     if _pool is None:
         # Imported here: at module level it would add tens of ms to every start-up.
         from concurrent.futures import ProcessPoolExecutor
 
-        _pool, _pool_size = ProcessPoolExecutor(size, initializer=_keep_heap), size
+        _pool = ProcessPoolExecutor(WORKERS, initializer=_keep_heap)
     return _pool
 
 
@@ -214,9 +210,10 @@ atexit.register(_close_pool)
 def simulate_bits(scheme: SchemeConfig, sampling: Sampling, cases, entropy_prefixes) -> BitColumns:
     """Simulate one bit per (case, entropy prefix) pair and return its statistics.
 
-    ``sampling`` sets the trace length, the sample rate and the crossing
-    mode.  ``cases`` holds indices into ``CASES``.  Each bit's two connected
-    branches (:func:`schemes.case_branches`) draw their in-band noise
+    ``sampling`` sets the trace length, the band and the crossing mode; the
+    scheme's bandwidth enters no column.  ``cases`` holds indices into
+    ``CASES``.  Each bit's two connected branches
+    (:func:`schemes.case_branches`) draw their in-band noise
     coefficients (:func:`noise.fill_band`) from generators seeded as
     ``default_rng(derive_seed(*prefix, tag))``, where ``tag`` is the
     branch's stream tag; :func:`noise.stream_generators` hashes the seeds
@@ -250,7 +247,7 @@ def simulate_bits(scheme: SchemeConfig, sampling: Sampling, cases, entropy_prefi
 
     bounds = [n_bits * j // chunks for j in range(chunks + 1)]
     spans = list(zip(bounds[:-1], bounds[1:]))
-    pool = _worker_pool(WORKERS)
+    pool = _worker_pool()
     try:
         parts = list(pool.map(
             _simulate_bits, [scheme] * chunks, [sampling] * chunks,
@@ -270,8 +267,7 @@ def _simulate_bits(scheme: SchemeConfig, sampling: Sampling, case: np.ndarray,
     """:func:`simulate_bits` in this process, on cases it has checked."""
     n_bits = len(entropy_prefixes)
     n = sampling.samples_per_bit
-    sample_rate = sampling.sample_rate(scheme.bandwidth)
-    k_max = _in_band_bin_count(n, sample_rate, scheme.bandwidth)
+    k_max = sampling.band_bins
     has_nyquist = (n % 2 == 0) and (k_max == n // 2)
     m2 = 2 * (k_max - 1 if has_nyquist else k_max)   # parts of the weight-2 bins
 
@@ -327,8 +323,7 @@ def _simulate_bits(scheme: SchemeConfig, sampling: Sampling, case: np.ndarray,
     def cross_block(block: slice, wire: np.ndarray) -> None:
         """Count each bit's current zero crossings; take the mean square of the voltage there."""
         width = block.stop - block.start
-        counts, _, values = block_zero_crossings(wire[width:], wire[:width],
-                                                 sampling.zc_mode, sample_rate)
+        counts, _, values = block_zero_crossings(wire[width:], wire[:width], sampling.zc_mode)
         n_zc[block] = counts
         squares = values * values
         ends = np.cumsum(counts).tolist()

@@ -99,19 +99,21 @@ class SchemeConfig:
                 raise ConfigurationError(
                     f"branch {bid} mean_square must be > 0, got {b.mean_square}"
                 )
-        report = security_check(self)
-        if not report.max_relative_mismatch <= SECURITY_RTOL:  # NaN fails too
+        mismatch = security_check(self)
+        if not mismatch <= SECURITY_RTOL:  # NaN fails too
             raise ConfigurationError(
                 "secure-case moment equality violated: relative mismatch "
-                f"{report.max_relative_mismatch:.3e} exceeds {SECURITY_RTOL:.0e}"
+                f"{mismatch:.3e} exceeds {SECURITY_RTOL:.0e}"
             )
-        power_scale = math.sqrt(report.u2_lh * report.i2_lh)
+        levels = level_table(self)
+        lh, hl = levels["LH"], levels["HL"]
+        power_scale = math.sqrt(lh.u2 * lh.i2)
         if self.kind in ("classic", "fck1") and not (
-            max(abs(report.p_lh), abs(report.p_hl)) <= ZERO_POWER_RTOL * power_scale
+            max(abs(lh.p_ab), abs(hl.p_ab)) <= ZERO_POWER_RTOL * power_scale
         ):
             raise ConfigurationError(
-                f"kind {self.kind!r} requires zero net power, got p_ab {report.p_lh:.3e} W "
-                f"(LH) and {report.p_hl:.3e} W (HL)"
+                f"kind {self.kind!r} requires zero net power, got p_ab {lh.p_ab:.3e} W "
+                f"(LH) and {hl.p_ab:.3e} W (HL)"
             )
 
     def __reduce__(self):
@@ -120,34 +122,15 @@ class SchemeConfig:
         return SchemeConfig, (dict(self.branches), self.bandwidth, self.kind)
 
 
-@dataclass(frozen=True)
-class SecurityReport:
-    """Eve-visible moments of both secure pairings and their worst mismatch."""
-
-    u2_lh: float
-    u2_hl: float
-    i2_lh: float
-    i2_hl: float
-    p_lh: float
-    p_hl: float
-    max_relative_mismatch: float
-
-
-def security_check(config: SchemeConfig) -> SecurityReport:
-    """Compare the LH and HL analytic moments of a configuration."""
+def security_check(config: SchemeConfig) -> float:
+    """The worst relative mismatch of the LH and HL moments; p_ab's is relative to sqrt(u2 * i2)."""
     levels = level_table(config)
     lh, hl = levels["LH"], levels["HL"]
     power_scale = math.sqrt(lh.u2 * lh.i2)
-    mismatch = max(
+    return max(
         _relative(lh.u2, hl.u2),
         _relative(lh.i2, hl.i2),
         abs(lh.p_ab - hl.p_ab) / power_scale if power_scale > 0 else 0.0,
-    )
-    return SecurityReport(
-        u2_lh=lh.u2, u2_hl=hl.u2,
-        i2_lh=lh.i2, i2_hl=hl.i2,
-        p_lh=lh.p_ab, p_hl=hl.p_ab,
-        max_relative_mismatch=mismatch,
     )
 
 

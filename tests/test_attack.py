@@ -21,10 +21,10 @@ from kljnsim.schemes import classic_kljn, solve_vmg
 from test_protocol import case_wire, reference_zero_crossings
 
 
-def crossings(i, u, mode, fs=1.0):
+def crossings(i, u, mode):
     """``(values, times)`` of one trace: ``block_zero_crossings`` of a one-row block."""
     counts, times, values = block_zero_crossings(np.asarray(i, float)[None, :],
-                                                 np.asarray(u, float)[None, :], mode, fs)
+                                                 np.asarray(u, float)[None, :], mode)
     assert counts.tolist() == [times.size]
     return values, times
 
@@ -66,7 +66,7 @@ class TestDetectZeroCrossings:
     def test_times_strictly_increasing(self, vmg_scheme):
         u_c, i_c = case_wire(vmg_scheme, "HL", 2**15, 16000.0, (4, 0, 0))
         for mode in ("interpolated", "sample_before", "sample_after", "nearest"):
-            values, times = crossings(i_c, u_c, mode, 16000.0)
+            values, times = crossings(i_c, u_c, mode)
             assert values.size > 10
             assert np.all(np.diff(times) > 0)
 
@@ -199,26 +199,26 @@ TIED_CROSSINGS = (np.array([[1e3, -1e-300] * 12 + [1e3, 0.0]]),
 
 class TestBlockZeroCrossings:
     @settings(max_examples=400, deadline=None)
-    @given(current_blocks(), st.sampled_from(ZC_MODES), st.sampled_from([1.0, 3.0, 16000.0]))
+    @given(current_blocks(), st.sampled_from(ZC_MODES))
     @example((np.array([[1.0, -2.0], [3.0, 1.0]]), np.array([[1.0, 2.0], [3.0, 4.0]])),
-             "sample_after", 1.0)
+             "sample_after")
     @example((np.array([[3.0, -1.0, 4.0, 0.0], [2.0, -1.0, 0.0, -1e-300]]),
-              np.array([[10.0, 20.0, 30.0, 40.0], [1.0, 2.0, 3.0, 4.0]])), "nearest", 1.0)
-    @example(TIED_CROSSINGS, "interpolated", 1.0)
-    def test_each_row_is_its_own_trace(self, block, mode, fs):
+              np.array([[10.0, 20.0, 30.0, 40.0], [1.0, 2.0, 3.0, 4.0]])), "nearest")
+    @example(TIED_CROSSINGS, "interpolated")
+    def test_each_row_is_its_own_trace(self, block, mode):
         i, u = block
-        counts, times, values = block_zero_crossings(i, u, mode, fs)
+        counts, times, values = block_zero_crossings(i, u, mode)
         ends = np.cumsum(counts)
         assert ends[-1] == times.size == values.size
         for r, (lo, hi) in enumerate(zip([0, *ends[:-1]], ends)):
-            ref_values, ref_times = reference_zero_crossings(i[r], u[r], mode, fs)
+            ref_values, ref_times = reference_zero_crossings(i[r], u[r], mode)
             assert np.array_equal(times[lo:hi], ref_times), r
             assert np.array_equal(values[lo:hi], ref_values), r
 
     def test_tied_crossings_keep_the_first(self):
         # The reference keeps the first of two crossings at one time.
         values, times = reference_zero_crossings(TIED_CROSSINGS[0][0], TIED_CROSSINGS[1][0],
-                                                 "interpolated", 1.0)
+                                                 "interpolated")
         assert times[0] == 1.0 and values[0] != 0.3
 
 

@@ -439,6 +439,19 @@ class TestTableCommands:
             assert 0.4 < p_ref < 0.8
 
 
+def test_simulate_rows_are_independent_of_the_bandwidth(tmp_path, capsys):
+    # The bandwidth enters only the noise temperatures that solve prints: the
+    # kernel counts the band in bins and the crossing times in samples.
+    outputs = {}
+    for bandwidth in ("500", "1e306"):
+        cfg_path = write_config(tmp_path, CLASSIC_TEXT + SMALL_COMMON + f"bandwidth_hz = {bandwidth}\n")
+        assert main(["simulate", cfg_path, "--output-prefix", str(tmp_path / bandwidth)]) == 0
+        lines = (tmp_path / f"{bandwidth}_bits.csv").read_text().splitlines()
+        assert lines[2].startswith("# config_hash=")
+        outputs[bandwidth] = lines[:2], lines[3:], capsys.readouterr().out
+    assert outputs["1e306"] == outputs["500"]
+
+
 #: The file each command writes after its output prefix.
 COMMAND_OUTPUT = {"solve": "solution", "simulate": "bits", "attack": "attack", "hist": "hist",
                   "table1": "table1", "table2": "table2"}

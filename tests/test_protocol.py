@@ -37,6 +37,11 @@ from kljnsim.protocol import (
 from kljnsim.schemes import case_branches, classic_kljn, fck1_kljn, level_table, solve_vmg
 
 
+def samples_per_second(scheme, sampling) -> float:
+    """Samples per second of a bit's traces: 2 * bandwidth * oversample."""
+    return 2.0 * scheme.bandwidth * sampling.oversample
+
+
 def case_wire(scheme, case, samples_per_bit, sample_rate, entropy_prefix):
     """Time-domain reference for one bit: synthesize both connected branches, solve the wire.
 
@@ -58,28 +63,27 @@ def case_wire(scheme, case, samples_per_bit, sample_rate, entropy_prefix):
     return (u_a * r_b + u_b * r_a) / (r_a + r_b), (u_a - u_b) / (r_a + r_b)
 
 
-def reference_zero_crossings(i, u, mode: str, sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trace reference for the crossing search: ``(values, times)`` of one wire."""
-    dt = 1.0 / sample_rate
+def reference_zero_crossings(i, u, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trace reference for the crossing search: ``(values, times)`` of one wire, in samples."""
     exact = np.flatnonzero(i == 0.0)
     neg, pos = i < 0.0, i > 0.0
     kk = np.flatnonzero((neg[:-1] & pos[1:]) | (pos[:-1] & neg[1:]))
     if mode == "interpolated":
         frac = i[kk] / (i[kk] - i[kk + 1])
-        times = (kk + frac) * dt
+        times = kk + frac
         values = u[kk] + frac * (u[kk + 1] - u[kk])
     elif mode == "sample_before":
-        times = kk * dt
+        times = kk
         values = u[kk]
     elif mode == "sample_after":
-        times = (kk + 1) * dt
+        times = kk + 1
         values = u[kk + 1]
     else:  # nearest
         pick = kk + (np.abs(i[kk + 1]) < np.abs(i[kk]))
-        times = pick * dt
+        times = pick
         values = u[pick]
     if exact.size:
-        times = np.concatenate([times, exact * dt])
+        times = np.concatenate([times, exact])
         values = np.concatenate([values, u[exact]])
         order = np.argsort(times, kind="stable")
         times = times[order]
@@ -107,9 +111,12 @@ def reference_fill_band(band, num_samples, mean_square, rng):
 
 
 def reference_band_geometry(scheme, sampling) -> tuple[int, bool, int]:
-    """``(k_max, has_nyquist, m2)``: in-band bins, whether the last is Nyquist, weight-2 parts."""
+    """``(k_max, has_nyquist, m2)``: in-band bins, whether the last is Nyquist, weight-2 parts.
+
+    The bins are counted in hertz, at the scheme's bandwidth.
+    """
     n = sampling.samples_per_bit
-    k_max = _in_band_bin_count(n, sampling.sample_rate(scheme.bandwidth), scheme.bandwidth)
+    k_max = _in_band_bin_count(n, samples_per_second(scheme, sampling), scheme.bandwidth)
     has_nyquist = (n % 2 == 0) and (k_max == n // 2)
     return k_max, has_nyquist, 2 * (k_max - 1 if has_nyquist else k_max)
 
@@ -144,7 +151,6 @@ def reference_simulate_bits(scheme, sampling, cases, entropy_prefixes) -> dict:
     parts, left to right, as the kernel folds its chunks.
     """
     n = sampling.samples_per_bit
-    sample_rate = sampling.sample_rate(scheme.bandwidth)
     k_max, has_nyquist, m2 = reference_band_geometry(scheme, sampling)
     chunk = protocol._DOT_CHUNK
 
@@ -162,7 +168,7 @@ def reference_simulate_bits(scheme, sampling, cases, entropy_prefixes) -> dict:
         spectra = reference_wire_spectra(scheme, sampling, case, prefix)
         u, i = spectra[:, 1 : k_max + 1].view(np.float64)
         u_c, i_c = np.fft.irfft(spectra, n=n, axis=-1)
-        values, _ = reference_zero_crossings(i_c, u_c, sampling.zc_mode, sample_rate)
+        values, _ = reference_zero_crossings(i_c, u_c, sampling.zc_mode)
         for name, value in (("case", case), ("u2", parseval(u, u)), ("i2", parseval(i, i)),
                             ("p_ab", parseval(u, i)), ("n_zc", values.size),
                             ("u_zc2", np.mean(values * values))):
@@ -223,7 +229,6 @@ def test_simulate_bits_matches_per_bit_primitives(mode):
     for scheme in schemes:
         for samples_per_bit, oversample, n_bits in REFERENCE_FIXTURES:
             sampling = Sampling(samples_per_bit, oversample, mode)
-            sample_rate = sampling.sample_rate(scheme.bandwidth)
             cases = [k % 4 for k in range(n_bits)]
             prefixes = [(21, samples_per_bit, k) for k in range(n_bits)]
             bits = simulate_bits(scheme, sampling, cases, prefixes)
@@ -232,8 +237,9 @@ def test_simulate_bits_matches_per_bit_primitives(mode):
                 assert np.array_equal(getattr(bits, name), exact[name]), (samples_per_bit, name)
             ref = {name: np.empty(n_bits) for name in ("u2", "i2", "p_ab", "n_zc", "u_zc2")}
             for k, (case, prefix) in enumerate(zip(cases, prefixes)):
-                u_c, i_c = case_wire(scheme, CASES[case], samples_per_bit, sample_rate, prefix)
-                values, _ = reference_zero_crossings(i_c, u_c, mode, sample_rate)
+                u_c, i_c = case_wire(scheme, CASES[case], samples_per_bit,
+                                     samples_per_second(scheme, sampling), prefix)
+                values, _ = reference_zero_crossings(i_c, u_c, mode)
                 ref["u2"][k], ref["i2"][k] = np.mean(u_c * u_c), np.mean(i_c * i_c)
                 ref["p_ab"][k] = np.mean(u_c * i_c)
                 ref["n_zc"][k] = values.size
@@ -416,6 +422,8 @@ def test_simulate_bits_is_independent_of_worker_count(monkeypatch, pool_spy, n_b
     monkeypatch.setattr(protocol, "FAN_OUT_SAMPLES", 1)
     runs = []
     for workers in (1, 2, 3):
+        # The pool holds the WORKERS it opened with, so it is closed in between.
+        protocol._close_pool()
         monkeypatch.setattr(protocol, "WORKERS", workers)
         runs.append(simulate_bits(scheme, sampling, cases, prefixes))
     # One pool of WORKERS workers per worker count that fans out, even when
@@ -424,6 +432,28 @@ def test_simulate_bits_is_independent_of_worker_count(monkeypatch, pool_spy, n_b
     for bits in runs[1:]:
         for name in COLUMNS:
             assert np.array_equal(getattr(runs[0], name), getattr(bits, name)), name
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["inline", "pooled"])
+def test_columns_are_independent_of_the_bandwidth(monkeypatch, pool_spy, workers):
+    # The bandwidth cancels: the band is a bin count and the crossing times
+    # count samples, so the columns hold to the edges of the float range.
+    monkeypatch.setattr(protocol, "FAN_OUT_SAMPLES", 1)
+    monkeypatch.setattr(protocol, "WORKERS", workers)
+    cases = [0, 1, 2, 3, 2, 1]
+    prefixes = [(27, 0, k) for k in range(6)]
+    for build in (lambda b: classic_kljn(1e3, 1e4, 1.0, b),
+                  lambda b: solve_vmg(46416.0, 278.0, 278.0, 100.0, 1.0, b)):
+        for mode in ZC_MODES:
+            for samples_per_bit, oversample in ((1024, 4.0), (257, 1.5)):
+                sampling = Sampling(samples_per_bit, oversample, mode)
+                runs = [simulate_bits(build(bandwidth), sampling, cases, prefixes)
+                        for bandwidth in (500.0, 1e-310, 1.0, 1e306)]
+                for bits in runs[1:]:
+                    for name in COLUMNS:
+                        assert np.array_equal(getattr(runs[0], name), getattr(bits, name)), (
+                            mode, samples_per_bit, name)
+    assert pool_spy == ([2] if workers == 2 else [])
 
 
 @pytest.mark.parametrize("cases", [[0, 1, 2, 3, 0, 1, 2], [0, 1, 2, 4, 0, 1]],
@@ -451,13 +481,13 @@ def test_fan_out_needs_two_workers_and_the_sample_floor(monkeypatch, pool_spy, w
     assert bits.u2.shape == (n_bits,)
 
 
-def test_later_calls_reuse_the_pool_until_the_worker_count_changes(monkeypatch, pool_spy):
+def test_later_calls_reuse_the_pool(monkeypatch, pool_spy):
     scheme = classic_kljn(1e3, 1e4, 1.0, 500.0)
     monkeypatch.setattr(protocol, "FAN_OUT_SAMPLES", 1)
-    for workers in (2, 2, 3, 3, 2):
-        monkeypatch.setattr(protocol, "WORKERS", workers)
-        simulate_bits(scheme, Sampling(256, 4.0), [0, 1, 2, 3], [(4, 0, k) for k in range(4)])
-    assert pool_spy == [2, 3, 2]
+    monkeypatch.setattr(protocol, "WORKERS", 2)
+    for call in range(3):
+        simulate_bits(scheme, Sampling(256, 4.0), [0, 1, 2, 3], [(4, call, k) for k in range(4)])
+    assert pool_spy == [2]
 
 
 def test_chunk_needs_no_state_from_the_parent():
@@ -662,9 +692,12 @@ class TestSessionConfig:
             SessionConfig(scheme=classic_scheme, sampling=Sampling(16, 16))
         SessionConfig(scheme=classic_scheme, sampling=Sampling(32, 16))
 
-    def test_sample_rate(self, classic_scheme):
-        cfg = SessionConfig(scheme=classic_scheme, sampling=Sampling(oversample=16))
-        assert cfg.sampling.sample_rate(classic_scheme.bandwidth) == 2 * 500.0 * 16
+    def test_band_bins(self):
+        # The band edge is bin samples_per_bit / (2 * oversample), kept when it is exact.
+        assert Sampling(16384, 16).band_bins == 512
+        assert Sampling(256, 1).band_bins == 128   # Nyquist in band
+        assert Sampling(257, 1.5).band_bins == 85
+        assert Sampling(2, 1).band_bins == 1
 
 
 class TestCaseWire:
@@ -726,10 +759,8 @@ class TestRunSession:
         cfg = SessionConfig(scheme=classic_scheme, sampling=Sampling(2**14, 4),
                             bits_per_run=6, runs=1, master_seed=77)
         n_eff = 2**14 / 4
-        voltages = [
-            case_wire(classic_scheme, "LH", 2**14, cfg.sampling.sample_rate(500.0), (77, 0, bit))[0]
-            for bit in range(6)
-        ]
+        fs = samples_per_second(classic_scheme, cfg.sampling)
+        voltages = [case_wire(classic_scheme, "LH", 2**14, fs, (77, 0, bit))[0] for bit in range(6)]
         for u1, u2 in zip(voltages, voltages[1:]):
             corr = np.mean(u1 * u2) / math.sqrt(np.mean(u1**2) * np.mean(u2**2))
             assert abs(corr) < 4 / math.sqrt(n_eff)

@@ -56,9 +56,9 @@ class TestClassicKljn:
         sch = classic_kljn(1e3, 1e4, 1.0, 500.0)
         assert sch.branches["HA"].mean_square == pytest.approx(10.0)
         assert sch.branches["HB"].mean_square == pytest.approx(10.0)
-        rep = security_check(sch)
-        assert rep.u2_lh == pytest.approx(0.909, rel=1e-3)
-        assert rep.i2_lh == pytest.approx(9.09e-8, rel=1e-3, abs=0)
+        lh = level_table(sch)["LH"]
+        assert lh.u2 == pytest.approx(0.909, rel=1e-3)
+        assert lh.i2 == pytest.approx(9.09e-8, rel=1e-3, abs=0)
 
     def test_equal_temperatures(self):
         sch = classic_kljn(1e3, 1e4, 1.0, 500.0)
@@ -67,9 +67,9 @@ class TestClassicKljn:
         assert all(t == pytest.approx(t0, rel=1e-12) for t in temps)
 
     def test_exact_zero_power(self):
-        rep = security_check(classic_kljn(1e3, 1e4, 1.0, 500.0))
-        assert rep.p_lh == 0.0
-        assert rep.p_hl == 0.0
+        levels = level_table(classic_kljn(1e3, 1e4, 1.0, 500.0))
+        assert levels["LH"].p_ab == 0.0
+        assert levels["HL"].p_ab == 0.0
 
     def test_ordering_enforced(self):
         with pytest.raises(ConfigurationError):
@@ -122,8 +122,7 @@ class TestSolveVmg:
     def test_three_moment_equality(self):
         for quad in random_valid_quadruples(200, seed=23):
             sch = solve_vmg(*quad, bandwidth=500.0)
-            rep = security_check(sch)
-            assert rep.max_relative_mismatch < 1e-9
+            assert security_check(sch) < 1e-9
 
     def test_singular_denominator(self):
         with pytest.raises(ConfigurationError, match="singular"):
@@ -161,12 +160,13 @@ class TestFck1:
 
     def test_zero_power_scheme(self):
         sch = fck1_kljn(100e3, 10e3, 10e3, 1.0, 500.0)
-        rep = security_check(sch)
-        assert rep.u2_lh == pytest.approx(0.500, rel=1e-9)
-        assert rep.i2_lh == pytest.approx(5e-9, rel=1e-9, abs=0)
-        scale = math.sqrt(rep.u2_lh * rep.i2_lh)
-        assert abs(rep.p_lh) <= 1e-12 * scale
-        assert abs(rep.p_hl) <= 1e-12 * scale
+        levels = level_table(sch)
+        lh = levels["LH"]
+        assert lh.u2 == pytest.approx(0.500, rel=1e-9)
+        assert lh.i2 == pytest.approx(5e-9, rel=1e-9, abs=0)
+        scale = math.sqrt(lh.u2 * lh.i2)
+        assert abs(lh.p_ab) <= 1e-12 * scale
+        assert abs(levels["HL"].p_ab) <= 1e-12 * scale
 
     def test_pairwise_equilibrium_temperatures(self):
         sch = fck1_kljn(100e3, 10e3, 10e3, 1.0, 500.0)
@@ -305,7 +305,7 @@ class TestSchemeConfigValidation:
 
     def test_vmg_labelled_fck1_rejected(self):
         # Balanced, but p_ab is about 4.7e-4 W in both secure cases.
-        assert security_check(solve_vmg(46416.0, 278.0, 278.0, 100.0, 1.0, 500.0)).p_lh > 1e-4
+        assert level_table(solve_vmg(46416.0, 278.0, 278.0, 100.0, 1.0, 500.0))["LH"].p_ab > 1e-4
         with pytest.raises(ConfigurationError, match="zero net power"):
             solve_vmg(46416.0, 278.0, 278.0, 100.0, 1.0, 500.0, kind="fck1")
 
