@@ -10,9 +10,9 @@ law gives the wire voltage and current
 with positive current flowing from Alice to Bob.  The wire is ideal: zero
 resistance, zero delay, lumped.  The law is linear, so :func:`solve_wire`
 applies it to DFT coefficients as well as to samples; the simulation
-solves it bin by bin.  :func:`block_zero_crossings` then finds the
+solves it bin by bin.  :func:`block_zero_crossings` then counts the
 current's zero crossings and samples the voltage there, the statistic whose
-closed-form limit is :func:`conditional_zc_variance`.
+closed-form limit is :func:`conditional_zc_variance`; it returns no times.
 """
 
 from __future__ import annotations
@@ -100,19 +100,20 @@ def conditional_zc_variance(m: MomentSummary) -> float:
 
 
 #: How the voltage at a detected crossing is read off.  A crossing exists
-#: between samples k and k+1 iff i[k] and i[k+1] have opposite signs (an
-#: exact zero sample is itself a crossing).  "interpolated" reads the
+#: between samples k and k+1 iff i[k] and i[k+1] have opposite signs, and an
+#: exact zero sample is itself a crossing.  "interpolated" reads the
 #: linearly interpolated voltage at the linear-interpolation zero of the
 #: current; the three sample-aligned modes read a neighboring grid sample
-#: instead.  Note the interpolant of a band-limited process has slightly
-#: less variance than the process, so interpolated-mode mean squares run
-#: low by roughly (1 - sinc(1/oversample)) / 3 until the oversampling ratio
-#: is large; sample-aligned modes are free of that shrinkage.
+#: instead.  Only "nearest" and "interpolated" can put two sign changes at
+#: one time; a zero shares its time with none.  The interpolant of a
+#: band-limited process has slightly less variance than the process, so
+#: interpolated-mode mean squares run low by about (1 - sinc(1/oversample)) / 3
+#: until the oversampling ratio is large; sample-aligned modes do not.
 ZC_MODES = ("interpolated", "sample_before", "sample_after", "nearest")
 
 
 def block_zero_crossings(i: np.ndarray, u: np.ndarray, mode: str):
-    """Locate each row's current zero crossings and sample its voltage there, in one pass.
+    """Count each row's current zero crossings and sample its voltage there, in one pass.
 
     Row r of the 2-D arrays ``i`` and ``u`` is one trace's current and
     voltage; each row is its own trace, so no crossing is reported between
@@ -120,65 +121,43 @@ def block_zero_crossings(i: np.ndarray, u: np.ndarray, mode: str):
     ``ZC_MODES``.  A row whose current keeps one sign has no crossing and
     counts 0.  Two crossings of a row at one time, such as two adjacent sign
     changes that elect the same sample in "nearest" mode, collapse into the
-    first.  Returns ``(counts, times, values)``: ``counts[r]`` is row r's
-    number of crossings, and ``times`` and ``values`` hold every row's
-    crossings, row after row, each row's times (in samples from its first
-    sample) strictly increasing.
+    first.  Returns ``(counts, values)``: ``counts[r]`` is row r's number of
+    crossings, and ``values`` holds every row's crossing voltages, row after
+    row, each row's in time order.
     """
     if mode not in ZC_MODES:
         raise ValueError(f"mode must be one of {ZC_MODES}, got {mode!r}")
     if i.size == 0:
         raise ValueError("wire trace is empty")
     rows, n = i.shape
-    i = i.ravel()
-    u = u.ravel()
-
-    exact = np.flatnonzero(i == 0.0)
+    i, u = i.ravel(), u.ravel()
     # Compare signs, not products: the product of two tiny currents rounds to 0.
-    neg, pos = i < 0.0, i > 0.0
-    change = (neg[:-1] & pos[1:]) | (pos[:-1] & neg[1:])
-    change[n - 1 :: n] = False   # the pairs that straddle two rows
-    first, times, values = _sample_crossings(i, u, np.flatnonzero(change), rows, n, mode)
-
-    if exact.size:
-        first = np.concatenate([first, exact - exact % n])
-        times = np.concatenate([times, exact % n])
-        values = np.concatenate([values, u[exact]])
-        # Stable: equal times in one row keep their order, so the first is kept below.
-        order = np.lexsort((times, first))
-        first = first[order]
-        times = times[order]
-        values = values[order]
-    # Row r's crossings are bounds[r]:bounds[r + 1].
-    bounds = np.searchsorted(first, np.arange(rows + 1) * n)
-    # Drop a crossing at its predecessor's time, unless it starts a row.
-    keep = np.concatenate([[True], np.diff(times) > 0.0])
-    starts = bounds[:-1]
-    keep[starts[starts < times.size]] = True
-    if not keep.all():
-        kept = np.flatnonzero(keep)
-        times = times[kept]
-        values = values[kept]
-        bounds = np.searchsorted(kept, bounds)
-    return np.diff(bounds), times, values
-
-
-def _sample_crossings(i: np.ndarray, u: np.ndarray, kk: np.ndarray, rows: int, n: int,
-                      mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each sign change's row start, time (from that start) and voltage.
-
-    ``kk`` holds the flat indices of the first samples of the sign changes of
-    ``rows`` rows of ``n`` samples, in order, so each row's are contiguous.
-    """
-    per_row = np.diff(np.searchsorted(kk, np.arange(rows + 1) * n))
-    first = np.repeat(np.arange(rows) * n, per_row)
+    zero = i == 0.0
+    neg = i < 0.0
+    change = neg[:-1] != neg[1:]
+    change &= ~(zero[:-1] | zero[1:])   # a zero sample is its own crossing
+    change[n - 1 :: n] = False          # the pairs that straddle two rows
+    kk = np.flatnonzero(change)
     if mode == "interpolated":
         frac = i[kk] / (i[kk] - i[kk + 1])
-        return first, kk - first + frac, u[kk] + frac * (u[kk + 1] - u[kk])
-    if mode == "sample_before":
-        pick = kk
-    elif mode == "sample_after":
-        pick = kk + 1
-    else:  # nearest
-        pick = kk + (np.abs(i[kk + 1]) < np.abs(i[kk]))
-    return first, pick - first, u[pick]
+        values = u[kk] + frac * (u[kk + 1] - u[kk])
+        # Only neighbouring pairs, which share a row, can tie; the first is kept.
+        # Times count from the row's first sample, which sets how they round.
+        pair = np.flatnonzero(np.diff(kk) == 1)
+        rel = kk[pair] % n
+        tied = 1 + pair[rel + frac[pair] == rel + 1 + frac[pair + 1]]
+        if tied.size:
+            kk, values = np.delete(kk, tied), np.delete(values, tied)
+    else:   # kk moves to the sample each crossing reads
+        if mode == "nearest":
+            kk = kk + (np.abs(i[kk + 1]) < np.abs(i[kk]))
+            kk = kk[np.diff(kk, prepend=-1) > 0]   # neighbouring pairs can read one sample
+        elif mode == "sample_after":
+            kk = kk + 1
+        values = u[kk]
+    exact = np.flatnonzero(zero)
+    if exact.size:   # merged by position, as no zero shares a time with a sign change
+        order = np.argsort(np.concatenate([kk, exact]), kind="stable")
+        kk = np.concatenate([kk, exact])[order]
+        values = np.concatenate([values, u[exact]])[order]
+    return np.diff(np.searchsorted(kk, np.arange(rows + 1) * n)), values

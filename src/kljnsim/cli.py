@@ -50,6 +50,10 @@ from .schemes import (
 
 HIST_STATISTICS = ("u2", "i2", "u_zc2")
 
+#: Bits whose simulate rows are formatted at once, so that the row strings of
+#: a long session never all exist together.
+_SIMULATE_SLICE = 4096
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -217,19 +221,25 @@ def cmd_simulate(config: ExperimentConfig) -> int:
     scheme = build_scheme(config)
     session = run_session(_session(config, scheme))
     bits = session.bits
-    # One formatter per column, as _fmt would format each field.
-    run, bit = np.divmod(np.arange(bits.case.size), config.bits_per_run)
-    labels = [CASES[c] for c in bits.case.tolist()]
-    columns = [
-        map(str, run.tolist()), map(str, bit.tolist()),
-        [label[0] for label in labels], [label[1] for label in labels], labels,
-        *(map(repr, column.tolist()) for column in (bits.u2, bits.i2, bits.p_ab)),
-        map(str, bits.n_zc.tolist()), map(repr, bits.u_zc2.tolist()),
-        np.where(bits.secure, "1", "0").tolist(),
-    ]
+
+    def rows():
+        """The rows' formatted fields, _SIMULATE_SLICE bits at a time, as _fmt would format them."""
+        for lo in range(0, bits.case.size, _SIMULATE_SLICE):
+            part = slice(lo, lo + _SIMULATE_SLICE)
+            case = bits.case[part]
+            run, bit = np.divmod(np.arange(lo, lo + case.size), config.bits_per_run)
+            labels = [CASES[c] for c in case.tolist()]
+            yield from zip(
+                map(str, run.tolist()), map(str, bit.tolist()),
+                [label[0] for label in labels], [label[1] for label in labels], labels,
+                *(map(repr, column[part].tolist()) for column in (bits.u2, bits.i2, bits.p_ab)),
+                map(str, bits.n_zc[part].tolist()), map(repr, bits.u_zc2[part].tolist()),
+                np.where(bits.secure[part], "1", "0").tolist(),
+            )
+
     _write_csv(config, "simulate", "bits", ["run", "bit", "alice", "bob", "case",
                                             "u2", "i2", "p_ab", "n_zc", "u_zc2", "secure"],
-               zip(*columns), meta=_sampling_keys(config))
+               rows(), meta=_sampling_keys(config))
     print(f"{bits.case.size} bits simulated "
           f"({int(bits.secure.sum())} secure, "
           f"{int(session.misclassified.sum())} classification errors)")

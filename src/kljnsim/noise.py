@@ -331,7 +331,9 @@ def johnson_mean_square(temperature: float, resistance: float, bandwidth: float)
 def noise_temperature(mean_square: float, resistance: float, bandwidth: float) -> float:
     """Effective temperature U^2 / (4*k*R*B) a resistor would need, K.
 
-    Exact inverse of :func:`johnson_mean_square`.
+    Exact inverse of :func:`johnson_mean_square`.  Raises ConfigurationError
+    when a nonzero ``mean_square`` has no positive finite temperature in
+    floating point, as when 4*k*R*B underflows to zero.
     """
     if resistance <= 0:
         raise ValueError(f"resistance must be > 0, got {resistance}")
@@ -339,7 +341,14 @@ def noise_temperature(mean_square: float, resistance: float, bandwidth: float) -
         raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
     if mean_square < 0:
         raise ValueError(f"mean_square must be >= 0, got {mean_square}")
-    return mean_square / (4.0 * BOLTZMANN * resistance * bandwidth)
+    if mean_square == 0:
+        return 0.0
+    denominator = 4.0 * BOLTZMANN * resistance * bandwidth
+    temperature = mean_square / denominator if denominator else math.inf
+    if not 0.0 < temperature < math.inf:
+        raise ConfigurationError(f"bandwidth {bandwidth!r} Hz leaves {mean_square!r} V^2 across "
+                                 f"{resistance!r} ohm no positive finite noise temperature")
+    return temperature
 
 
 def _in_band_bin_count(num_samples: int, sample_rate: float, bandwidth: float) -> int:

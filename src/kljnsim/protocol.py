@@ -323,7 +323,7 @@ def _simulate_bits(scheme: SchemeConfig, sampling: Sampling, case: np.ndarray,
     def cross_block(block: slice, wire: np.ndarray) -> None:
         """Count each bit's current zero crossings; take the mean square of the voltage there."""
         width = block.stop - block.start
-        counts, _, values = block_zero_crossings(wire[width:], wire[:width], sampling.zc_mode)
+        counts, values = block_zero_crossings(wire[width:], wire[:width], sampling.zc_mode)
         n_zc[block] = counts
         squares = values * values
         ends = np.cumsum(counts).tolist()

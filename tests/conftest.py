@@ -1,8 +1,16 @@
 import concurrent.futures
+import os
 
 import pytest
+from hypothesis import settings
 
 from kljnsim import protocol
+
+# A counterexample found in CI prints a @reproduce_failure blob: the runner's
+# example database is lost with the runner.  GitHub Actions sets CI.
+settings.register_profile("ci", print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 class PoolSpy(concurrent.futures.ProcessPoolExecutor):

@@ -21,11 +21,21 @@ from kljnsim.schemes import classic_kljn, solve_vmg
 from test_protocol import case_wire, reference_zero_crossings
 
 
+def ramp(i):
+    """The voltage ``u[k] = k`` on each row of ``i``.
+
+    Read at the crossings in any mode, it gives their times in samples from
+    the row's first sample, exactly: ``k + frac * 1.0`` when interpolated.
+    """
+    return np.broadcast_to(np.arange(i.shape[-1], dtype=float), i.shape)
+
+
 def crossings(i, u, mode):
     """``(values, times)`` of one trace: ``block_zero_crossings`` of a one-row block."""
-    counts, times, values = block_zero_crossings(np.asarray(i, float)[None, :],
-                                                 np.asarray(u, float)[None, :], mode)
-    assert counts.tolist() == [times.size]
+    i = np.asarray(i, float)[None, :]
+    counts, values = block_zero_crossings(i, np.asarray(u, float)[None, :], mode)
+    _, times = block_zero_crossings(i, ramp(i), mode)
+    assert counts.tolist() == [values.size]
     return values, times
 
 
@@ -205,9 +215,19 @@ class TestBlockZeroCrossings:
     @example((np.array([[3.0, -1.0, 4.0, 0.0], [2.0, -1.0, 0.0, -1e-300]]),
               np.array([[10.0, 20.0, 30.0, 40.0], [1.0, 2.0, 3.0, 4.0]])), "nearest")
     @example(TIED_CROSSINGS, "interpolated")
+    # An exact zero two samples after an interpolated tie; a zero at a row's first sample.
+    @example((np.array([[1.0, 2.0, 3.0, 4.0], [1e3, -1e-300, 1e3, 0.0]]),
+              np.array([[1.0, 2.0, 3.0, 4.0], [1.1, 0.3, 0.5, 0.7]])), "interpolated")
+    @example((np.array([[1.0, -1.0, -2.0], [0.0, -1.0, 2.0]]),
+              np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])), "nearest")
+    # Times 1 - 2**-52 and 1 + 2e-19 (which rounds to 1) from the row's first sample;
+    # from the block's first sample both would round to 4, a tie.
+    @example((np.array([[1.0, 1.0, 1.0], [1e-3, -2e-19, 1.0]]),
+              np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])), "interpolated")
     def test_each_row_is_its_own_trace(self, block, mode):
         i, u = block
-        counts, times, values = block_zero_crossings(i, u, mode)
+        counts, values = block_zero_crossings(i, u, mode)
+        _, times = block_zero_crossings(i, ramp(i), mode)
         ends = np.cumsum(counts)
         assert ends[-1] == times.size == values.size
         for r, (lo, hi) in enumerate(zip([0, *ends[:-1]], ends)):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kljnsim import __version__, protocol
+from kljnsim import __version__, cli, protocol
 from kljnsim.cli import (
     ExperimentConfig,
     _fmt,
@@ -157,6 +157,17 @@ class TestSolveCommand:
         )
         assert main(["solve", cfg_path]) == 2
 
+    @pytest.mark.parametrize("keys", [
+        "bandwidth_hz = 1e-310\n",                      # 4*k*R*B underflows to 0
+        "u_la_sq = 1e-300\nbandwidth_hz = 1e300\n",     # every temperature underflows to 0 K
+    ], ids=["zero-denominator", "zero-kelvin"])
+    def test_temperature_outside_float_range_exit_2(self, tmp_path, capsys, keys):
+        cfg_path = write_config(tmp_path, CLASSIC_TEXT + keys + f"output_prefix = {tmp_path}/out\n")
+        assert main(["solve", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: bandwidth ") and err.count("\n") == 1, err
+        assert not (tmp_path / "out_solution.csv").exists()
+
     def test_missing_config_exit_2(self):
         assert main(["solve", "/nonexistent/path.cfg"]) == 2
 
@@ -259,6 +270,14 @@ def test_simulate_csv_matches_row_by_row_writer(tmp_path, capsys):
     text = (tmp_path / "sim_bits.csv").read_bytes()
     assert text == reference_bits_csv(config)
     assert {line.split(b",")[4] for line in text.splitlines()[-75:]} == {b"LL", b"LH", b"HL", b"HH"}
+    # A session of more bits than one slice of formatted rows, ending in a part slice.
+    assert cli._SIMULATE_SLICE < 5000 and 5000 % cli._SIMULATE_SLICE
+    cfg_path = write_config(tmp_path, CLASSIC_TEXT + "samples_per_bit = 32\noversample = 4\n"
+                            "bits_per_run = 1000\nruns = 5\nseed = 11\n"
+                            f"output_prefix = {tmp_path}/long\n", name="long.cfg")
+    assert main(["simulate", cfg_path]) == 0
+    config = parse_config(Path(cfg_path).read_text())
+    assert (tmp_path / "long_bits.csv").read_bytes() == reference_bits_csv(config)
 
 
 class TestAttackCommand:
