@@ -1,6 +1,6 @@
 """kljnsim: a simulation laboratory for KLJN-family secure key exchangers.
 
-Exposes band-limited Gaussian noise synthesis, the two-generator wire
+Exposes the band-limited Gaussian noise draw, the two-generator wire
 circuit with closed-form moment oracles, scheme solvers (classic, VMG,
 FCK1), key-exchange session simulation, and the passive zero-crossing
 attack harness with benchmark comparisons.  The top level re-exports the
@@ -14,7 +14,7 @@ from .attack import binomial_ci_halfwidth
 from .benchmarks import BENCHMARKS, benchmark_scheme
 from .circuit import conditional_zc_variance
 from .errors import CalibrationError, ConfigurationError, UnphysicalSchemeError
-from .noise import NoiseSpec, estimate_psd, johnson_mean_square, noise_temperature, synthesize
+from .noise import estimate_psd, fill_band, johnson_mean_square, noise_temperature
 from .protocol import Sampling, SessionConfig, run_session, simulate_bits
 from .schemes import (
     branch_temperatures,

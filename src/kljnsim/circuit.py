@@ -144,6 +144,9 @@ def block_zero_crossings(i: np.ndarray, u: np.ndarray, mode: str):
         # Only neighbouring pairs, which share a row, can tie; the first is kept.
         # Times count from the row's first sample, which sets how they round.
         pair = np.flatnonzero(np.diff(kk) == 1)
+        # A later fraction of at least ulp(n) puts the later time above rel + 1,
+        # where the earlier one cannot reach, so only smaller ones can tie.
+        pair = pair[frac[pair + 1] < np.spacing(float(n))]
         rel = kk[pair] % n
         tied = 1 + pair[rel + frac[pair] == rel + 1 + frac[pair + 1]]
         if tied.size:

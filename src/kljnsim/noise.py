@@ -1,11 +1,12 @@
-"""Band-limited Gaussian voltage noise: Johnson levels, seeding, synthesis and a PSD estimate.
+"""Band-limited Gaussian voltage noise: Johnson levels, seeding, the draw and a PSD estimate.
 
 Traces emulate the Johnson noise of a resistor: zero mean, Gaussian,
 stationary, with a flat one-sided power spectrum on (0, B] and no power
-above B.  Synthesis works in the frequency domain: independent Gaussian
-real/imaginary coefficients on the in-band bins, zero everywhere else
-(including DC), conjugate symmetry, inverse real FFT.  The scale is chosen
-so the expected sample mean-square equals the requested level exactly.
+above B.  :func:`fill_band`, the one draw path, works in the frequency
+domain: independent Gaussian real/imaginary coefficients on the in-band
+bins of a ``Sampling``, zero everywhere else (including DC); a row's
+inverse real FFT is its trace.  The scale is chosen so the expected
+sample mean-square equals the requested level exactly.
 
 Seeding contract: every draw of a session, a calibration or a table comes
 from the generator ``default_rng(derive_seed(*key))`` of an integer key, so
@@ -35,7 +36,6 @@ import itertools
 import math
 import operator
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -271,56 +271,6 @@ def fair_bits(entropy_rows) -> np.ndarray:
     return np.stack([raw >> 31 & 1, raw >> 63], axis=1, dtype=bool, casting="unsafe")
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Prescription for one synthetic thermal-noise trace.
-
-    Attributes
-    ----------
-    mean_square : float
-        Target mean-square voltage, V^2 (>= 0).
-    bandwidth : float
-        One-sided noise bandwidth B, Hz (> 0).
-    sample_rate : float
-        Sampling frequency, Hz; must satisfy Nyquist, >= 2 * bandwidth.
-    num_samples : int
-        Trace length (>= 2).
-    seed : int
-        64-bit generator seed; identical specs produce identical traces.
-    """
-
-    mean_square: float
-    bandwidth: float
-    sample_rate: float
-    num_samples: int
-    seed: int
-
-    def __post_init__(self):
-        if self.mean_square < 0:
-            raise ConfigurationError(f"mean_square must be >= 0, got {self.mean_square}")
-        if self.bandwidth <= 0:
-            raise ConfigurationError(f"bandwidth must be > 0, got {self.bandwidth}")
-        if self.sample_rate < 2.0 * self.bandwidth:
-            raise ConfigurationError(
-                f"sample_rate {self.sample_rate} violates Nyquist for bandwidth {self.bandwidth}"
-            )
-        _check_integer("num_samples", self.num_samples, 2)
-        _check_integer("seed", self.seed, 0)
-
-
-@dataclass(frozen=True, eq=False)
-class NoiseTrace:
-    """A uniformly sampled voltage waveform with its sample rate."""
-
-    samples: np.ndarray
-    sample_rate: float
-
-    @property
-    def mean_square(self) -> float:
-        """Sample mean-square voltage of the trace, V^2."""
-        return float(np.mean(self.samples * self.samples))
-
-
 def johnson_mean_square(temperature: float, resistance: float, bandwidth: float) -> float:
     """Mean-square thermal noise voltage 4*k*T*R*B of a resistor, V^2."""
     if temperature < 0 or resistance < 0 or bandwidth < 0:
@@ -351,88 +301,55 @@ def noise_temperature(mean_square: float, resistance: float, bandwidth: float) -
     return temperature
 
 
-def _in_band_bin_count(num_samples: int, sample_rate: float, bandwidth: float) -> int:
-    """Number of positive-frequency DFT bins with frequency <= bandwidth."""
-    # Tiny relative slack keeps exact band edges (e.g. Nyquist == B) in band
-    # despite floating-point division.
-    k_max = int(math.floor(bandwidth * num_samples / sample_rate * (1.0 + 1e-12)))
-    return min(k_max, num_samples // 2)
+def fill_band(sampling, mean_squares, rngs: Iterable[np.random.Generator]) -> np.ndarray:
+    """Draw one trace spectrum per entry of ``mean_squares``, the one draw path of the package.
 
-
-def fill_band(bands: np.ndarray, num_samples: int, mean_squares,
-              rngs: Iterable[np.random.Generator]) -> None:
-    """Draw the in-band DFT coefficients of a block of traces into ``bands``.
-
-    Row r of ``bands`` is the complex slice of bins 1..k_max of a length
-    ``num_samples // 2 + 1`` spectrum; every element of it is overwritten.
-    Row r draws from the r-th generator of ``rngs``, which is taken only
-    after row r - 1 has drawn, so one reused generator may be yielded
-    throughout.  A row's draws are its real parts, then its imaginary
-    parts, then its real Nyquist coefficient when the Nyquist bin is in
-    band.  The scale makes the expected sample mean-square of row r's
-    inverse transform equal ``mean_squares[r]``.
+    ``sampling`` is a :class:`protocol.Sampling`.  Returns fresh complex
+    spectra of shape ``(rows, n // 2 + 1)``, ``n`` being
+    ``sampling.samples_per_bit``, zero outside bins 1 to
+    ``sampling.band_bins``; a row's inverse real FFT is its trace.  Row r
+    draws from the r-th generator of ``rngs``, which is taken only after
+    row r - 1 has drawn, so one reused generator may be yielded throughout.
+    A row's draws are its real parts, then its imaginary parts, then its
+    real Nyquist coefficient when the Nyquist bin is in band.  The scale
+    makes the expected sample mean-square of row r's trace equal
+    ``mean_squares[r]``; a negative or NaN mean square is a
+    ConfigurationError.
     """
-    n = num_samples
-    rows, k_max = bands.shape
+    n, k_max = sampling.samples_per_bit, sampling.band_bins
+    mean_squares = np.asarray(mean_squares, dtype=np.float64)
+    refused = mean_squares[~(mean_squares >= 0)]
+    if refused.size:
+        raise ConfigurationError(f"mean_square must be >= 0, got {refused[0]}")
     has_nyquist = (n % 2 == 0) and (k_max == n // 2)
     m = k_max - 1 if has_nyquist else k_max
     weight = 2 * m + (1 if has_nyquist else 0)
     # With X_k = s * z_k and E|z_k|^2 = 1, the expected sample mean-square
     # is s^2 * weight / n^2 (Parseval); solve for s.
-    scale = n * np.sqrt(np.asarray(mean_squares, dtype=np.float64) / weight)
+    scale = n * np.sqrt(mean_squares / weight)
+    spectra = np.zeros((mean_squares.size, n // 2 + 1), dtype=np.complex128)
+    bands = spectra[:, 1 : k_max + 1]
     # numpy's Generator keeps no normals in reserve, so one draw of
     # 2m (+ 1) values equals the m, m (and 1) it is made of.
     rngs = iter(rngs)
-    draws = np.empty((rows, weight))
+    draws = np.empty((mean_squares.size, weight))
     for row in draws:
         next(rngs).standard_normal(out=row)
     # Bin k's real and imaginary parts are draws k and m + k of its row.
     part_scale = (scale / math.sqrt(2.0))[:, None]
     np.multiply(draws[:, :m], part_scale, out=bands[:, :m].real)
     np.multiply(draws[:, m : 2 * m], part_scale, out=bands[:, :m].imag)
-    if has_nyquist:
-        # Nyquist coefficient must be real for a real-valued trace.
-        nyquist = bands[:, m]
-        np.multiply(draws[:, 2 * m], scale, out=nyquist.real)
-        nyquist.imag = 0.0
+    if has_nyquist:   # real, so that the trace is; its imaginary part stays 0
+        np.multiply(draws[:, 2 * m], scale, out=bands[:, m].real)
+    return spectra
 
 
-def synthesize(spec: NoiseSpec) -> NoiseTrace:
-    """Generate one band-limited Gaussian noise trace.
-
-    The one-sided spectrum is flat on (0, B] and zero above B; the DC bin is
-    zero (zero-mean process).  The expected sample mean-square equals
-    ``spec.mean_square``; the realized value fluctuates with roughly
-    ``2 * num_samples * bandwidth / sample_rate`` independent degrees of
-    freedom.  Deterministic for a given seed.
-
-    Parameters
-    ----------
-    spec : NoiseSpec
-
-    Returns
-    -------
-    NoiseTrace
-    """
-    n = spec.num_samples
-    coeffs = np.zeros(n // 2 + 1, dtype=np.complex128)
-    if spec.mean_square > 0.0:
-        k_max = _in_band_bin_count(n, spec.sample_rate, spec.bandwidth)
-        if k_max == 0:
-            raise ConfigurationError(
-                "no DFT bin falls inside the noise band; increase num_samples"
-            )
-        fill_band(coeffs[None, 1 : k_max + 1], n, [spec.mean_square],
-                  [np.random.default_rng(spec.seed)])
-    samples = np.fft.irfft(coeffs, n=n)
-    return NoiseTrace(samples=samples, sample_rate=float(spec.sample_rate))
-
-
-def estimate_psd(trace: NoiseTrace, segments: int) -> tuple[np.ndarray, np.ndarray]:
+def estimate_psd(samples: np.ndarray, sample_rate: float,
+                 segments: int) -> tuple[np.ndarray, np.ndarray]:
     """Averaged-periodogram estimate of the one-sided power spectral density.
 
     Welch's method with Hann windows and 50% overlap; segment length is
-    ``len(trace) // segments``.  The integrated density matches the sample
+    ``len(samples) // segments``.  The integrated density matches the sample
     mean-square to within about a percent for stationary input.
 
     Returns
@@ -442,21 +359,12 @@ def estimate_psd(trace: NoiseTrace, segments: int) -> tuple[np.ndarray, np.ndarr
     """
     from scipy.signal import welch  # deferred: costs most of the package's import time
 
-    if segments < 1:
-        raise ValueError(f"segments must be >= 1, got {segments}")
-    nperseg = trace.samples.size // segments
+    _check_integer("segments", segments, 1)
+    nperseg = samples.size // segments
     if nperseg < 64:
         raise ValueError(
-            f"trace too short: {trace.samples.size} samples give segments of "
+            f"trace too short: {samples.size} samples give segments of "
             f"{nperseg} < 64 samples"
         )
-    freqs, density = welch(
-        trace.samples,
-        fs=trace.sample_rate,
-        window="hann",
-        nperseg=nperseg,
-        noverlap=nperseg // 2,
-        detrend=False,
-    )
-    return freqs, density
-
+    return welch(samples, fs=sample_rate, window="hann", nperseg=nperseg,
+                 noverlap=nperseg // 2, detrend=False)

@@ -18,6 +18,7 @@ are the same in both.
 from __future__ import annotations
 
 import atexit
+import math
 import os
 import warnings
 from dataclasses import dataclass, fields
@@ -29,7 +30,6 @@ from .errors import ConfigurationError, _check_integer
 from .noise import (
     BRANCH_STREAMS,
     STREAM_CHOICES,
-    _in_band_bin_count,
     fair_bits,
     fill_band,
     stream_generators,
@@ -68,7 +68,10 @@ class Sampling:
     @property
     def band_bins(self) -> int:
         """In-band DFT bins, 1 to band_bins: the edge is bin samples_per_bit / (2 * oversample)."""
-        return _in_band_bin_count(self.samples_per_bit, 2.0 * self.oversample, 1.0)
+        # Tiny relative slack keeps an exact band edge (e.g. the Nyquist bin)
+        # in band despite floating-point division.
+        edge = math.floor(self.samples_per_bit / (2.0 * self.oversample) * (1.0 + 1e-12))
+        return min(edge, self.samples_per_bit // 2)
 
 
 @dataclass(frozen=True)
@@ -213,8 +216,9 @@ def simulate_bits(scheme: SchemeConfig, sampling: Sampling, cases, entropy_prefi
     ``sampling`` sets the trace length, the band and the crossing mode; the
     scheme's bandwidth enters no column.  ``cases`` holds indices into
     ``CASES``.  Each bit's two connected branches
-    (:func:`schemes.case_branches`) draw their in-band noise
-    coefficients (:func:`noise.fill_band`) from generators seeded as
+    (:func:`schemes.case_branches`) draw their spectra through
+    :func:`noise.fill_band`, the one draw path, which the noise checks
+    judge too, from generators seeded as
     ``default_rng(derive_seed(*prefix, tag))``, where ``tag`` is the
     branch's stream tag; :func:`noise.stream_generators` hashes the seeds
     a chunk of bits at a time.  The wire is linear, so
@@ -294,11 +298,8 @@ def _simulate_bits(scheme: SchemeConfig, sampling: Sampling, case: np.ndarray,
         """Draw a block's branch spectra, solve its wire; return the U rows, then the I rows."""
         c = case[block]
         width = c.size
-        # Fresh, so zero outside bins 1..k_max.
-        spectra = np.zeros((2 * width, n // 2 + 1), dtype=np.complex128)
-        bands = spectra[:, 1 : k_max + 1]
-        fill_band(bands, n, mean_square[:, c].ravel(), streams)
-        parts = bands.view(np.float64)
+        spectra = fill_band(sampling, mean_square[:, c].ravel(), streams)
+        parts = spectra[:, 1 : k_max + 1].view(np.float64)
         u, i = parts[:width], parts[width:]   # X_A and X_B, turned into U and I in place
         # One pass per column chunk of _DOT_CHUNK parts: solve the wire, then add
         # each row's Parseval sums over the chunk's weight-2 parts, left to right.

@@ -1,16 +1,28 @@
 import concurrent.futures
 import os
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
 from kljnsim import protocol
+from kljnsim.noise import fill_band
 
 # A counterexample found in CI prints a @reproduce_failure blob: the runner's
 # example database is lost with the runner.  GitHub Actions sets CI.
 settings.register_profile("ci", print_blob=True)
 if os.environ.get("CI"):
     settings.load_profile("ci")
+
+
+def band_trace(mean_square: float, oversample: float, n: int, seed: int) -> np.ndarray:
+    """One noise trace as the kernel draws it: ``fill_band`` from ``default_rng(seed)``, inverse FFT.
+
+    ``oversample`` is sample_rate / (2 * bandwidth), as in ``Sampling``.
+    """
+    spectrum = fill_band(protocol.Sampling(n, oversample), [mean_square],
+                         [np.random.default_rng(seed)])[0]
+    return np.fft.irfft(spectrum, n=n)
 
 
 class PoolSpy(concurrent.futures.ProcessPoolExecutor):

@@ -22,7 +22,7 @@ from kljnsim.benchmarks import (
 from kljnsim.circuit import analytic_moments, conditional_zc_variance, solve_wire
 from kljnsim.cli import main as cli_main
 from kljnsim.errors import ConfigurationError, UnphysicalSchemeError
-from kljnsim.noise import NoiseSpec, _in_band_bin_count, estimate_psd, fill_band, synthesize
+from kljnsim.noise import estimate_psd, fill_band
 from kljnsim.protocol import CASES, Sampling, SessionConfig, run_session
 from kljnsim.schemes import (
     branch_temperatures,
@@ -32,6 +32,7 @@ from kljnsim.schemes import (
     solve_vmg,
     vmg_noise_levels,
 )
+from conftest import band_trace
 from test_schemes import vmg_noise_levels_factored
 
 BANDWIDTH = 500.0
@@ -319,11 +320,10 @@ def test_criterion_7_property_suite(tmp_path):
     # Kirchhoff pointwise identity to 1e-12 relative, for the wire solve the
     # simulation runs: solve_wire on the generators' spectra, then the inverse FFT.
     fs, n = 16000.0, 2**14
-    x_a = synthesize(NoiseSpec(1.0, BANDWIDTH, fs, n, 71)).samples
-    x_b = synthesize(NoiseSpec(0.32, BANDWIDTH, fs, n, 72)).samples
-    spectra = np.zeros((2, n // 2 + 1), dtype=np.complex128)   # synthesize's own spectra
-    fill_band(spectra[:, 1 : _in_band_bin_count(n, fs, BANDWIDTH) + 1], n, [1.0, 0.32],
-              [np.random.default_rng(71), np.random.default_rng(72)])
+    x_a = band_trace(1.0, fs / (2 * BANDWIDTH), n, 71)
+    x_b = band_trace(0.32, fs / (2 * BANDWIDTH), n, 72)
+    spectra = fill_band(Sampling(n, fs / (2 * BANDWIDTH)), [1.0, 0.32],   # x_a and x_b
+                        [np.random.default_rng(71), np.random.default_rng(72)])
     parts = spectra.view(np.float64)
     solve_wire(parts[0], parts[1], 278.0, 100.0)
     u_c, i_c = np.fft.irfft(spectra, n=n, axis=-1)
@@ -332,21 +332,20 @@ def test_criterion_7_property_suite(tmp_path):
     assert np.max(np.abs((x_b + i_c * 100.0) - u_c)) < 1e-12 * scale
 
     # spectral flatness and band limit
-    spec = NoiseSpec(1.0, BANDWIDTH, 16000.0, 2**20, 73)
-    trace = synthesize(spec)
-    freqs, density = estimate_psd(trace, 16)
+    trace = band_trace(1.0, fs / (2 * BANDWIDTH), 2**20, 73)
+    freqs, density = estimate_psd(trace, fs, 16)
     in_band = density[(freqs > 0.1 * BANDWIDTH) & (freqs < 0.9 * BANDWIDTH)]
     assert np.mean(in_band) == pytest.approx(1.0 / BANDWIDTH, rel=0.03)
     assert np.max(density[freqs > 1.1 * BANDWIDTH]) < 1e-6 * np.mean(in_band)
-    power = np.abs(np.fft.rfft(trace.samples)) ** 2
-    bin_freqs = np.fft.rfftfreq(spec.num_samples, 1.0 / spec.sample_rate)
+    power = np.abs(np.fft.rfft(trace)) ** 2
+    bin_freqs = np.fft.rfftfreq(trace.size, 1.0 / fs)
     assert power[bin_freqs > BANDWIDTH * (1 + 1e-9)].sum() < 1e-6 * power.sum()
 
     # Gaussianity at 2^20 samples
     from scipy.stats import kurtosis
 
-    tr = synthesize(NoiseSpec(1.0, BANDWIDTH, 2000.0, 2**20, 74))
-    assert abs(kurtosis(tr.samples)) < 0.05
+    tr = band_trace(1.0, 2000.0 / (2 * BANDWIDTH), 2**20, 74)
+    assert abs(kurtosis(tr)) < 0.05
 
     # seed determinism: byte-identical CSV
     cfg = tmp_path / "det.cfg"

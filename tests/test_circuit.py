@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from conftest import band_trace
 from kljnsim.circuit import (
     MomentSummary,
     analytic_moments,
     conditional_zc_variance,
     solve_wire,
 )
-from kljnsim.noise import BOLTZMANN, NoiseSpec, johnson_mean_square, synthesize
+from kljnsim.noise import BOLTZMANN, johnson_mean_square
 
 
 def solved(x_a, x_b, r_a, r_b):
@@ -38,9 +39,8 @@ class TestWireObservables:
             solved([1.0, 2.0], [1.0], 1.0, 1.0)
 
     def test_kirchhoff_pointwise_identity(self):
-        fs = 16000.0
-        x_a = synthesize(NoiseSpec(1.0, 500.0, fs, 4096, 11)).samples
-        x_b = synthesize(NoiseSpec(0.32, 500.0, fs, 4096, 22)).samples
+        x_a = band_trace(1.0, 16.0, 4096, 11)
+        x_b = band_trace(0.32, 16.0, 4096, 22)
         u_c, i_c = solved(x_a, x_b, 278.0, 100.0)
         lhs_a = x_a - i_c * 278.0
         lhs_b = x_b + i_c * 100.0
@@ -49,8 +49,8 @@ class TestWireObservables:
         assert np.max(np.abs(lhs_b - u_c)) < 1e-12 * scale
 
     def test_power_antisymmetry(self):
-        x_a = synthesize(NoiseSpec(1.0, 500.0, 16000.0, 4096, 1)).samples
-        x_b = synthesize(NoiseSpec(0.5, 500.0, 16000.0, 4096, 2)).samples
+        x_a = band_trace(1.0, 16.0, 4096, 1)
+        x_b = band_trace(0.5, 16.0, 4096, 2)
         u_fwd, i_fwd = solved(x_a, x_b, 278.0, 100.0)
         u_rev, i_rev = solved(x_b, x_a, 100.0, 278.0)
         assert np.array_equal(i_fwd, -i_rev)
@@ -58,14 +58,13 @@ class TestWireObservables:
 
     def test_sampled_moments_match_oracle_50_pairs(self):
         rng = np.random.default_rng(42)
-        fs, n = 4000.0, 2**16
-        n_eff = 2 * n * 500.0 / fs
+        oversample, n = 4.0, 2**16   # 500 Hz noise at 4000 Hz
+        n_eff = n / oversample
         for trial in range(50):
             r_a, r_b = 10 ** rng.uniform(2, 5, size=2)
             u2_a, u2_b = 10 ** rng.uniform(-1, 1, size=2)
-            u_c, i_c = solved(synthesize(NoiseSpec(u2_a, 500.0, fs, n, 1000 + trial)).samples,
-                              synthesize(NoiseSpec(u2_b, 500.0, fs, n, 2000 + trial)).samples,
-                              r_a, r_b)
+            u_c, i_c = solved(band_trace(u2_a, oversample, n, 1000 + trial),
+                              band_trace(u2_b, oversample, n, 2000 + trial), r_a, r_b)
             oracle = analytic_moments(r_a, u2_a, r_b, u2_b)
             tol = 4.0 * math.sqrt(2.0 / n_eff)
             assert np.mean(u_c * u_c) == pytest.approx(oracle.u2, rel=tol, abs=0)

@@ -6,27 +6,32 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import kurtosis
 
+from conftest import band_trace
 from kljnsim import noise
-
 from kljnsim.errors import ConfigurationError
 from kljnsim.noise import (
     BOLTZMANN,
-    NoiseSpec,
-    NoiseTrace,
     derive_seed,
     derive_seeds,
     estimate_psd,
     fair_bits,
+    fill_band,
     johnson_mean_square,
     noise_temperature,
     stream_generators,
-    synthesize,
 )
+from kljnsim.protocol import Sampling
+from test_protocol import reference_fill_band
 
 
-def n_eff(spec: NoiseSpec) -> float:
-    """Independent degrees of freedom behind the sample mean-square."""
-    return 2.0 * spec.num_samples * spec.bandwidth / spec.sample_rate
+def n_eff(n: int, oversample: float) -> float:
+    """Independent degrees of freedom behind the sample mean-square: 2 n B / fs."""
+    return n / oversample
+
+
+def mean_square(x: np.ndarray) -> float:
+    """Sample mean-square of a trace."""
+    return float(np.mean(x * x))
 
 
 class TestJohnsonFormulas:
@@ -65,124 +70,137 @@ class TestJohnsonFormulas:
             johnson_mean_square(-1.0, 278.0, 500.0)
 
 
-class TestNoiseSpec:
-    def test_nyquist_violation(self):
-        with pytest.raises(ConfigurationError):
-            NoiseSpec(1.0, 500.0, 900.0, 1024, 0)
+class TestFillBand:
+    @pytest.mark.parametrize("sampling", [Sampling(1024, 4), Sampling(257, 1.5),
+                                          Sampling(256, 1), Sampling(2, 1)],
+                             ids=["1024-4", "257-1.5", "256-1-nyquist", "2-1"])
+    def test_rows_are_the_per_trace_reference(self, sampling):
+        n, k_max = sampling.samples_per_bit, sampling.band_bins
+        levels = [1.0, 0.32, 0.0, 7.5]
+        rng = np.random.Generator(np.random.PCG64(0))
+        spectra = fill_band(sampling, levels, (rng for _ in levels))
+        assert spectra.shape == (len(levels), n // 2 + 1) and spectra.dtype == np.complex128
+        rng.bit_generator.state = np.random.PCG64(0).state
+        for row, level in zip(spectra, levels):
+            expected = np.zeros(n // 2 + 1, dtype=np.complex128)
+            reference_fill_band(expected[1 : k_max + 1], n, level, rng)
+            assert row.tobytes() == expected.tobytes()
+            parts = row.view(np.float64)
+            assert not parts[:2].any() and not parts[2 * k_max + 2 :].any()
+            if n % 2 == 0:
+                assert row[-1].imag == 0.0
 
-    def test_negative_mean_square(self):
-        with pytest.raises(ConfigurationError):
-            NoiseSpec(-1.0, 500.0, 16000.0, 1024, 0)
-
-    def test_too_short(self):
-        with pytest.raises(ConfigurationError):
-            NoiseSpec(1.0, 500.0, 16000.0, 1, 0)
+    @pytest.mark.parametrize("level", [-1.0, math.nan])
+    def test_negative_or_nan_level_refused(self, level):
+        with pytest.raises(ConfigurationError, match="mean_square must be >= 0"):
+            fill_band(Sampling(1024, 4), [1.0, level], [np.random.default_rng(0)] * 2)
 
 
 class TestSynthesize:
+    """Single traces drawn as the kernel draws them (``band_trace``)."""
+
     def test_zero_level_gives_zero_trace(self):
-        tr = synthesize(NoiseSpec(0.0, 500.0, 16000.0, 4096, 3))
-        assert np.all(tr.samples == 0.0)
+        x = band_trace(0.0, 16.0, 4096, 3)
+        assert np.all(x == 0.0)
 
     def test_seed_determinism(self):
-        spec = NoiseSpec(1.0, 500.0, 16000.0, 8192, 1234)
-        a = synthesize(spec)
-        b = synthesize(spec)
-        assert a.samples.tobytes() == b.samples.tobytes()
+        a = band_trace(1.0, 16.0, 8192, 1234)
+        b = band_trace(1.0, 16.0, 8192, 1234)
+        assert a.tobytes() == b.tobytes()
 
     def test_different_seeds_differ(self):
-        a = synthesize(NoiseSpec(1.0, 500.0, 16000.0, 8192, 1))
-        b = synthesize(NoiseSpec(1.0, 500.0, 16000.0, 8192, 2))
-        assert not np.array_equal(a.samples, b.samples)
+        a = band_trace(1.0, 16.0, 8192, 1)
+        b = band_trace(1.0, 16.0, 8192, 2)
+        assert not np.array_equal(a, b)
 
     def test_mean_square_within_4_standard_errors(self):
-        spec = NoiseSpec(1.0, 500.0, 16000.0, 2**20, 99)
-        tr = synthesize(spec)
-        se = 1.0 * math.sqrt(2.0 / n_eff(spec))
-        assert abs(tr.mean_square - 1.0) < 4.0 * se
+        x = band_trace(1.0, 16.0, 2**20, 99)
+        se = 1.0 * math.sqrt(2.0 / n_eff(2**20, 16.0))
+        assert abs(mean_square(x) - 1.0) < 4.0 * se
 
     def test_zero_mean(self):
-        tr = synthesize(NoiseSpec(1.0, 500.0, 16000.0, 2**16, 5))
+        x = band_trace(1.0, 16.0, 2**16, 5)
         # DC bin is exactly zero, so the sample mean is rounding noise only
-        assert abs(np.mean(tr.samples)) < 1e-12
+        assert abs(np.mean(x)) < 1e-12
 
     def test_moment_calibration_100_seeds(self):
-        spec0 = NoiseSpec(1.0, 500.0, 4000.0, 2**16, 0)
-        se = math.sqrt(2.0 / n_eff(spec0))
+        se = math.sqrt(2.0 / n_eff(2**16, 4.0))
         values = []
         for seed in range(100):
-            tr = synthesize(NoiseSpec(1.0, 500.0, 4000.0, 2**16, derive_seed(777, seed)))
-            values.append(tr.mean_square)
+            values.append(mean_square(band_trace(1.0, 4.0, 2**16, derive_seed(777, seed))))
             assert abs(values[-1] - 1.0) < 4.0 * se
         pooled = float(np.mean(values))
         assert abs(pooled - 1.0) < 4.0 * se / math.sqrt(100)
 
     def test_gaussianity_excess_kurtosis(self):
-        tr = synthesize(NoiseSpec(1.0, 500.0, 2000.0, 2**20, 2024))
-        assert abs(kurtosis(tr.samples, fisher=True)) < 0.05
+        x = band_trace(1.0, 2.0, 2**20, 2024)
+        assert abs(kurtosis(x, fisher=True)) < 0.05
 
     def test_band_limit_exact_spectrum(self):
-        spec = NoiseSpec(1.0, 500.0, 8000.0, 2**16, 17)
-        tr = synthesize(spec)
-        power = np.abs(np.fft.rfft(tr.samples)) ** 2
-        freqs = np.fft.rfftfreq(spec.num_samples, 1.0 / spec.sample_rate)
-        out_of_band = power[freqs > spec.bandwidth * (1 + 1e-9)].sum()
+        fs, bandwidth, n = 8000.0, 500.0, 2**16
+        x = band_trace(1.0, fs / (2 * bandwidth), n, 17)
+        power = np.abs(np.fft.rfft(x)) ** 2
+        freqs = np.fft.rfftfreq(n, 1.0 / fs)
+        out_of_band = power[freqs > bandwidth * (1 + 1e-9)].sum()
         assert out_of_band < 1e-6 * power.sum()
 
     def test_critical_sampling_works(self):
         # sample_rate == 2 * bandwidth puts the band edge on the Nyquist bin
-        spec = NoiseSpec(1.0, 500.0, 1000.0, 2**16, 8)
-        tr = synthesize(spec)
-        assert abs(tr.mean_square - 1.0) < 4.0 * math.sqrt(2.0 / 2**16)
+        x = band_trace(1.0, 1.0, 2**16, 8)
+        assert abs(mean_square(x) - 1.0) < 4.0 * math.sqrt(2.0 / 2**16)
 
     def test_no_in_band_bins_rejected(self):
+        # 128 samples at sample_rate / (2 * bandwidth) = 8000 reach no bin of the band
         with pytest.raises(ConfigurationError):
-            synthesize(NoiseSpec(1.0, 1.0, 16000.0, 128, 0))
+            band_trace(1.0, 8000.0, 128, 0)
 
 
 class TestEstimatePsd:
     def test_all_zero_trace(self):
-        tr = synthesize(NoiseSpec(0.0, 500.0, 16000.0, 2**14, 0))
-        _, density = estimate_psd(tr, 4)
+        x = band_trace(0.0, 16.0, 2**14, 0)
+        _, density = estimate_psd(x, 16000.0, 4)
         assert np.all(density == 0.0)
 
     def test_flat_in_band_and_dark_out_of_band(self):
-        spec = NoiseSpec(1.0, 500.0, 16000.0, 2**20, 12)
-        tr = synthesize(spec)
-        freqs, density = estimate_psd(tr, 16)
-        in_band = density[(freqs > 0.1 * spec.bandwidth) & (freqs < 0.9 * spec.bandwidth)]
-        expected = 1.0 / spec.bandwidth  # flat density U^2 / B
+        bandwidth = 500.0
+        x = band_trace(1.0, 16.0, 2**20, 12)
+        freqs, density = estimate_psd(x, 16000.0, 16)
+        in_band = density[(freqs > 0.1 * bandwidth) & (freqs < 0.9 * bandwidth)]
+        expected = 1.0 / bandwidth  # flat density U^2 / B
         assert np.mean(in_band) == pytest.approx(expected, rel=0.03)
-        out_band = density[freqs > 1.1 * spec.bandwidth]
+        out_band = density[freqs > 1.1 * bandwidth]
         assert np.max(out_band) < 1e-6 * np.mean(in_band)
 
     def test_integral_matches_mean_square(self):
-        spec = NoiseSpec(1.0, 500.0, 4000.0, 2**20, 4)
-        tr = synthesize(spec)
-        freqs, density = estimate_psd(tr, 8)
+        x = band_trace(1.0, 4.0, 2**20, 4)
+        freqs, density = estimate_psd(x, 4000.0, 8)
         total = float(np.sum(density) * (freqs[1] - freqs[0]))
-        assert total == pytest.approx(tr.mean_square, rel=0.01)
+        assert total == pytest.approx(mean_square(x), rel=0.01)
 
     def test_sine_concentrates(self):
         fs = 16000.0
         t = np.arange(2**14) / fs
-        tr = NoiseTrace(samples=np.sin(2 * np.pi * 400.0 * t), sample_rate=fs)
-        freqs, density = estimate_psd(tr, 4)
+        freqs, density = estimate_psd(np.sin(2 * np.pi * 400.0 * t), fs, 4)
         assert abs(freqs[np.argmax(density)] - 400.0) < 2 * (freqs[1] - freqs[0])
 
     def test_too_short_trace(self):
-        tr = synthesize(NoiseSpec(1.0, 500.0, 16000.0, 256, 0))
+        x = band_trace(1.0, 16.0, 256, 0)
         with pytest.raises(ValueError):
-            estimate_psd(tr, 8)
+            estimate_psd(x, 16000.0, 8)
+
+    @pytest.mark.parametrize("segments", [2.5, True, 0])
+    def test_segments_follow_the_integer_rule(self, segments):
+        # A float or a bool is refused, not used as a divisor or read as 1.
+        with pytest.raises(ConfigurationError, match="segments must be"):
+            estimate_psd(np.zeros(4096), 16000.0, segments)
 
 
 class TestSampleMoments:
     def test_independent_traces_fisher_bound(self):
-        spec = NoiseSpec(1.0, 500.0, 4000.0, 2**18, 0)
-        a = synthesize(NoiseSpec(1.0, 500.0, 4000.0, 2**18, 100))
-        b = synthesize(NoiseSpec(1.0, 500.0, 4000.0, 2**18, 200))
-        corr = np.mean(a.samples * b.samples) / math.sqrt(a.mean_square * b.mean_square)
-        assert abs(corr) < 4.0 / math.sqrt(n_eff(spec))
+        a = band_trace(1.0, 4.0, 2**18, 100)
+        b = band_trace(1.0, 4.0, 2**18, 200)
+        corr = np.mean(a * b) / math.sqrt(mean_square(a) * mean_square(b))
+        assert abs(corr) < 4.0 / math.sqrt(n_eff(2**18, 4.0))
 
 
 def test_derive_seed_is_deterministic_and_spreads():

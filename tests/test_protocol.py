@@ -15,14 +15,7 @@ from kljnsim import benchmarks, protocol
 from kljnsim.attack import attack_statistics, calibrate
 from kljnsim.circuit import ZC_MODES, MomentSummary
 from kljnsim.errors import ConfigurationError
-from kljnsim.noise import (
-    BRANCH_STREAMS,
-    STREAM_CHOICES,
-    NoiseSpec,
-    _in_band_bin_count,
-    derive_seed,
-    synthesize,
-)
+from kljnsim.noise import BRANCH_STREAMS, STREAM_CHOICES, derive_seed
 from kljnsim.protocol import (
     BLOCK_SAMPLES,
     CASES,
@@ -42,23 +35,29 @@ def samples_per_second(scheme, sampling) -> float:
     return 2.0 * scheme.bandwidth * sampling.oversample
 
 
-def case_wire(scheme, case, samples_per_bit, sample_rate, entropy_prefix):
-    """Time-domain reference for one bit: synthesize both connected branches, solve the wire.
+def reference_band_bins(num_samples, sample_rate, bandwidth) -> int:
+    """Positive-frequency DFT bins with frequency <= bandwidth, counted in hertz."""
+    # Tiny relative slack keeps exact band edges (e.g. Nyquist == B) in band.
+    k_max = math.floor(bandwidth * num_samples / sample_rate * (1.0 + 1e-12))
+    return min(k_max, num_samples // 2)
 
-    Returns the wire voltage and current ``(u_c, i_c)``.  The branch seeds
-    extend ``entropy_prefix`` with the branch stream tag, as in ``simulate_bits``.
+
+def case_wire(scheme, case, samples_per_bit, sample_rate, entropy_prefix):
+    """Time-domain reference for one bit: draw both connected branches' traces, solve the wire.
+
+    Returns the wire voltage and current ``(u_c, i_c)``.  Each branch trace
+    is the inverse FFT of a spectrum that ``reference_fill_band`` fills on
+    the bins up to the scheme's bandwidth.  The branch seeds extend
+    ``entropy_prefix`` with the branch stream tag, as in ``simulate_bits``.
     """
+    n = samples_per_bit
+    k_max = reference_band_bins(n, sample_rate, scheme.bandwidth)
     a_id, b_id = case[0] + "A", case[1] + "B"
-    u_a, u_b = (
-        synthesize(NoiseSpec(
-            mean_square=scheme.branches[bid].mean_square,
-            bandwidth=scheme.bandwidth,
-            sample_rate=sample_rate,
-            num_samples=samples_per_bit,
-            seed=derive_seed(*entropy_prefix, BRANCH_STREAMS[bid]),
-        )).samples
-        for bid in (a_id, b_id)
-    )
+    spectra = np.zeros((2, n // 2 + 1), dtype=np.complex128)
+    for spectrum, bid in zip(spectra, (a_id, b_id)):
+        rng = np.random.default_rng(derive_seed(*entropy_prefix, BRANCH_STREAMS[bid]))
+        reference_fill_band(spectrum[1 : k_max + 1], n, scheme.branches[bid].mean_square, rng)
+    u_a, u_b = (np.fft.irfft(spectrum, n=n) for spectrum in spectra)
     r_a, r_b = scheme.branches[a_id].resistance, scheme.branches[b_id].resistance
     return (u_a * r_b + u_b * r_a) / (r_a + r_b), (u_a - u_b) / (r_a + r_b)
 
@@ -116,7 +115,7 @@ def reference_band_geometry(scheme, sampling) -> tuple[int, bool, int]:
     The bins are counted in hertz, at the scheme's bandwidth.
     """
     n = sampling.samples_per_bit
-    k_max = _in_band_bin_count(n, samples_per_second(scheme, sampling), scheme.bandwidth)
+    k_max = reference_band_bins(n, samples_per_second(scheme, sampling), scheme.bandwidth)
     has_nyquist = (n % 2 == 0) and (k_max == n // 2)
     return k_max, has_nyquist, 2 * (k_max - 1 if has_nyquist else k_max)
 
@@ -610,12 +609,6 @@ def test_session_counts_and_seed_must_be_integers(classic_scheme, field, value):
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda s: NoiseSpec(1.0, 500.0, 16000.0, 256.5, 0), "num_samples must be an integer"),
-    (lambda s: NoiseSpec(1.0, 500.0, 16000.0, True, 0), "num_samples must be an integer"),
-    (lambda s: NoiseSpec(1.0, 500.0, 16000.0, 1, 0), "num_samples must be >= 2, got 1"),
-    (lambda s: NoiseSpec(1.0, 500.0, 16000.0, 256, 1.5), "seed must be an integer"),
-    (lambda s: NoiseSpec(1.0, 500.0, 16000.0, 256, True), "seed must be an integer"),
-    (lambda s: NoiseSpec(1.0, 500.0, 16000.0, 256, -1), "seed must be >= 0, got -1"),
     (lambda s: calibrate(s, Sampling(1024, 4.0), calibration_bits=150.5),
      "calibration_bits must be an integer"),
     (lambda s: calibrate(s, Sampling(1024, 4.0), calibration_bits=True),
@@ -644,8 +637,7 @@ def test_session_counts_and_seed_must_be_integers(classic_scheme, field, value):
      re.escape(f"case must be one of {CASES}, got 'XY'")),
     (lambda s: benchmarks.case_moments(simulate_bits(s, Sampling(1024, 4.0), [1], [(0, 1, 0)]),
                                        "XY"), re.escape(f"case must be one of {CASES}, got 'XY'")),
-], ids=["num_samples=256.5", "num_samples=True", "num_samples=1", "seed=1.5", "seed=True",
-        "seed=-1", "calibration_bits=150.5", "calibration_bits=True", "calibration_bits=99",
+], ids=["calibration_bits=150.5", "calibration_bits=True", "calibration_bits=99",
         "calibrate-seed=1.5", "calibrate-seed=True", "guess_seed=1.5", "guess_seed=True",
         "n_bits=0", "n_bits=-3", "n_bits=2.5", "n_bits=True", "moments-seed=1.5",
         "moments-seed=-1", "moments-case=XY", "case_moments-case=XY"])
