@@ -18,6 +18,7 @@ from kljnsim import (
     level_table,
     simulate_bits,
 )
+from kljnsim.noise import key_words
 from kljnsim.protocol import CASES
 
 N_BITS = 150
@@ -41,7 +42,7 @@ def main() -> None:
             crossings = 0
             for case_idx, case in enumerate(("LH", "HL")):
                 bits = simulate_bits(scheme, sampling, [CASES.index(case)] * N_BITS,
-                                     [(88, case_idx, bit) for bit in range(N_BITS)])
+                                     key_words(88, case_idx, np.arange(N_BITS)))
                 crossings += bits.n_zc.sum()
                 means[case] = np.mean(bits.u_zc2)
             print(f"{mode:<15}{gamma:>6}{means['LH']:>12.4f}{means['HL']:>12.4f}"

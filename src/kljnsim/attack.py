@@ -21,7 +21,7 @@ import numpy as np
 
 from . import protocol
 from .errors import CalibrationError, _check_integer
-from .noise import STREAM_CALIBRATION, STREAM_EVE_TIE, fair_bits
+from .noise import STREAM_CALIBRATION, STREAM_EVE_TIE, fair_bits, key_words
 from .schemes import CASES, SchemeConfig
 
 
@@ -71,7 +71,7 @@ def calibrate(
     Simulates ``calibration_bits`` known-case bits for LH and for HL under
     ``sampling``, the settings the attack will face, in one
     :func:`protocol.simulate_bits` call (bit b of hypothesis h, 0 for LH and
-    1 for HL, has entropy prefix ``(seed, STREAM_CALIBRATION, h, b)``),
+    1 for HL, has key ``(seed, STREAM_CALIBRATION, h, b)``),
     estimates the mean per-bit zero-crossing mean-square for each, and
     places the decision threshold at the arithmetic midpoint.  Polarity is
     "indistinct" when the two means differ by less than ``POLARITY_SIGMAS``
@@ -80,10 +80,9 @@ def calibrate(
     _check_integer("calibration_bits", calibration_bits, MIN_CALIBRATION_BITS)
     _check_integer("seed", seed, 0)
     n = calibration_bits
-    bits = protocol.simulate_bits(
-        scheme, sampling, [CASES.index("LH")] * n + [CASES.index("HL")] * n,
-        [(seed, STREAM_CALIBRATION, case_idx, bit) for case_idx in (0, 1) for bit in range(n)],
-    )
+    keys = key_words(seed, STREAM_CALIBRATION, *np.divmod(np.arange(2 * n), n))
+    cases = np.repeat([CASES.index("LH"), CASES.index("HL")], n)
+    bits = protocol.simulate_bits(scheme, sampling, cases, keys)
     if int(bits.n_zc.sum()) / (2.0 * n) < MIN_CROSSINGS_PER_BIT:
         raise CalibrationError(
             "average crossings per bit below "
@@ -131,11 +130,7 @@ def attack_statistics(cases, u_zc2, cal: AttackCalibration, guess_seed: int = 0)
     if u_zc2.shape != secure_run.shape:
         raise ValueError("u_zc2 must hold one value per LH or HL bit of cases")
     if cal.polarity == "indistinct":
-        coins = fair_bits(
-            (guess_seed, run_idx, bit_idx, STREAM_EVE_TIE)
-            for run_idx, bit_idx in zip(secure_run.tolist(), secure_bit.tolist())
-        )
-        guess_hl = coins[:, 0]
+        guess_hl = fair_bits(key_words(guess_seed, secure_run, secure_bit, STREAM_EVE_TIE))[:, 0]
     else:
         above = u_zc2 > cal.threshold
         guess_hl = above if cal.polarity == "hl_above" else ~above

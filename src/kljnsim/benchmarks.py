@@ -13,9 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .attack import AttackCalibration, AttackOutcome, _mean_se, attack_statistics, calibrate
 from .errors import ConfigurationError, _check_integer
-from .noise import STREAM_CALIBRATION, STREAM_EVE_TIE, derive_seed
+from .noise import STREAM_CALIBRATION, STREAM_EVE_TIE, derive_seed, key_words
 from .protocol import BitColumns, Sampling, SessionConfig, simulate_bits, simulate_secure_bits
 from .schemes import CASES, SchemeConfig, scheme_for_kind
 
@@ -146,8 +148,8 @@ def measure_case_moments(
     case_idx = _case_index(case)
     _check_integer("n_bits", n_bits, 1)
     _check_integer("seed", seed, 0)
-    bits = simulate_bits(scheme, sampling, [case_idx] * n_bits,
-                         [(seed, case_idx, bit) for bit in range(n_bits)])
+    bits = simulate_bits(scheme, sampling, np.full(n_bits, case_idx),
+                         key_words(seed, case_idx, np.arange(n_bits)))
     return case_moments(bits, case)
 
 

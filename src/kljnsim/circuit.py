@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 
 @dataclass(frozen=True)
 class Branch:
@@ -31,9 +33,9 @@ class Branch:
     mean_square: float         # V^2, >= 0
 
     def __post_init__(self):
-        if self.resistance <= 0:
+        if not self.resistance > 0:
             raise ValueError(f"branch resistance must be > 0, got {self.resistance}")
-        if self.mean_square < 0:
+        if not self.mean_square >= 0:
             raise ValueError(f"branch mean_square must be >= 0, got {self.mean_square}")
 
 
@@ -74,15 +76,23 @@ def analytic_moments(r_a: float, u2_a: float, r_b: float, u2_b: float) -> Moment
     u2  = (u2_a * r_b^2 + u2_b * r_a^2) / (r_a + r_b)^2
     i2  = (u2_a + u2_b) / (r_a + r_b)^2
     p   = (u2_a * r_b - u2_b * r_a) / (r_a + r_b)^2
+
+    Raises ConfigurationError when a moment is not finite in floating point.
     """
-    if r_a <= 0 or r_b <= 0:
+    if not (r_a > 0 and r_b > 0):
         raise ValueError(f"resistances must be > 0, got {r_a}, {r_b}")
-    if u2_a < 0 or u2_b < 0:
-        raise ValueError("mean squares must be >= 0")
-    denom = (r_a + r_b) ** 2
-    u2 = (u2_a * r_b * r_b + u2_b * r_a * r_a) / denom
-    i2 = (u2_a + u2_b) / denom
-    p_ab = (u2_a * r_b - u2_b * r_a) / denom
+    if not (u2_a >= 0 and u2_b >= 0):
+        raise ValueError(f"mean squares must be >= 0, got {u2_a}, {u2_b}")
+    try:
+        denom = (r_a + r_b) ** 2
+        u2 = (u2_a * r_b * r_b + u2_b * r_a * r_a) / denom
+        i2 = (u2_a + u2_b) / denom
+        p_ab = (u2_a * r_b - u2_b * r_a) / denom
+    except (OverflowError, ZeroDivisionError):
+        u2 = i2 = p_ab = math.nan
+    if not all(map(math.isfinite, (u2, i2, p_ab))):
+        raise ConfigurationError(f"resistances {r_a!r} and {r_b!r} ohm with mean squares "
+                                 f"{u2_a!r} and {u2_b!r} V^2 leave no finite wire moments")
     scale = math.sqrt(u2 * i2)
     rho = p_ab / scale if scale > 0 else 0.0
     return MomentSummary(u2=u2, i2=i2, p_ab=p_ab, rho=rho)

@@ -10,9 +10,13 @@ sample mean-square equals the requested level exactly.
 
 Seeding contract: every draw of a session, a calibration or a table comes
 from the generator ``default_rng(derive_seed(*key))`` of an integer key, so
-results do not depend on the order in which bits run.  Every stream tag is
-defined in this module, and the keys are laid out as follows (``b`` names a
-branch, ``case`` indexes ``CASES``, ``h`` is 0 for LH and 1 for HL):
+results do not depend on the order in which bits run.  Callers describe a
+call's keys once, as shared integers and per-row integer arrays, and
+:func:`key_words` turns them into the uint32 words ``SeedSequence`` hashes;
+:func:`stream_generators` and :func:`fair_bits` read only that array.
+Every stream tag is defined in this module, and the keys are laid out as
+follows (``b`` names a branch, ``case`` indexes ``CASES``, ``h`` is 0 for
+LH and 1 for HL):
 
 - ``(master_seed, run, bit, STREAM_CHOICES)``: Alice's and Bob's choices
   for one bit of a session (:func:`fair_bits`);
@@ -32,10 +36,10 @@ branch, ``case`` indexes ``CASES``, ``h`` is 0 for LH and 1 for HL):
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from collections.abc import Iterable, Iterator
+from numbers import Integral
 
 import numpy as np
 
@@ -72,61 +76,47 @@ PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 MASK128 = (1 << 128) - 1
 MASK64 = (1 << 64) - 1
 
-#: Entropy rows hashed per vectorized pass by :func:`_stream_states`.
+#: Key rows hashed per vectorized pass by :func:`_stream_states`.
 SEED_CHUNK = 1024
 
 
-def _column_words(column, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``SeedSequence``'s uint32 words of ``n`` non-negative integers.
+def key_words(*fields) -> np.ndarray:
+    """The uint32 words ``SeedSequence`` hashes for each row of a key, as a ``(rows, words)`` array.
 
-    Returns ``(words, counts)``: ``words[w, r]`` is word ``w`` (least
-    significant first) of integer ``r``, zero past ``counts[r]``.  Zero
-    takes one word.
+    Each field is an integer shared by every row, or a 1-D integer array
+    with one value per row.  A shared integer becomes its words, least
+    significant first, and zero takes one word.  A per-row value becomes
+    one word and must lie in [0, 2**32).  Row r of the result hashes as
+    ``SeedSequence`` hashes row r's key as a tuple of integers.
     """
-    try:
-        values = np.fromiter(map(operator.index, column), np.uint64, n)
-    except OverflowError:   # negative, or 2**64 and above
-        ints = list(map(operator.index, column))
-        if min(ints) < 0:
-            raise ValueError("entropy must be non-negative integers") from None
-        counts = np.array([max(1, -(-v.bit_length() // 32)) for v in ints])
-        words = [[(v >> 32 * w) & MASK32 for v in ints] for w in range(counts.max())]
-        return np.array(words, dtype=np.uint32), counts
-    words = np.stack([values & MASK32, values >> 32]).astype(np.uint32)
-    return words, 1 + (values > MASK32)
-
-
-def _entropy_words(rows: list) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's integers as the concatenated uint32 words ``SeedSequence`` hashes.
-
-    Returns ``(words, counts)``: column ``r`` of ``words`` holds row ``r``'s
-    ``counts[r]`` words followed by zeros, and there are at least
-    ``POOL_SIZE`` rows of words.
-    """
-    n = len(rows)
-    lengths = np.fromiter(map(len, rows), np.intp, n)
-    counts = np.zeros(n, np.intp)
-    placed = []   # (row indices, words, word counts, first word's position)
-    for length in set(map(len, rows)):
-        idx = np.flatnonzero(lengths == length)
-        group = rows if idx.size == n else [rows[i] for i in idx]
-        for column in zip(*group):
-            words, column_counts = _column_words(column, idx.size)
-            placed.append((idx, words, column_counts, counts[idx]))
-            counts[idx] += column_counts
-    out = np.zeros((max(POOL_SIZE, int(counts.max(initial=0))), n), np.uint32)
-    for idx, words, column_counts, first in placed:
-        for w, word in enumerate(words):
-            has = column_counts > w
-            out[first[has] + w, idx[has]] = word[has]
-    return out, counts
+    columns, rows = [], set()
+    for field in fields:
+        if isinstance(field, Integral):
+            value = operator.index(field)
+            if value < 0:
+                raise ValueError(f"key integers must be non-negative, got {value}")
+            columns += [value >> s & MASK32 for s in range(0, max(1, value.bit_length()), 32)]
+            continue
+        column = np.asarray(field)
+        if column.ndim != 1 or column.dtype.kind not in "iu":
+            raise TypeError("a key field must be an integer or a 1-D integer array")
+        if column.size and not (column.min() >= 0 and column.max() <= MASK32):
+            raise ValueError("per-row key values must lie in [0, 2**32)")
+        columns.append(column)
+        rows.add(column.size)
+    if len(rows) > 1:
+        raise ValueError(f"per-row key fields must be of one length, got {sorted(rows)}")
+    words = np.empty((rows.pop() if rows else 1, len(columns)), np.uint32)
+    for w, column in enumerate(columns):
+        words[:, w] = column
+    return words
 
 
 def _mix_entropy(words: np.ndarray) -> list[np.ndarray]:
     """``SeedSequence``'s entropy pool for each column of uint32 ``words``.
 
-    Column ``r`` holds one entropy row; rows of fewer than ``POOL_SIZE``
-    words are zero-padded to it, and every row of one call has the same
+    Column ``r`` holds one key's words; keys of fewer than ``POOL_SIZE``
+    words are zero-padded to it, and every key of one call has the same
     number of words.  Returns the ``POOL_SIZE`` pool words as arrays.
     """
     hash_const = INIT_A
@@ -165,36 +155,30 @@ def _generate_state(pool: list[np.ndarray], n_words: int) -> np.ndarray:
     return np.array([state[2 * i] | state[2 * i + 1] << 32 for i in range(n_words)])
 
 
-def derive_seeds(entropy_rows) -> np.ndarray:
-    """:func:`derive_seed` of every entropy row, hashed in one vectorized pass.
+def _derive_seeds(keys: np.ndarray) -> np.ndarray:
+    """:func:`derive_seed` of each row of a :func:`key_words` array, hashed in one vectorized pass.
 
     Returns a uint64 array with one seed per row.  This is numpy's
     ``SeedSequence`` mixing on columns of uint32 words, so each seed equals
-    ``SeedSequence(row).generate_state(1, np.uint64)[0]``.
+    ``SeedSequence(key).generate_state(1, np.uint64)[0]`` of its row's key.
     """
-    words, counts = _entropy_words(list(entropy_rows))
-    seeds = np.empty(counts.size, np.uint64)
-    # A row's words past the pool size are mixed in one by one, so rows
-    # are hashed in groups of one word count.
-    hashed = np.maximum(counts, POOL_SIZE)
-    for width in set(hashed.tolist()):
-        rows = hashed == width
-        seeds[rows] = _generate_state(_mix_entropy(words[:width, rows]), 1)[0]
-    return seeds
+    words = np.zeros((max(POOL_SIZE, keys.shape[1]), len(keys)), np.uint32)
+    words[: keys.shape[1]] = keys.T
+    return _generate_state(_mix_entropy(words), 1)[0]
 
 
 def derive_seed(*entropy: int) -> int:
-    """Collapse an entropy tuple into one 64-bit generator seed.
+    """Collapse a tuple of integers into one 64-bit generator seed.
 
     The mapping is a pure function of the tuple (numpy ``SeedSequence``
-    hashing, the scalar case of :func:`derive_seeds`), so results do not
-    depend on the order in which tasks run.  Distinct tuples are not always
-    distinct streams: the hash sees only the tuple's uint32 words, zero
-    padded to four, so ``(1, 6)`` and ``(1, 6, 0, 0)`` give one seed, and an
-    integer of 2**32 or more is split into words, so ``(2**32 + 5, 1)`` and
+    hashing of ``key_words(*entropy)``), so results do not depend on the
+    order in which tasks run.  Distinct tuples are not always distinct
+    streams: the hash sees only the tuple's uint32 words, zero padded to
+    four, so ``(1, 6)`` and ``(1, 6, 0, 0)`` give one seed, and an integer
+    of 2**32 or more is split into words, so ``(2**32 + 5, 1)`` and
     ``(5, 1, 1)`` give one seed.  ROADMAP item 4 plans fixed-width keys.
     """
-    return int(derive_seeds([entropy])[0])
+    return int(_derive_seeds(key_words(*entropy))[0])
 
 
 def _pcg64_seeding(seeds) -> Iterator[tuple[int, int]]:
@@ -215,26 +199,26 @@ def _pcg64_seeding(seeds) -> Iterator[tuple[int, int]]:
         yield ((inc + (s_hi << 64 | s_lo)) * PCG64_MULT + inc) & MASK128, inc
 
 
-def _stream_states(entropy_rows) -> Iterator[tuple[int, int]]:
-    """Yield, for each entropy row, PCG64's ``(state, inc)`` as ``default_rng(derive_seed(*row))`` sets it.
+def _stream_states(keys: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Yield PCG64's ``(state, inc)`` for each row of ``keys``, as its key's default_rng sets it.
 
-    Rows are read and hashed ``SEED_CHUNK`` at a time, so only compact
-    arrays are held.
+    ``keys`` is a :func:`key_words` array; row r's generator is
+    ``default_rng(derive_seed(*key))`` of its key.  Rows are hashed
+    ``SEED_CHUNK`` at a time, so only compact arrays are held.
     """
-    rows = iter(entropy_rows)
-    while (seeds := derive_seeds(itertools.islice(rows, SEED_CHUNK))).size:
-        yield from _pcg64_seeding(seeds)
+    for lo in range(0, len(keys), SEED_CHUNK):
+        yield from _pcg64_seeding(_derive_seeds(keys[lo : lo + SEED_CHUNK]))
 
 
-def stream_generators(entropy_rows) -> Iterator[np.random.Generator]:
-    """Yield, for each entropy row, a generator in ``default_rng(derive_seed(*row))``'s first state.
+def stream_generators(keys: np.ndarray) -> Iterator[np.random.Generator]:
+    """Yield, for each row of a :func:`key_words` array, a generator in its key's first state.
 
     Each row's state (:func:`_stream_states`) is set on one reused
     generator, which is yielded every time.  Draw from it before taking the
     next one.
     """
     rng = np.random.Generator(np.random.PCG64(0))
-    for state, inc in _stream_states(entropy_rows):
+    for state, inc in _stream_states(keys):
         rng.bit_generator.state = {
             "bit_generator": "PCG64",
             "state": {"state": state, "inc": inc},
@@ -244,8 +228,8 @@ def stream_generators(entropy_rows) -> Iterator[np.random.Generator]:
         yield rng
 
 
-def fair_bits(entropy_rows) -> np.ndarray:
-    """The first two fair bits numpy draws from ``default_rng(derive_seed(*row))``, per entropy row.
+def fair_bits(keys: np.ndarray) -> np.ndarray:
+    """The first two fair bits numpy draws from each row's generator, for a :func:`key_words` array.
 
     Returns a bool array of shape ``(rows, 2)``: row r holds
     ``integers(0, 2, size=2)`` of row r's generator, and its column 0 alone
@@ -261,19 +245,19 @@ def fair_bits(entropy_rows) -> np.ndarray:
     top bit of a 32-bit draw, and it takes a 64-bit output's low half first
     and keeps the high half for the next 32-bit draw.
     """
-    outputs = []
-    for state, inc in _stream_states(entropy_rows):
-        state = (state * PCG64_MULT + inc) & MASK128
-        word = (state >> 64) ^ (state & MASK64)
-        rot = state >> 122
-        outputs.append((word >> rot | word << (64 - rot)) & MASK64)
-    raw = np.array(outputs, dtype=np.uint64)
+    def first_outputs():
+        for state, inc in _stream_states(keys):
+            state = (state * PCG64_MULT + inc) & MASK128
+            word, rot = (state >> 64) ^ (state & MASK64), state >> 122
+            yield (word >> rot | word << (64 - rot)) & MASK64
+
+    raw = np.fromiter(first_outputs(), np.uint64, len(keys))
     return np.stack([raw >> 31 & 1, raw >> 63], axis=1, dtype=bool, casting="unsafe")
 
 
 def johnson_mean_square(temperature: float, resistance: float, bandwidth: float) -> float:
     """Mean-square thermal noise voltage 4*k*T*R*B of a resistor, V^2."""
-    if temperature < 0 or resistance < 0 or bandwidth < 0:
+    if not (temperature >= 0 and resistance >= 0 and bandwidth >= 0):
         raise ValueError("temperature, resistance, and bandwidth must all be >= 0")
     return 4.0 * BOLTZMANN * temperature * resistance * bandwidth
 
@@ -285,11 +269,11 @@ def noise_temperature(mean_square: float, resistance: float, bandwidth: float) -
     when a nonzero ``mean_square`` has no positive finite temperature in
     floating point, as when 4*k*R*B underflows to zero.
     """
-    if resistance <= 0:
+    if not resistance > 0:
         raise ValueError(f"resistance must be > 0, got {resistance}")
-    if bandwidth <= 0:
+    if not bandwidth > 0:
         raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
-    if mean_square < 0:
+    if not mean_square >= 0:
         raise ValueError(f"mean_square must be >= 0, got {mean_square}")
     if mean_square == 0:
         return 0.0

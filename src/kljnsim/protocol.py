@@ -8,7 +8,7 @@ voltage.  The eavesdropper's zero-crossing statistics are recorded per bit.
 Every draw is seeded as the seeding contract in :mod:`noise` lays out.
 
 A session's cases come from its choice draws alone, before any wire is
-simulated, and each bit's columns depend only on its case and prefix.  So
+simulated, and each bit's columns depend only on its case and key.  So
 :func:`run_session` (``kljnsim simulate``) simulates every bit, while
 :func:`simulate_secure_bits` (``attack``, ``table2`` and ``hist``, which
 read no LL or HH bit) simulates only the LH and HL bits, and their columns
@@ -18,6 +18,7 @@ are the same in both.
 from __future__ import annotations
 
 import atexit
+import itertools
 import math
 import os
 import warnings
@@ -27,13 +28,8 @@ import numpy as np
 
 from .circuit import ZC_MODES, block_zero_crossings, solve_wire
 from .errors import ConfigurationError, _check_integer
-from .noise import (
-    BRANCH_STREAMS,
-    STREAM_CHOICES,
-    fair_bits,
-    fill_band,
-    stream_generators,
-)
+from .noise import (BRANCH_STREAMS, STREAM_CHOICES, fair_bits, fill_band, key_words,
+                    stream_generators)
 from .schemes import CASES, SchemeConfig, case_branches, level_table
 
 
@@ -210,18 +206,19 @@ def _close_pool() -> None:
 atexit.register(_close_pool)
 
 
-def simulate_bits(scheme: SchemeConfig, sampling: Sampling, cases, entropy_prefixes) -> BitColumns:
-    """Simulate one bit per (case, entropy prefix) pair and return its statistics.
+def simulate_bits(scheme: SchemeConfig, sampling: Sampling, cases, keys: np.ndarray) -> BitColumns:
+    """Simulate one bit per (case, key) pair and return its statistics.
 
     ``sampling`` sets the trace length, the band and the crossing mode; the
-    scheme's bandwidth enters no column.  ``cases`` holds indices into
-    ``CASES``.  Each bit's two connected branches
+    scheme's bandwidth enters no column.  ``cases`` holds integer indices
+    into ``CASES``, and ``keys`` is a :func:`noise.key_words` array with one
+    row per case.  Each bit's two connected branches
     (:func:`schemes.case_branches`) draw their spectra through
     :func:`noise.fill_band`, the one draw path, which the noise checks
     judge too, from generators seeded as
-    ``default_rng(derive_seed(*prefix, tag))``, where ``tag`` is the
-    branch's stream tag; :func:`noise.stream_generators` hashes the seeds
-    a chunk of bits at a time.  The wire is linear, so
+    ``default_rng(derive_seed(*key, tag))``, ``tag`` being the branch's
+    stream tag (a last word of the key row); :func:`noise.stream_generators`
+    hashes the seeds a chunk of bits at a time.  The wire is linear, so
     :func:`circuit.solve_wire` solves it bin by bin in the frequency domain,
 
         I = (X_A - X_B) / (R_A + R_B),   U = (X_A * R_B + X_B * R_A) / (R_A + R_B),
@@ -232,7 +229,7 @@ def simulate_bits(scheme: SchemeConfig, sampling: Sampling, cases, entropy_prefi
     there.  The noise has no DC bin, so the current is zero-mean and crosses
     zero in every bit (n_zc >= 1).
 
-    Each bit depends only on its case and prefix, so a call of at least
+    Each bit depends only on its case and key, so a call of at least
     ``FAN_OUT_SAMPLES`` samples is split into ``min(WORKERS, n_bits)``
     contiguous chunks that run in the process's pool of ``WORKERS`` workers;
     the columns are the same for any worker count and any BLAS thread count.
@@ -240,13 +237,19 @@ def simulate_bits(scheme: SchemeConfig, sampling: Sampling, cases, entropy_prefi
     down at exit.  A pool that breaks raises ``BrokenProcessPool``, a
     ``RuntimeError``, and is replaced on the next call.
     """
-    case = np.asarray(cases, dtype=np.int64)
-    n_bits = len(entropy_prefixes)
+    if not (isinstance(keys, np.ndarray) and keys.ndim == 2 and keys.dtype == np.uint32):
+        raise ValueError("keys must be a 2-D uint32 array of key_words")
+    case = np.asarray(cases)
+    if case.size and (case.dtype.kind not in "iu" or not isinstance(cases, np.ndarray)
+                      and any(isinstance(c, bool | np.bool_) for c in cases)):
+        raise ValueError(f"cases must be integers, got {cases!r:.60}")
+    case = case.astype(np.int64, copy=False)
+    n_bits = len(keys)
     if case.shape != (n_bits,) or not np.isin(case, np.arange(len(CASES))).all():
-        raise ValueError("cases must hold one index into CASES per entropy prefix")
+        raise ValueError("cases must hold one index into CASES per key row")
     chunks = min(WORKERS, n_bits)
     if chunks < 2 or n_bits * sampling.samples_per_bit < FAN_OUT_SAMPLES:
-        return _simulate_bits(scheme, sampling, case, entropy_prefixes)
+        return _simulate_bits(scheme, sampling, case, keys)
     from concurrent.futures.process import BrokenProcessPool
 
     bounds = [n_bits * j // chunks for j in range(chunks + 1)]
@@ -255,7 +258,7 @@ def simulate_bits(scheme: SchemeConfig, sampling: Sampling, cases, entropy_prefi
     try:
         parts = list(pool.map(
             _simulate_bits, [scheme] * chunks, [sampling] * chunks,
-            [case[lo:hi] for lo, hi in spans], [entropy_prefixes[lo:hi] for lo, hi in spans],
+            [case[lo:hi] for lo, hi in spans], [keys[lo:hi] for lo, hi in spans],
         ))
     except BrokenProcessPool:
         _close_pool()   # the next call opens a fresh pool
@@ -267,9 +270,9 @@ def simulate_bits(scheme: SchemeConfig, sampling: Sampling, cases, entropy_prefi
 
 
 def _simulate_bits(scheme: SchemeConfig, sampling: Sampling, case: np.ndarray,
-                   entropy_prefixes) -> BitColumns:
-    """:func:`simulate_bits` in this process, on cases it has checked."""
-    n_bits = len(entropy_prefixes)
+                   keys: np.ndarray) -> BitColumns:
+    """:func:`simulate_bits` in this process, on cases and keys it has checked."""
+    n_bits = len(case)
     n = sampling.samples_per_bit
     k_max = sampling.band_bins
     has_nyquist = (n % 2 == 0) and (k_max == n // 2)
@@ -277,18 +280,15 @@ def _simulate_bits(scheme: SchemeConfig, sampling: Sampling, case: np.ndarray,
 
     # Per case: the A and B branches it connects, and their stream tags.
     pairs = [[scheme.branches[bid] for bid in case_branches(label)] for label in CASES]
-    tags = [[BRANCH_STREAMS[bid] for bid in case_branches(label)] for label in CASES]
+    tags = np.array([[BRANCH_STREAMS[b] for b in case_branches(name)] for name in CASES], np.uint32)
     r_a = np.array([a.resistance for a, _ in pairs])
     r_b = np.array([b.resistance for _, b in pairs])
     mean_square = np.array([[a.mean_square for a, _ in pairs], [b.mean_square for _, b in pairs]])
-    case_list = case.tolist()
     rows = max(1, min(BLOCK_SAMPLES // n, n_bits))
     blocks = [slice(start, min(start + rows, n_bits)) for start in range(0, n_bits, rows)]
-    # Each block's A branch generators, bit by bit, then its B branch generators.
-    streams = stream_generators(
-        (*entropy_prefixes[k], tags[case_list[k]][side])
-        for block in blocks for side in (0, 1) for k in range(block.start, block.stop)
-    )
+    # Every bit's A branch generator, then every bit's B branch generator:
+    # the bit's key row with the branch's tag as a last word.
+    streams = [stream_generators(np.column_stack([keys, tags[case, side]])) for side in (0, 1)]
 
     u2 = np.empty(n_bits)
     i2 = np.empty(n_bits)
@@ -298,7 +298,8 @@ def _simulate_bits(scheme: SchemeConfig, sampling: Sampling, case: np.ndarray,
         """Draw a block's branch spectra, solve its wire; return the U rows, then the I rows."""
         c = case[block]
         width = c.size
-        spectra = fill_band(sampling, mean_square[:, c].ravel(), streams)
+        rngs = itertools.chain(*(itertools.islice(side, width) for side in streams))
+        spectra = fill_band(sampling, mean_square[:, c].ravel(), rngs)
         parts = spectra[:, 1 : k_max + 1].view(np.float64)
         u, i = parts[:width], parts[width:]   # X_A and X_B, turned into U and I in place
         # One pass per column chunk of _DOT_CHUNK parts: solve the wire, then add
@@ -359,23 +360,19 @@ def _infer_partner(own: np.ndarray, measured_u2: np.ndarray, levels: dict) -> np
     return np.where(degenerate | (d_same == d_secure), 0, partner)
 
 
-def _draw_cases(config: SessionConfig) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
-    """Every bit's case and entropy prefix, run-major; no wire is simulated.
+def _draw_cases(config: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Every bit's case and key, run-major; no wire is simulated.
 
-    Bit k of run r has prefix ``(master_seed, r, k)``; Alice and Bob each
-    draw a fair choice, 0 for L and 1 for H, as
-    ``default_rng(derive_seed(*prefix, STREAM_CHOICES)).integers(0, 2, size=2)``,
+    Bit k of run r has key ``(master_seed, r, k)``, returned as
+    :func:`noise.key_words` rows.  Alice and Bob each draw a fair choice, 0
+    for L and 1 for H, as
+    ``default_rng(derive_seed(*key, STREAM_CHOICES)).integers(0, 2, size=2)``,
     and the case index is ``2 * alice + bob``.  :func:`noise.fair_bits`
     gives both draws without building a generator.
     """
-    seed = config.master_seed
-    prefixes = [
-        (seed, run_idx, bit_idx)
-        for run_idx in range(config.runs)
-        for bit_idx in range(config.bits_per_run)
-    ]
-    choices = fair_bits((*prefix, STREAM_CHOICES) for prefix in prefixes)
-    return 2 * choices[:, 0] + choices[:, 1], prefixes
+    run, bit = np.divmod(np.arange(config.runs * config.bits_per_run), config.bits_per_run)
+    choices = fair_bits(key_words(config.master_seed, run, bit, STREAM_CHOICES))
+    return 2 * choices[:, 0] + choices[:, 1], key_words(config.master_seed, run, bit)
 
 
 def run_session(config: SessionConfig) -> SessionResult:
@@ -387,8 +384,8 @@ def run_session(config: SessionConfig) -> SessionResult:
     from the wire's mean-square voltage.
     Deterministic for a fixed config.
     """
-    cases, prefixes = _draw_cases(config)
-    bits = simulate_bits(config.scheme, config.sampling, cases, prefixes)
+    cases, keys = _draw_cases(config)
+    bits = simulate_bits(config.scheme, config.sampling, cases, keys)
     choices = np.stack(np.divmod(cases, 2))   # row 0: Alice, row 1: Bob
     inferred = _infer_partner(choices, bits.u2, level_table(config.scheme))
     return SessionResult(
@@ -404,10 +401,9 @@ def simulate_secure_bits(config: SessionConfig) -> tuple[np.ndarray, BitColumns]
     secure bits' columns, run-major: the LH and HL rows of
     ``run_session(config).bits``.
     """
-    cases, prefixes = _draw_cases(config)
-    secure = np.flatnonzero(_is_secure(cases))
-    bits = simulate_bits(config.scheme, config.sampling, cases[secure],
-                         [prefixes[k] for k in secure.tolist()])
+    cases, keys = _draw_cases(config)
+    secure = _is_secure(cases)
+    bits = simulate_bits(config.scheme, config.sampling, cases[secure], keys[secure])
     return cases.reshape(config.runs, config.bits_per_run), bits
 
 

@@ -193,10 +193,14 @@ def solve_vmg(
     """Build a four-resistor scheme with solved generator levels.
 
     Raises UnphysicalSchemeError (naming the branches) when any solved mean
-    square is non-positive; never clamps.
+    square is non-positive, and ConfigurationError when one is not finite in
+    floating point; never clamps.
     """
     _require_positive(r_ha=r_ha, r_la=r_la, r_hb=r_hb, r_lb=r_lb, u2_la=u2_la)
     u2_ha, u2_hb, u2_lb = vmg_noise_levels(r_ha, r_la, r_hb, r_lb, u2_la)
+    if not all(map(math.isfinite, (u2_ha, u2_hb, u2_lb))):
+        raise ConfigurationError(f"resistors {r_ha!r}, {r_la!r}, {r_hb!r} and {r_lb!r} ohm "
+                                 "leave no finite noise levels in floating point")
     bad = [bid for bid, u2 in (("HA", u2_ha), ("HB", u2_hb), ("LB", u2_lb)) if u2 <= 0]
     if bad:
         raise UnphysicalSchemeError(bad)

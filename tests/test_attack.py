@@ -15,7 +15,7 @@ from kljnsim.attack import (
 )
 from kljnsim.circuit import ZC_MODES, analytic_moments, block_zero_crossings
 from kljnsim.errors import CalibrationError
-from kljnsim.noise import STREAM_CALIBRATION, STREAM_EVE_TIE, derive_seed
+from kljnsim.noise import STREAM_CALIBRATION, STREAM_EVE_TIE, derive_seed, key_words
 from kljnsim.protocol import CASES, Sampling, SessionConfig, simulate_bits, simulate_secure_bits
 from kljnsim.schemes import classic_kljn, solve_vmg
 from test_protocol import case_wire, reference_zero_crossings
@@ -95,7 +95,7 @@ class TestDetectZeroCrossings:
         # In equilibrium the wire voltage and current are uncorrelated, so
         # crossing-time sampling reproduces the nominal mean square.
         bits = simulate_bits(classic_scheme, Sampling(2**17, 16.0, "interpolated"),
-                             [CASES.index("LH")] * 8, [(6, 0, bit) for bit in range(8)])
+                             [CASES.index("LH")] * 8, key_words(6, 0, np.arange(8)))
         n_values = bits.n_zc.sum()
         assert n_values > 10_000
         u2 = analytic_moments(1e3, 1.0, 1e4, 10.0).u2
@@ -270,7 +270,7 @@ class TestCalibrate:
         sampling, n, seed = Sampling(1024, 4, "interpolated"), 100, 42
         means = [
             float(simulate_bits(vmg_scheme, sampling, [CASES.index(case)] * n,
-                                [(seed, STREAM_CALIBRATION, case_idx, bit) for bit in range(n)]
+                                key_words(seed, STREAM_CALIBRATION, case_idx, np.arange(n))
                                 ).u_zc2.mean())
             for case_idx, case in enumerate(("LH", "HL"))
         ]
@@ -485,7 +485,7 @@ class TestInterpolatedModeConsistency:
     def _interp_mean(scheme, case, gamma, entropy_tag, n_bits=150):
         vals = simulate_bits(scheme, Sampling(16384, gamma, "interpolated"),
                              [CASES.index(case)] * n_bits,
-                             [(entropy_tag, gamma, bit) for bit in range(n_bits)]).u_zc2
+                             key_words(entropy_tag, gamma, np.arange(n_bits))).u_zc2
         return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
 
     def test_equilibrium_mean_converges_to_u2_with_oversampling(self, classic_scheme):

@@ -5,11 +5,13 @@ import pytest
 
 from conftest import band_trace
 from kljnsim.circuit import (
+    Branch,
     MomentSummary,
     analytic_moments,
     conditional_zc_variance,
     solve_wire,
 )
+from kljnsim.errors import ConfigurationError
 from kljnsim.noise import BOLTZMANN, johnson_mean_square
 
 
@@ -99,6 +101,27 @@ class TestAnalyticMoments:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             analytic_moments(0.0, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("args", [(math.nan, 1.0, 1.0, 1.0), (1.0, 1.0, math.nan, 1.0),
+                                      (1.0, math.nan, 1.0, 1.0), (1.0, 1.0, 1.0, math.nan)])
+    def test_nan_is_out_of_range(self, args):
+        with pytest.raises(ValueError, match="must be"):
+            analytic_moments(*args)
+
+    @pytest.mark.parametrize("args", [(1.0, 1.0, 1e300, 1e300), (1e-170, 1.0, 2e-170, 2.0),
+                                      (1.0, 1e308, 1.0, 1e308)],
+                             ids=["denominator-overflows", "denominator-underflows",
+                                  "numerator-overflows"])
+    def test_moments_outside_float_range_are_a_configuration_error(self, args):
+        with pytest.raises(ConfigurationError, match="no finite wire moments"):
+            analytic_moments(*args)
+
+
+@pytest.mark.parametrize("resistance, mean_square", [(math.nan, 1.0), (1.0, math.nan),
+                                                     (0.0, 1.0), (1.0, -1.0)])
+def test_branch_refuses_values_out_of_range(resistance, mean_square):
+    with pytest.raises(ValueError, match="branch"):
+        Branch(resistance, mean_square)
 
 
 class TestEquilibriumSpectra:

@@ -168,6 +168,19 @@ class TestSolveCommand:
         assert err.startswith("configuration error: bandwidth ") and err.count("\n") == 1, err
         assert not (tmp_path / "out_solution.csv").exists()
 
+    @pytest.mark.parametrize("command", ["solve", "simulate", "table1"])
+    @pytest.mark.parametrize("text", [
+        "kind = vmg\nr_ha = 1e160\nr_la = 1e159\nr_hb = 3e159\nr_lb = 2e159\n",   # NaN levels
+        "kind = classic\nr_l = 1\nr_h = 1e300\n",        # (r_a + r_b) ** 2 overflows
+        "kind = classic\nr_l = 1e-170\nr_h = 2e-170\n",  # (r_a + r_b) ** 2 underflows to 0
+    ], ids=["vmg-nan-levels", "classic-overflow", "classic-underflow"])
+    def test_moments_outside_float_range_exit_2(self, tmp_path, capsys, text, command):
+        cfg_path = write_config(tmp_path, text + f"output_prefix = {tmp_path}/out\n")
+        assert main([command, cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1, err
+        assert "finite" in err and not list(tmp_path.glob("out*")), err
+
     def test_missing_config_exit_2(self):
         assert main(["solve", "/nonexistent/path.cfg"]) == 2
 

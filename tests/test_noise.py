@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,11 +13,11 @@ from kljnsim.errors import ConfigurationError
 from kljnsim.noise import (
     BOLTZMANN,
     derive_seed,
-    derive_seeds,
     estimate_psd,
     fair_bits,
     fill_band,
     johnson_mean_square,
+    key_words,
     noise_temperature,
     stream_generators,
 )
@@ -68,6 +69,19 @@ class TestJohnsonFormulas:
             noise_temperature(1.0, 278.0, -1.0)
         with pytest.raises(ValueError):
             johnson_mean_square(-1.0, 278.0, 500.0)
+
+    @pytest.mark.parametrize("args", [(math.nan, 1.0, 1.0), (1.0, math.nan, 1.0),
+                                      (1.0, 1.0, math.nan)])
+    def test_johnson_refuses_nan(self, args):
+        with pytest.raises(ValueError, match="must all be >= 0"):
+            johnson_mean_square(*args)
+
+    @pytest.mark.parametrize("args, name", [((math.nan, 1.0, 1.0), "mean_square"),
+                                            ((1.0, math.nan, 1.0), "resistance"),
+                                            ((1.0, 1.0, math.nan), "bandwidth")])
+    def test_temperature_blames_the_nan_argument(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            noise_temperature(*args)
 
 
 class TestFillBand:
@@ -224,13 +238,49 @@ ENTROPY_INT = st.one_of(st.sampled_from(WORD_EDGES), st.integers(0, 2**70))
 SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 
 
+@st.composite
+def key_calls(draw):
+    """Fields of one ``key_words`` call, and each of its rows as a tuple of integers.
+
+    Fields are shared integers from ``ENTROPY_INT`` (1 to 3 words each) and
+    per-row columns in [0, 2**32) of one length, possibly zero.
+    """
+    n = draw(st.integers(0, 12))
+    column = st.builds(np.array, st.lists(st.integers(0, 2**32 - 1), min_size=n, max_size=n),
+                       st.sampled_from([np.int64, np.uint32, np.uint64]))
+    fields = draw(st.lists(ENTROPY_INT | column, max_size=8))
+    rows = n if any(isinstance(f, np.ndarray) for f in fields) else 1
+    keys = [tuple(int(f[r]) if isinstance(f, np.ndarray) else f for f in fields)
+            for r in range(rows)]
+    return fields, keys
+
+
+def session_keys(seed, runs, bits, tag) -> tuple[np.ndarray, list]:
+    """The key words of ``runs`` x ``bits`` bits of one stream, and the same keys as tuples."""
+    run, bit = np.divmod(np.arange(runs * bits), bits)
+    rows = [(seed, r, b, tag) for r, b in zip(run.tolist(), bit.tolist())]
+    return key_words(seed, run, bit, tag), rows
+
+
 class TestVectorizedSeeding:
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.tuples() | st.lists(ENTROPY_INT, min_size=1, max_size=8).map(tuple),
-                    min_size=1, max_size=12))
-    def test_derive_seeds_is_seed_sequence(self, rows):
-        # One call mixes tuple lengths and word counts (1 to 14 words per row).
-        assert derive_seeds(rows).tolist() == [seed_sequence_seed(row) for row in rows]
+    @given(key_calls(), st.sampled_from([1, 3, noise.SEED_CHUNK]))
+    def test_derive_seeds_is_seed_sequence(self, call, chunk):
+        # Every key_words row hashes as SeedSequence hashes its key (0 to 24
+        # words per row, 0 to 12 rows), and each stream matches default_rng
+        # of that seed, also where the rows cross SEED_CHUNK.
+        fields, rows = call
+        keys = key_words(*fields)
+        assert keys.dtype == np.uint32 and keys.ndim == 2 and len(keys) == len(rows)
+        seeds = [seed_sequence_seed(row) for row in rows]
+        assert noise._derive_seeds(keys).tolist() == seeds
+        with mock.patch.object(noise, "SEED_CHUNK", chunk):
+            draws = [rng.standard_normal(3) for rng in stream_generators(keys)]
+            bits = fair_bits(keys)
+        assert len(draws) == len(rows) and bits.shape == (len(rows), 2)
+        for seed, got, pair in zip(seeds, draws, bits.tolist()):
+            assert np.array_equal(got, np.random.default_rng(seed).standard_normal(3))
+            assert pair == np.random.default_rng(seed).integers(0, 2, size=2).tolist()
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(ENTROPY_INT, min_size=1, max_size=8))
@@ -238,10 +288,10 @@ class TestVectorizedSeeding:
         assert derive_seed(*entropy) == seed_sequence_seed(entropy)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.lists(ENTROPY_INT, min_size=1, max_size=6).map(tuple), min_size=1,
-                    max_size=6), st.integers(1, 9))
-    def test_reseeded_generator_is_default_rng(self, rows, k):
-        for row, rng in zip(rows, stream_generators(rows), strict=True):
+    @given(key_calls(), st.integers(1, 9))
+    def test_reseeded_generator_is_default_rng(self, call, k):
+        fields, rows = call
+        for row, rng in zip(rows, stream_generators(key_words(*fields)), strict=True):
             reference = np.random.default_rng(derive_seed(*row))
             assert np.array_equal(rng.standard_normal(k), reference.standard_normal(k))
             assert np.array_equal(rng.integers(0, 2, size=2), reference.integers(0, 2, size=2))
@@ -256,8 +306,8 @@ class TestVectorizedSeeding:
 
     def test_stream_generators_cross_chunks(self, monkeypatch):
         monkeypatch.setattr(noise, "SEED_CHUNK", 3)
-        rows = [(2**40 + 1, run, bit, 4) for run in range(2) for bit in range(4)]
-        draws = [rng.standard_normal(3) for rng in stream_generators(iter(rows))]
+        keys, rows = session_keys(2**40 + 1, 2, 4, 4)
+        draws = [rng.standard_normal(3) for rng in stream_generators(keys)]
         assert len(draws) == len(rows)
         for row, got in zip(rows, draws):
             assert np.array_equal(got, np.random.default_rng(derive_seed(*row)).standard_normal(3))
@@ -265,15 +315,29 @@ class TestVectorizedSeeding:
     def test_known_collisions_are_reproduced(self):
         # SeedSequence pads entropy with zero words and splits integers into
         # words; fixed-width keys (ROADMAP item 4) would remove both.
-        a, b, c, d = derive_seeds([(1, 6), (1, 6, 0, 0), (2**32 + 5, 1), (5, 1, 1)]).tolist()
+        a, b = derive_seed(1, 6), derive_seed(1, 6, 0, 0)
+        c, d = derive_seed(2**32 + 5, 1), derive_seed(5, 1, 1)
         assert a == b == seed_sequence_seed((1, 6))
         assert c == d == seed_sequence_seed((5, 1, 1))
 
     def test_entropy_must_be_non_negative_integers(self):
         with pytest.raises(ValueError, match="non-negative"):
-            derive_seeds([(1, -1)])
+            derive_seed(1, -1)
         with pytest.raises(TypeError):
-            derive_seeds([(1, 2.5)])
+            derive_seed(1, 2.5)
+        with pytest.raises(TypeError):
+            key_words(1, np.array([0.5, 1.0]))
+
+    @pytest.mark.parametrize("value", [-1, 2**32])
+    def test_per_row_values_must_be_one_word(self, value):
+        # A per-row value is one uint32 word: below 0 or from 2**32 up it is refused,
+        # not wrapped or split into words.
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+            key_words(1, np.array([0, value], dtype=np.int64))
+
+    def test_per_row_fields_must_share_a_length(self):
+        with pytest.raises(ValueError, match="one length"):
+            key_words(np.arange(2), np.arange(3))
 
 
 def assert_fair_bits_rule(row: tuple, bits: list) -> None:
@@ -287,23 +351,24 @@ class TestFirstOutputs:
     """``fair_bits`` reads numpy's first fair bits from PCG64's first output."""
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.lists(ENTROPY_INT, min_size=1, max_size=6).map(tuple), max_size=12))
-    def test_first_output_of_each_row(self, rows):
-        got = fair_bits(iter(rows))
+    @given(key_calls())
+    def test_first_output_of_each_row(self, call):
+        fields, rows = call
+        got = fair_bits(key_words(*fields))
         assert got.dtype == bool and got.shape == (len(rows), 2)
         for row, bits in zip(rows, got.tolist()):
             assert_fair_bits_rule(row, bits)
 
     def test_rows_cross_chunks(self, monkeypatch):
         monkeypatch.setattr(noise, "SEED_CHUNK", 3)
-        rows = [(2**40 + 1, run, bit, 0) for run in range(2) for bit in range(4)]
-        got = fair_bits(iter(rows))
+        keys, rows = session_keys(2**40 + 1, 2, 4, 0)
+        got = fair_bits(keys)
         assert got.shape == (len(rows), 2)
         for row, bits in zip(rows, got.tolist()):
             assert_fair_bits_rule(row, bits)
 
     def test_no_rows(self):
-        got = fair_bits(iter([]))
+        got = fair_bits(key_words(1, np.arange(0), 0))
         assert got.dtype == bool and got.shape == (0, 2)
 
 

@@ -15,7 +15,7 @@ from kljnsim import benchmarks, protocol
 from kljnsim.attack import attack_statistics, calibrate
 from kljnsim.circuit import ZC_MODES, MomentSummary
 from kljnsim.errors import ConfigurationError
-from kljnsim.noise import BRANCH_STREAMS, STREAM_CHOICES, derive_seed
+from kljnsim.noise import BRANCH_STREAMS, STREAM_CHOICES, derive_seed, key_words
 from kljnsim.protocol import (
     BLOCK_SAMPLES,
     CASES,
@@ -182,21 +182,32 @@ def classic_scheme():
 
 class TestBitCase:
     def test_labels(self, classic_scheme):
-        bits = simulate_bits(classic_scheme, Sampling(64, 16.0), [1, 2], [(9, 0, 0), (9, 0, 1)])
+        bits = simulate_bits(classic_scheme, Sampling(64, 16.0), [1, 2],
+                             key_words(9, 0, np.arange(2)))
         assert [CASES[c] for c in bits.case] == ["LH", "HL"]
 
     def test_secure_flag(self, classic_scheme):
         bits = simulate_bits(classic_scheme, Sampling(64, 16.0), [0, 1, 2, 3],
-                             [(9, 0, k) for k in range(4)])
+                             key_words(9, 0, np.arange(4)))
         assert bits.secure.tolist() == [False, True, True, False]
 
     def test_validation(self, classic_scheme):
+        key = key_words(9, 0, np.arange(1))
         with pytest.raises(ValueError):
-            simulate_bits(classic_scheme, Sampling(64, 16.0), [4], [(9, 0, 0)])
+            simulate_bits(classic_scheme, Sampling(64, 16.0), [4], key)
         with pytest.raises(ValueError):
-            simulate_bits(classic_scheme, Sampling(64, 16.0), [-1], [(9, 0, 0)])
+            simulate_bits(classic_scheme, Sampling(64, 16.0), [-1], key)
         with pytest.raises(ValueError):
-            simulate_bits(classic_scheme, Sampling(64, 16.0), [1, 2], [(9, 0, 0)])
+            simulate_bits(classic_scheme, Sampling(64, 16.0), [1, 2], key)
+        # Keys are key_words arrays: tuples, other dtypes and 1-D rows are refused.
+        for keys in ([(9, 0, 0)], key.astype(np.int64), key[0]):
+            with pytest.raises(ValueError, match="keys must be"):
+                simulate_bits(classic_scheme, Sampling(64, 16.0), [1], keys)
+
+    def test_empty_call(self, classic_scheme):
+        bits = simulate_bits(classic_scheme, Sampling(64, 16.0), [], key_words(9, 0, np.arange(0)))
+        for name in COLUMNS:
+            assert getattr(bits, name).shape == (0,), name
 
 
 #: (samples per bit, oversample, bits) of the reference fixtures: even n; odd
@@ -230,7 +241,8 @@ def test_simulate_bits_matches_per_bit_primitives(mode):
             sampling = Sampling(samples_per_bit, oversample, mode)
             cases = [k % 4 for k in range(n_bits)]
             prefixes = [(21, samples_per_bit, k) for k in range(n_bits)]
-            bits = simulate_bits(scheme, sampling, cases, prefixes)
+            bits = simulate_bits(scheme, sampling, cases,
+                                 key_words(21, samples_per_bit, np.arange(n_bits)))
             exact = reference_simulate_bits(scheme, sampling, cases, prefixes)
             for name in COLUMNS:
                 assert np.array_equal(getattr(bits, name), exact[name]), (samples_per_bit, name)
@@ -263,7 +275,7 @@ def test_parseval_sums_over_chunks_match_exact_sums(samples_per_bit):
     assert m2 > protocol._DOT_CHUNK
     cases = [0, 1, 2, 3]
     prefixes = [(24, samples_per_bit, k) for k in range(4)]
-    bits = simulate_bits(scheme, sampling, cases, prefixes)
+    bits = simulate_bits(scheme, sampling, cases, key_words(24, samples_per_bit, np.arange(4)))
 
     def exact(x, y):
         terms = (2.0 * x[:m2] * y[:m2]).tolist()
@@ -282,14 +294,16 @@ def test_parseval_sums_over_chunks_match_exact_sums(samples_per_bit):
 
 BLAS_THREAD_RUN = """
 import sys
+import numpy as np
 from kljnsim import protocol
+from kljnsim.noise import key_words
 from kljnsim.protocol import Sampling, simulate_bits
 from kljnsim.schemes import solve_vmg
 
 protocol.FAN_OUT_SAMPLES = 1
 protocol.WORKERS = int(sys.argv[1])
 bits = simulate_bits(solve_vmg(46416.0, 278.0, 278.0, 100.0, 1.0, 500.0), Sampling(2**15, 1.0),
-                     [1, 2, 3], [(25, 0, k) for k in range(3)])
+                     [1, 2, 3], key_words(25, 0, np.arange(3)))
 for name in ("case", "u2", "i2", "p_ab", "n_zc", "u_zc2"):
     print(name, getattr(bits, name).tobytes().hex())
 """
@@ -319,7 +333,9 @@ def test_columns_are_independent_of_the_blas_thread_count(tmp_path):
 
 HEAP_RUN = """
 import resource, sys
+import numpy as np
 from kljnsim import protocol
+from kljnsim.noise import key_words
 from kljnsim.protocol import Sampling, simulate_bits
 from kljnsim.schemes import classic_kljn
 
@@ -328,7 +344,7 @@ if __name__ == "__main__":
     assert 4 * 2**19 >= protocol.FAN_OUT_SAMPLES
     scheme = classic_kljn(1e3, 1e4, 1.0, 500.0)
     for call in range(int(sys.argv[1])):
-        simulate_bits(scheme, Sampling(2**19, 1.0), [0, 1, 2, 3], [(26, call, k) for k in range(4)])
+        simulate_bits(scheme, Sampling(2**19, 1.0), [0, 1, 2, 3], key_words(26, call, np.arange(4)))
     protocol._close_pool()
     print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt)
 """
@@ -395,11 +411,11 @@ def test_simulate_bits_is_independent_of_blocking():
     rows = BLOCK_SAMPLES // samples_per_bit
     n_bits = 2 * rows + 5
     cases = [(3 * k) % 4 for k in range(n_bits)]
-    prefixes = [(8, 0, k) for k in range(n_bits)]
+    keys = key_words(8, 0, np.arange(n_bits))
 
     def run(lo, hi):
         return simulate_bits(scheme, Sampling(samples_per_bit, 4.0, "nearest"),
-                             cases[lo:hi], prefixes[lo:hi])
+                             cases[lo:hi], keys[lo:hi])
 
     whole = run(0, n_bits)
     for split in (1, rows - 1, rows + 1):
@@ -417,14 +433,14 @@ def test_simulate_bits_is_independent_of_worker_count(monkeypatch, pool_spy, n_b
     scheme = fck1_kljn(1e5, 1e4, 1e4, 1.0, 500.0)
     sampling = Sampling(1024, 4.0, "interpolated")
     cases = [(5 * k + 1) % 4 for k in range(n_bits)]
-    prefixes = [(6, 2, k) for k in range(n_bits)]
+    keys = key_words(6, 2, np.arange(n_bits))
     monkeypatch.setattr(protocol, "FAN_OUT_SAMPLES", 1)
     runs = []
     for workers in (1, 2, 3):
         # The pool holds the WORKERS it opened with, so it is closed in between.
         protocol._close_pool()
         monkeypatch.setattr(protocol, "WORKERS", workers)
-        runs.append(simulate_bits(scheme, sampling, cases, prefixes))
+        runs.append(simulate_bits(scheme, sampling, cases, keys))
     # One pool of WORKERS workers per worker count that fans out, even when
     # it gets fewer chunks; one bit runs inline.
     assert pool_spy == ([2, 3] if n_bits > 1 else [])
@@ -440,13 +456,13 @@ def test_columns_are_independent_of_the_bandwidth(monkeypatch, pool_spy, workers
     monkeypatch.setattr(protocol, "FAN_OUT_SAMPLES", 1)
     monkeypatch.setattr(protocol, "WORKERS", workers)
     cases = [0, 1, 2, 3, 2, 1]
-    prefixes = [(27, 0, k) for k in range(6)]
+    keys = key_words(27, 0, np.arange(6))
     for build in (lambda b: classic_kljn(1e3, 1e4, 1.0, b),
                   lambda b: solve_vmg(46416.0, 278.0, 278.0, 100.0, 1.0, b)):
         for mode in ZC_MODES:
             for samples_per_bit, oversample in ((1024, 4.0), (257, 1.5)):
                 sampling = Sampling(samples_per_bit, oversample, mode)
-                runs = [simulate_bits(build(bandwidth), sampling, cases, prefixes)
+                runs = [simulate_bits(build(bandwidth), sampling, cases, keys)
                         for bandwidth in (500.0, 1e-310, 1.0, 1e306)]
                 for bits in runs[1:]:
                     for name in COLUMNS:
@@ -455,17 +471,24 @@ def test_columns_are_independent_of_the_bandwidth(monkeypatch, pool_spy, workers
     assert pool_spy == ([2] if workers == 2 else [])
 
 
-@pytest.mark.parametrize("cases", [[0, 1, 2, 3, 0, 1, 2], [0, 1, 2, 4, 0, 1]],
-                         ids=["one_case_too_many", "case_out_of_range"])
-def test_simulate_bits_checks_the_whole_call_before_splitting(monkeypatch, pool_spy, cases):
+@pytest.mark.parametrize("cases, message", [
+    ([0, 1, 2, 3, 0, 1, 2], "one index into CASES per key row"),
+    ([0, 1, 2, 4, 0, 1], "one index into CASES per key row"),
+    ([1.7, True, 0, 1, 2, 3], "cases must be integers"),
+    ([1, True, 0, 1, 2, 3], "cases must be integers"),
+    (np.array([1, 1, 0, 1, 2, 3], dtype=bool), "cases must be integers"),
+], ids=["one_case_too_many", "case_out_of_range", "float_case", "bool_case", "bool_array"])
+def test_simulate_bits_checks_the_whole_call_before_splitting(monkeypatch, pool_spy, cases,
+                                                              message):
     # 6 bits of 2**19 samples are above the fan-out floor; split in halves,
-    # each chunk of the first call would pass its own shape check.
+    # each chunk of the first call would pass its own shape check.  A float
+    # or a bool is refused, not truncated to an index.
     monkeypatch.setattr(protocol, "WORKERS", 2)
     scheme = classic_kljn(1e3, 1e4, 1.0, 500.0)
-    prefixes = [(1, 0, k) for k in range(6)]
+    keys = key_words(1, 0, np.arange(6))
     assert 6 * 2**19 >= protocol.FAN_OUT_SAMPLES
-    with pytest.raises(ValueError, match="one index into CASES per entropy prefix"):
-        simulate_bits(scheme, Sampling(2**19, 16.0), cases, prefixes)
+    with pytest.raises(ValueError, match=message):
+        simulate_bits(scheme, Sampling(2**19, 16.0), cases, keys)
     assert pool_spy == []
 
 
@@ -475,7 +498,7 @@ def test_fan_out_needs_two_workers_and_the_sample_floor(monkeypatch, pool_spy, w
     # 1024 bits of 2048 samples are exactly FAN_OUT_SAMPLES; one bit fewer runs inline.
     monkeypatch.setattr(protocol, "WORKERS", workers)
     bits = simulate_bits(classic_kljn(1e3, 1e4, 1.0, 500.0), Sampling(2048, 4.0),
-                         [k % 4 for k in range(n_bits)], [(2, 0, k) for k in range(n_bits)])
+                         [k % 4 for k in range(n_bits)], key_words(2, 0, np.arange(n_bits)))
     assert pool_spy == pools
     assert bits.u2.shape == (n_bits,)
 
@@ -485,7 +508,7 @@ def test_later_calls_reuse_the_pool(monkeypatch, pool_spy):
     monkeypatch.setattr(protocol, "FAN_OUT_SAMPLES", 1)
     monkeypatch.setattr(protocol, "WORKERS", 2)
     for call in range(3):
-        simulate_bits(scheme, Sampling(256, 4.0), [0, 1, 2, 3], [(4, call, k) for k in range(4)])
+        simulate_bits(scheme, Sampling(256, 4.0), [0, 1, 2, 3], key_words(4, call, np.arange(4)))
     assert pool_spy == [2]
 
 
@@ -495,12 +518,12 @@ def test_chunk_needs_no_state_from_the_parent():
     scheme = solve_vmg(46416.0, 278.0, 278.0, 100.0, 1.0, 500.0)
     sampling = Sampling(2048, 8.0, "nearest")
     case = np.array([3, 1, 2, 0, 2])
-    prefixes = [(9, 1, k) for k in range(20, 25)]
+    keys = key_words(9, 1, np.arange(20, 25))
     context = multiprocessing.get_context("spawn")
     with concurrent.futures.ProcessPoolExecutor(1, mp_context=context) as pool:
         remote = pool.submit(protocol._simulate_bits, scheme, sampling, case,
-                             prefixes).result(timeout=300)
-    local = protocol._simulate_bits(scheme, sampling, case, prefixes)
+                             keys).result(timeout=300)
+    local = protocol._simulate_bits(scheme, sampling, case, keys)
     for name in COLUMNS:
         assert np.array_equal(getattr(local, name), getattr(remote, name)), name
 
@@ -523,7 +546,7 @@ def test_session_keeps_its_choices(classic_scheme, master_seed):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_attack_simulates_the_session_secure_rows(monkeypatch, pool_spy, workers):
     # The attack draws the session's cases and simulates only its LH and HL
-    # bits; each bit depends only on its case and prefix, so the columns are
+    # bits; each bit depends only on its case and key, so the columns are
     # the session's secure rows, pooled or not.
     config = SessionConfig(solve_vmg(46416.0, 278.0, 278.0, 100.0, 1.0, 500.0),
                            Sampling(1024, 4.0, "interpolated"), bits_per_run=25, runs=3,
@@ -571,7 +594,7 @@ def test_zero_mean_current_always_crosses_zero(mode, samples_per_bit):
     scheme = solve_vmg(46416.0, 278.0, 278.0, 100.0, 1.0, 500.0)
     for oversample in sorted({1, samples_per_bit // 2}):
         bits = simulate_bits(scheme, Sampling(samples_per_bit, oversample, mode),
-                             [0, 1, 2, 3] * 10, [(13, oversample, k) for k in range(40)])
+                             [0, 1, 2, 3] * 10, key_words(13, oversample, np.arange(40)))
         assert bits.n_zc.min() >= 1
         assert np.isfinite(bits.u_zc2).all()
 
@@ -635,8 +658,9 @@ def test_session_counts_and_seed_must_be_integers(classic_scheme, field, value):
                                                seed=-1), "seed must be >= 0, got -1"),
     (lambda s: benchmarks.measure_case_moments(s, Sampling(1024, 4.0), "XY", n_bits=4),
      re.escape(f"case must be one of {CASES}, got 'XY'")),
-    (lambda s: benchmarks.case_moments(simulate_bits(s, Sampling(1024, 4.0), [1], [(0, 1, 0)]),
-                                       "XY"), re.escape(f"case must be one of {CASES}, got 'XY'")),
+    (lambda s: benchmarks.case_moments(simulate_bits(s, Sampling(1024, 4.0), [1],
+                                                     key_words(0, 1, np.arange(1))), "XY"),
+     re.escape(f"case must be one of {CASES}, got 'XY'")),
 ], ids=["calibration_bits=150.5", "calibration_bits=True", "calibration_bits=99",
         "calibrate-seed=1.5", "calibrate-seed=True", "guess_seed=1.5", "guess_seed=True",
         "n_bits=0", "n_bits=-3", "n_bits=2.5", "n_bits=True", "moments-seed=1.5",

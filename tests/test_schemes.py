@@ -128,6 +128,11 @@ class TestSolveVmg:
         with pytest.raises(ConfigurationError, match="singular"):
             solve_vmg(278.0, 278.0, 100.0, 50.0, 1.0, 500.0)
 
+    def test_levels_outside_float_range_are_a_configuration_error(self):
+        # The expanded polynomials overflow to inf - inf, so every level is NaN.
+        with pytest.raises(ConfigurationError, match="no finite noise levels"):
+            solve_vmg(1e160, 1e159, 3e159, 2e159, 1.0, 500.0)
+
     def test_unphysical_rejection_names_branches(self):
         # Bob's levels inverted while Alice's are ordered: HB and LB go negative.
         with pytest.raises(UnphysicalSchemeError) as err:
