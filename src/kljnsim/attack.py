@@ -70,12 +70,12 @@ def calibrate(
 
     Simulates ``calibration_bits`` known-case bits for LH and for HL under
     ``sampling``, the settings the attack will face, in one
-    :func:`protocol.simulate_bits` call (bit b of hypothesis h, 0 for LH and
-    1 for HL, has key ``(seed, STREAM_CALIBRATION, h, b)``),
-    estimates the mean per-bit zero-crossing mean-square for each, and
-    places the decision threshold at the arithmetic midpoint.  Polarity is
-    "indistinct" when the two means differ by less than ``POLARITY_SIGMAS``
-    combined standard errors.
+    :func:`protocol.simulate_bits` call, which reads only ``scheme.branches``
+    (bit b of hypothesis h, 0 for LH and 1 for HL, has key
+    ``(seed, STREAM_CALIBRATION, h, b)``), estimates the mean per-bit
+    zero-crossing mean-square for each, and places the decision threshold at
+    the arithmetic midpoint.  Polarity is "indistinct" when the two means
+    differ by less than ``POLARITY_SIGMAS`` combined standard errors.
     """
     _check_integer("calibration_bits", calibration_bits, MIN_CALIBRATION_BITS)
     _check_integer("seed", seed, 0)
@@ -163,7 +163,10 @@ def _mean_se(values) -> tuple[float, float]:
         return math.nan, math.nan
     if arr.size == 1:
         return float(arr[0]), math.nan
-    return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
+    # Exact scaling by a power of two: the squares neither underflow nor overflow at any level.
+    scale = math.frexp(np.max(np.abs(arr)))[1]
+    arr = np.ldexp(arr, -scale)
+    return math.ldexp(arr.mean(), scale), math.ldexp(arr.std(ddof=1) / math.sqrt(arr.size), scale)
 
 
 def binomial_ci_halfwidth(p: float, n: int) -> float:

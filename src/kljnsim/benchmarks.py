@@ -142,8 +142,8 @@ def measure_case_moments(
 
     Simulates ``n_bits`` independent bit periods of one case (e.g. "LH") and
     pools the per-bit sample moments; standard errors come from the per-bit
-    dispersion.  Effective sample count per bit is roughly
-    samples_per_bit / oversample.
+    dispersion.  Only ``scheme.branches`` is read (:func:`simulate_bits`).
+    Effective sample count per bit is roughly samples_per_bit / oversample.
     """
     case_idx = _case_index(case)
     _check_integer("n_bits", n_bits, 1)

@@ -72,7 +72,7 @@ class Sampling:
 
 @dataclass(frozen=True)
 class SessionConfig:
-    """Parameters of a simulated key-exchange session."""
+    """A session's parameters; only ``scheme.branches`` is read (:func:`simulate_bits`)."""
 
     scheme: SchemeConfig
     sampling: Sampling = Sampling()
@@ -209,17 +209,17 @@ atexit.register(_close_pool)
 def simulate_bits(scheme: SchemeConfig, sampling: Sampling, cases, keys: np.ndarray) -> BitColumns:
     """Simulate one bit per (case, key) pair and return its statistics.
 
-    ``sampling`` sets the trace length, the band and the crossing mode; the
-    scheme's bandwidth enters no column.  ``cases`` holds integer indices
-    into ``CASES``, and ``keys`` is a :func:`noise.key_words` array with one
-    row per case.  Each bit's two connected branches
-    (:func:`schemes.case_branches`) draw their spectra through
-    :func:`noise.fill_band`, the one draw path, which the noise checks
-    judge too, from generators seeded as
-    ``default_rng(derive_seed(*key, tag))``, ``tag`` being the branch's
-    stream tag (a last word of the key row); :func:`noise.stream_generators`
-    hashes the seeds a chunk of bits at a time.  The wire is linear, so
-    :func:`circuit.solve_wire` solves it bin by bin in the frequency domain,
+    Only ``scheme.branches`` is read: a mapping of ``HA``, ``LA``, ``HB`` and
+    ``LB`` to :class:`circuit.Branch`, balanced or not.  The call turns it into
+    a wire table with one row per entry of ``CASES``: R_A, R_B and the A and B
+    mean squares of the branches the case connects (:func:`schemes.case_branches`).
+    ``sampling`` sets the trace length, the band and the crossing mode, ``cases``
+    holds integer indices into ``CASES``, and ``keys`` one :func:`noise.key_words`
+    row per case.  Each branch draws its spectrum through :func:`noise.fill_band`,
+    the one draw path, from a generator seeded as ``default_rng(derive_seed(*key,
+    tag))``, ``tag`` being the branch's stream tag (a last word of the key row);
+    :func:`noise.stream_generators` hashes the seeds a chunk of bits at a time.
+    The wire is linear, so :func:`circuit.solve_wire` solves it per DFT bin,
 
         I = (X_A - X_B) / (R_A + R_B),   U = (X_A * R_B + X_B * R_A) / (R_A + R_B),
 
@@ -231,8 +231,9 @@ def simulate_bits(scheme: SchemeConfig, sampling: Sampling, cases, keys: np.ndar
 
     Each bit depends only on its case and key, so a call of at least
     ``FAN_OUT_SAMPLES`` samples is split into ``min(WORKERS, n_bits)``
-    contiguous chunks that run in the process's pool of ``WORKERS`` workers;
-    the columns are the same for any worker count and any BLAS thread count.
+    contiguous chunks that run, with the wire table, in the process's pool of
+    ``WORKERS`` workers; the columns are the same for any worker count and
+    any BLAS thread count.
     The pool is opened by the first such call, kept for later ones and shut
     down at exit.  A pool that breaks raises ``BrokenProcessPool``, a
     ``RuntimeError``, and is replaced on the next call.
@@ -247,9 +248,11 @@ def simulate_bits(scheme: SchemeConfig, sampling: Sampling, cases, keys: np.ndar
     n_bits = len(keys)
     if case.shape != (n_bits,) or not np.isin(case, np.arange(len(CASES))).all():
         raise ValueError("cases must hold one index into CASES per key row")
+    pairs = [[scheme.branches[bid] for bid in case_branches(label)] for label in CASES]
+    wire = np.array([[a.resistance, b.resistance, a.mean_square, b.mean_square] for a, b in pairs])
     chunks = min(WORKERS, n_bits)
     if chunks < 2 or n_bits * sampling.samples_per_bit < FAN_OUT_SAMPLES:
-        return _simulate_bits(scheme, sampling, case, keys)
+        return _simulate_bits(wire, sampling, case, keys)
     from concurrent.futures.process import BrokenProcessPool
 
     bounds = [n_bits * j // chunks for j in range(chunks + 1)]
@@ -257,7 +260,7 @@ def simulate_bits(scheme: SchemeConfig, sampling: Sampling, cases, keys: np.ndar
     pool = _worker_pool()
     try:
         parts = list(pool.map(
-            _simulate_bits, [scheme] * chunks, [sampling] * chunks,
+            _simulate_bits, [wire] * chunks, [sampling] * chunks,
             [case[lo:hi] for lo, hi in spans], [keys[lo:hi] for lo, hi in spans],
         ))
     except BrokenProcessPool:
@@ -269,21 +272,18 @@ def simulate_bits(scheme: SchemeConfig, sampling: Sampling, cases, keys: np.ndar
     })
 
 
-def _simulate_bits(scheme: SchemeConfig, sampling: Sampling, case: np.ndarray,
+def _simulate_bits(wire: np.ndarray, sampling: Sampling, case: np.ndarray,
                    keys: np.ndarray) -> BitColumns:
-    """:func:`simulate_bits` in this process, on cases and keys it has checked."""
+    """:func:`simulate_bits` in this process, on its wire table and checked cases and keys."""
     n_bits = len(case)
     n = sampling.samples_per_bit
     k_max = sampling.band_bins
     has_nyquist = (n % 2 == 0) and (k_max == n // 2)
     m2 = 2 * (k_max - 1 if has_nyquist else k_max)   # parts of the weight-2 bins
 
-    # Per case: the A and B branches it connects, and their stream tags.
-    pairs = [[scheme.branches[bid] for bid in case_branches(label)] for label in CASES]
+    # Per case: R_A, R_B, the A and B mean squares, and the A and B stream tags.
+    r_a, r_b, mean_square = wire[:, 0], wire[:, 1], wire[:, 2:].T
     tags = np.array([[BRANCH_STREAMS[b] for b in case_branches(name)] for name in CASES], np.uint32)
-    r_a = np.array([a.resistance for a, _ in pairs])
-    r_b = np.array([b.resistance for _, b in pairs])
-    mean_square = np.array([[a.mean_square for a, _ in pairs], [b.mean_square for _, b in pairs]])
     rows = max(1, min(BLOCK_SAMPLES // n, n_bits))
     blocks = [slice(start, min(start + rows, n_bits)) for start in range(0, n_bits, rows)]
     # Every bit's A branch generator, then every bit's B branch generator:
@@ -378,11 +378,10 @@ def _draw_cases(config: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
 def run_session(config: SessionConfig) -> SessionResult:
     """Simulate ``config.runs`` runs of ``config.bits_per_run`` bit exchanges.
 
-    Per bit: draw independent fair choices for both parties, then let
-    :func:`simulate_bits` draw fresh branch noise, solve the wire and take
-    its moments and zero-crossing statistics; classify both partners' views
-    from the wire's mean-square voltage.
-    Deterministic for a fixed config.
+    Per bit: draw fair choices for both parties, let :func:`simulate_bits`
+    simulate the wire, and classify both partners' views from its mean-square
+    voltage against :func:`schemes.level_table` of ``config.scheme``, whose
+    ``branches`` both read and nothing else.  Deterministic for a fixed config.
     """
     cases, keys = _draw_cases(config)
     bits = simulate_bits(config.scheme, config.sampling, cases, keys)

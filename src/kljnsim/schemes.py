@@ -118,7 +118,8 @@ class SchemeConfig:
 
     def __reduce__(self):
         # A mapping proxy does not pickle.  Rebuilding through the constructor
-        # also reruns the security check wherever the scheme is unpickled.
+        # reruns the security check on unpickling.  Kept for library users: the
+        # package's workers take a wire table, never a scheme.
         return SchemeConfig, (dict(self.branches), self.bandwidth, self.kind)
 
 
@@ -279,8 +280,8 @@ def branch_temperatures(config: SchemeConfig) -> dict[str, float]:
 def level_table(config: SchemeConfig) -> dict[str, MomentSummary]:
     """Analytic wire moments for all four resistor pairings.
 
-    Keys are case labels with Alice's choice first: LL, LH, HL, HH.  For
-    valid configurations the LH and HL entries coincide (the secure level).
+    Keys are case labels with Alice's choice first: LL, LH, HL, HH.  Only
+    ``config.branches`` is read; a valid scheme's LH and HL entries coincide (the secure level).
     """
     table = {}
     for label in CASES:

@@ -1,4 +1,5 @@
 import math
+import types
 import warnings
 
 import numpy as np
@@ -9,15 +10,18 @@ from hypothesis import strategies as st
 from kljnsim import protocol
 from kljnsim.attack import (
     AttackCalibration,
+    _mean_se,
     attack_statistics,
     binomial_ci_halfwidth,
     calibrate,
 )
-from kljnsim.circuit import ZC_MODES, analytic_moments, block_zero_crossings
+from kljnsim.benchmarks import measure_case_moments, run_attack_experiment
+from kljnsim.circuit import ZC_MODES, Branch, analytic_moments, block_zero_crossings
 from kljnsim.errors import CalibrationError
 from kljnsim.noise import STREAM_CALIBRATION, STREAM_EVE_TIE, derive_seed, key_words
-from kljnsim.protocol import CASES, Sampling, SessionConfig, simulate_bits, simulate_secure_bits
-from kljnsim.schemes import classic_kljn, solve_vmg
+from kljnsim.protocol import (CASES, Sampling, SessionConfig, run_session, simulate_bits,
+                              simulate_secure_bits)
+from kljnsim.schemes import classic_kljn, level_table, solve_vmg
 from test_protocol import case_wire, reference_zero_crossings
 
 
@@ -516,6 +520,91 @@ class TestInterpolatedModeConsistency:
             # reported, not asserted against the oracle; sanity only
             assert 0.0 < means["LH"] < lh_moments.u2 * 1.5
             assert 0.0 < means["HL"] < lh_moments.u2 * 1.5
+
+
+def temperature_mismatch(ratio):
+    """Classic 1k/10k with Bob's generators at ``ratio`` times their balanced level.
+
+    No ``SchemeConfig`` holds it unless ``ratio`` is 1, because its secure
+    cases differ; the experiments read only ``branches``, so a plain
+    namespace carries it, pooled or inline.
+    """
+    branches = dict(classic_kljn(1e3, 1e4, 1.0, 500.0).branches)
+    for bid in ("LB", "HB"):
+        branches[bid] = Branch(branches[bid].resistance, ratio * branches[bid].mean_square)
+    return types.SimpleNamespace(branches=branches)
+
+
+def control_attack(ratio):
+    """ROADMAP item 11's attack on the control: 4 runs x 1000 bits, 400 calibration bits, seed 11."""
+    session = SessionConfig(temperature_mismatch(ratio), Sampling(4096, 8.0, "sample_after"),
+                            bits_per_run=1000, runs=4, master_seed=11)
+    return run_attack_experiment(session, calibration_bits=400)
+
+
+class TestPositiveControl:
+    """The harness reports leakage where a temperature mismatch creates it.
+
+    With Bob's generators 1.2 times hotter than Alice's, an HL bit puts the
+    hotter generator on the low resistor, so its wire voltage is louder
+    (F. Hao, "Kish's key exchange scheme is insecure", IEE Proc. Inf. Secur.
+    2006).  Size and seed are ROADMAP item 11's published row, fixed before
+    the first run; a failure is reported, not re-seeded.  Odds: on the
+    balanced control, calibration's 4-SE polarity test calls a false
+    ``hl_above`` or ``lh_above`` about 6e-5 of the time (two-sided normal
+    tail), and the 1.2 control read p = 0.7941 +- 0.0178, about 16
+    half-widths above 0.5, so its check fails only if the leak is lost.
+    The 4-SE moment checks fail about 6e-5 of the time each.
+    """
+
+    def test_mismatch_leaks_at_any_worker_count(self, monkeypatch, pool_spy):
+        # By default both calls (800 and about 2000 bits of 4096 samples) are
+        # above FAN_OUT_SAMPLES, so they fan out wherever WORKERS >= 2.
+        outcome, cal, bits = control_attack(1.2)
+        assert cal.polarity == "hl_above"
+        assert outcome.p - binomial_ci_halfwidth(outcome.p, outcome.n_secure_bits) > 0.5
+        for workers, fan_out in ((1, protocol.FAN_OUT_SAMPLES), (2, 1)):
+            protocol._close_pool()
+            monkeypatch.setattr(protocol, "WORKERS", workers)
+            monkeypatch.setattr(protocol, "FAN_OUT_SAMPLES", fan_out)
+            again, cal_again, bits_again = control_attack(1.2)
+            assert (again, cal_again) == (outcome, cal)
+            for name in ("case", "u2", "i2", "p_ab", "n_zc", "u_zc2"):
+                assert getattr(bits_again, name).tobytes() == getattr(bits, name).tobytes(), name
+
+    def test_balanced_control_is_indistinct(self):
+        _, cal, _ = control_attack(1.0)
+        assert cal.polarity == "indistinct"
+
+    def test_session_and_case_moments_use_the_control_levels(self, monkeypatch):
+        control = temperature_mismatch(1.2)
+        levels = level_table(control)
+        assert levels["LH"].u2 == pytest.approx(0.9256, abs=5e-5)
+        assert levels["HL"].u2 == pytest.approx(1.0744, abs=5e-5)
+        seen = []
+
+        def recording_level_table(scheme):
+            seen.append(scheme)
+            return level_table(scheme)
+
+        monkeypatch.setattr(protocol, "level_table", recording_level_table)
+        session = run_session(SessionConfig(control, Sampling(1024, 4.0), bits_per_run=50,
+                                            runs=2, master_seed=3))
+        assert seen == [control] and session.bits.case.size == 100
+        sampling = Sampling(4096, 8.0, "sample_after")
+        for case in ("LH", "HL"):
+            m = measure_case_moments(control, sampling, case, n_bits=200, seed=5)
+            assert abs(m.u2 - levels[case].u2) < 4 * m.u2_se, (case, m.u2, m.u2_se)
+
+
+@pytest.mark.parametrize("k", [-1000, 0, 1000])
+def test_mean_se_does_not_depend_on_the_scale(k):
+    # Exact scaling by a power of two leaves every digit: no SE underflows
+    # to 0 at 2**-1000 or overflows at 2**1000.
+    x = np.random.default_rng(4).normal(1.0, 0.1, 50)
+    mean, se = _mean_se(x)
+    assert se > 0
+    assert _mean_se(np.ldexp(x, k)) == (np.ldexp(mean, k), np.ldexp(se, k))
 
 
 def test_binomial_ci_halfwidth():

@@ -341,6 +341,25 @@ class TestAttackCommand:
         assert "warning: run 0 has no secure bits" in proc.stderr
         assert "attack.py" not in proc.stderr
 
+    def test_attack_does_not_depend_on_the_noise_scale(self, tmp_path, capsys):
+        # Eve's standard errors are scale-free: at 1e-300 an SE no longer
+        # underflows to 0 (a false hl_above), at 1e300 no square overflows.
+        scaled = ("# config_hash=", "# cal_mean_zc_lh=", "# cal_mean_zc_hl=", "# cal_threshold=")
+        kept = []
+        for u_la_sq in ("1e-300", "1.0", "1e300"):
+            cfg_path = write_config(
+                tmp_path,
+                f"kind = classic\nr_l = 1\nr_h = 10\nu_la_sq = {u_la_sq}\nsamples_per_bit = 256\n"
+                + "oversample = 4\nbits_per_run = 20\nruns = 2\ncalibration_bits = 100\nseed = 1\n",
+                name=f"{u_la_sq}.cfg")
+            assert main(["attack", cfg_path, "--output-prefix", str(tmp_path / u_la_sq)]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            assert captured.out.startswith("p = 0.4141 ") and "polarity indistinct" in captured.out
+            text = (tmp_path / f"{u_la_sq}_attack.csv").read_text()
+            kept.append([line for line in text.splitlines() if not line.startswith(scaled)])
+        assert kept[0] == kept[1] == kept[2]
+
     def test_calibration_failure_exit_4(self, tmp_path, capsys):
         cfg_path = write_config(
             tmp_path,

@@ -2,6 +2,7 @@ import concurrent.futures
 import math
 import multiprocessing
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -27,7 +28,8 @@ from kljnsim.protocol import (
     simulate_bits,
     simulate_secure_bits,
 )
-from kljnsim.schemes import case_branches, classic_kljn, fck1_kljn, level_table, solve_vmg
+from kljnsim.schemes import (SchemeConfig, case_branches, classic_kljn, fck1_kljn, level_table,
+                             solve_vmg)
 
 
 def samples_per_second(scheme, sampling) -> float:
@@ -515,17 +517,45 @@ def test_later_calls_reuse_the_pool(monkeypatch, pool_spy):
 def test_chunk_needs_no_state_from_the_parent():
     # Under "spawn" a worker starts a fresh interpreter, so _simulate_bits and
     # its arguments must pickle and the chunk must not rely on forked memory.
+    # A worker takes the wire table, one row per case: R_A, R_B, then the A
+    # and B generator mean squares.
     scheme = solve_vmg(46416.0, 278.0, 278.0, 100.0, 1.0, 500.0)
+    pairs = [[scheme.branches[bid] for bid in case_branches(label)] for label in CASES]
+    wire = np.array([[a.resistance, b.resistance, a.mean_square, b.mean_square] for a, b in pairs])
     sampling = Sampling(2048, 8.0, "nearest")
     case = np.array([3, 1, 2, 0, 2])
     keys = key_words(9, 1, np.arange(20, 25))
     context = multiprocessing.get_context("spawn")
     with concurrent.futures.ProcessPoolExecutor(1, mp_context=context) as pool:
-        remote = pool.submit(protocol._simulate_bits, scheme, sampling, case,
+        remote = pool.submit(protocol._simulate_bits, wire, sampling, case,
                              keys).result(timeout=300)
-    local = protocol._simulate_bits(scheme, sampling, case, keys)
+    local = protocol._simulate_bits(wire, sampling, case, keys)
+    public = simulate_bits(scheme, sampling, case, keys)
     for name in COLUMNS:
         assert np.array_equal(getattr(local, name), getattr(remote, name)), name
+        assert np.array_equal(getattr(local, name), getattr(public, name)), name
+
+
+def test_pooled_call_sends_no_scheme_to_its_workers(monkeypatch, pool_spy):
+    # The workers take the wire table: a scheme that refuses to pickle still
+    # runs pooled, with the columns it gives inline.
+    scheme = classic_kljn(1e3, 1e4, 1.0, 500.0)
+    sampling = Sampling(1024, 4.0, "interpolated")
+    cases = [0, 1, 2, 3, 2, 1, 0]
+    keys = key_words(13, 0, np.arange(7))
+    monkeypatch.setattr(protocol, "WORKERS", 1)
+    inline = simulate_bits(scheme, sampling, cases, keys)
+
+    def refuse(self):
+        raise pickle.PicklingError("a scheme was pickled")
+
+    monkeypatch.setattr(SchemeConfig, "__reduce__", refuse)
+    monkeypatch.setattr(protocol, "WORKERS", 2)
+    monkeypatch.setattr(protocol, "FAN_OUT_SAMPLES", 1)
+    pooled = simulate_bits(scheme, sampling, cases, keys)
+    assert pool_spy == [2]
+    for name in COLUMNS:
+        assert np.array_equal(getattr(inline, name), getattr(pooled, name)), name
 
 
 @pytest.mark.parametrize("master_seed", [0, 2**32 + 7])
