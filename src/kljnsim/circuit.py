@@ -93,9 +93,15 @@ def analytic_moments(r_a: float, u2_a: float, r_b: float, u2_b: float) -> Moment
     if not all(map(math.isfinite, (u2, i2, p_ab))):
         raise ConfigurationError(f"resistances {r_a!r} and {r_b!r} ohm with mean squares "
                                  f"{u2_a!r} and {u2_b!r} V^2 leave no finite wire moments")
-    scale = math.sqrt(u2 * i2)
+    scale = _power_scale(u2, i2)
     rho = p_ab / scale if scale > 0 else 0.0
     return MomentSummary(u2=u2, i2=i2, p_ab=p_ab, rho=rho)
+
+
+def _power_scale(u2: float, i2: float) -> float:
+    """sqrt(u2 * i2) from mantissas and exponents apart, so no legal level under- or overflows."""
+    (m, p), (k, q) = math.frexp(u2), math.frexp(i2)
+    return math.ldexp(math.sqrt(m * k * 2 ** ((p + q) % 2)), (p + q) // 2)
 
 
 def conditional_zc_variance(m: MomentSummary) -> float:

@@ -393,7 +393,7 @@ def cmd_table2(config: ExperimentConfig) -> int:
 
 def _load_config(path: str) -> ExperimentConfig:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
     return parse_config(text)

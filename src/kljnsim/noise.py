@@ -112,59 +112,43 @@ def key_words(*fields) -> np.ndarray:
     return words
 
 
-def _mix_entropy(words: np.ndarray) -> list[np.ndarray]:
-    """``SeedSequence``'s entropy pool for each column of uint32 ``words``.
+def _seed_sequence_state(keys: np.ndarray, n_words: int) -> np.ndarray:
+    """``SeedSequence(row).generate_state(n_words, np.uint64)`` of each row of uint32 ``keys``.
 
-    Column ``r`` holds one key's words; keys of fewer than ``POOL_SIZE``
-    words are zero-padded to it, and every key of one call has the same
-    number of words.  Returns the ``POOL_SIZE`` pool words as arrays.
+    numpy's ``SeedSequence`` hash, vectorized over the rows of a
+    :func:`key_words` array: each row's words, zero-padded to ``POOL_SIZE``,
+    are mixed into an entropy pool, and the pool is hashed to the state.
+    Returns a uint64 array of shape ``(n_words, rows)``.
     """
-    hash_const = INIT_A
+    words = np.zeros((max(POOL_SIZE, keys.shape[1]), len(keys)), np.uint32)
+    words[: keys.shape[1]] = keys.T
 
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * MULT_A & MASK32
-        value *= hash_const
-        return value ^ (value >> XSHIFT)
+    def hasher(hash_const: int, mult: int):
+        def hash_words(value: np.ndarray) -> np.ndarray:
+            nonlocal hash_const
+            value = value ^ hash_const
+            hash_const = hash_const * mult & MASK32
+            value *= hash_const
+            return value ^ (value >> XSHIFT)
+        return hash_words
 
     def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         result = x * MIX_MULT_L - y * MIX_MULT_R
         return result ^ (result >> XSHIFT)
 
-    pool = [hashmix(words[i]) for i in range(POOL_SIZE)]
+    hashmix = hasher(INIT_A, MULT_A)
+    pool = [hashmix(word) for word in words[:POOL_SIZE]]
     for i_src in range(POOL_SIZE):
         for i_dst in range(POOL_SIZE):
             if i_src != i_dst:
                 pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    for i_src in range(POOL_SIZE, len(words)):
+    for word in words[POOL_SIZE:]:
         for i_dst in range(POOL_SIZE):
-            pool[i_dst] = mix(pool[i_dst], hashmix(words[i_src]))
-    return pool
-
-
-def _generate_state(pool: list[np.ndarray], n_words: int) -> np.ndarray:
-    """``SeedSequence.generate_state(n_words, np.uint64)`` of each pool: shape (n_words, rows)."""
-    hash_const = INIT_B
-    state = []
-    for i in range(2 * n_words):
-        value = pool[i % POOL_SIZE] ^ hash_const
-        hash_const = hash_const * MULT_B & MASK32
-        value *= hash_const
-        state.append((value ^ (value >> XSHIFT)).astype(np.uint64))
-    return np.array([state[2 * i] | state[2 * i + 1] << 32 for i in range(n_words)])
-
-
-def _derive_seeds(keys: np.ndarray) -> np.ndarray:
-    """:func:`derive_seed` of each row of a :func:`key_words` array, hashed in one vectorized pass.
-
-    Returns a uint64 array with one seed per row.  This is numpy's
-    ``SeedSequence`` mixing on columns of uint32 words, so each seed equals
-    ``SeedSequence(key).generate_state(1, np.uint64)[0]`` of its row's key.
-    """
-    words = np.zeros((max(POOL_SIZE, keys.shape[1]), len(keys)), np.uint32)
-    words[: keys.shape[1]] = keys.T
-    return _generate_state(_mix_entropy(words), 1)[0]
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+    # generate_state: 32-bit words from the pool in turn, paired low then high.
+    hash_state = hasher(INIT_B, MULT_B)
+    state = [hash_state(pool[i % POOL_SIZE]).astype(np.uint64) for i in range(2 * n_words)]
+    return np.array([state[i] | state[i + 1] << 32 for i in range(0, 2 * n_words, 2)])
 
 
 def derive_seed(*entropy: int) -> int:
@@ -178,20 +162,19 @@ def derive_seed(*entropy: int) -> int:
     of 2**32 or more is split into words, so ``(2**32 + 5, 1)`` and
     ``(5, 1, 1)`` give one seed.  ROADMAP item 4 plans fixed-width keys.
     """
-    return int(_derive_seeds(key_words(*entropy))[0])
+    return int(_seed_sequence_state(key_words(*entropy), 1)[0, 0])
 
 
 def _pcg64_seeding(seeds) -> Iterator[tuple[int, int]]:
     """Yield, for each 64-bit seed, PCG64's 128-bit ``(state, inc)`` as ``default_rng(seed)`` sets it.
 
-    All seeds are hashed in one vectorized pass to PCG64's four seeding
-    words; the state and increment are then Python ints, one seed at a time.
+    All seeds are hashed in one vectorized pass, as their two 32-bit words,
+    to PCG64's four seeding words; the state and increment are then Python
+    ints, one seed at a time.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
-    words = np.zeros((POOL_SIZE, seeds.size), np.uint32)
-    words[0] = seeds & MASK32
-    words[1] = seeds >> 32
-    pcg_words = _generate_state(_mix_entropy(words), 4)
+    halves = np.column_stack([seeds & MASK32, seeds >> 32]).astype(np.uint32)
+    pcg_words = _seed_sequence_state(halves, 4)
     # One row of Python ints at a time: only the compact array is held.
     for s_hi, s_lo, q_hi, q_lo in map(np.ndarray.tolist, pcg_words.T):
         # PCG64 seeding: inc = 2 * initseq + 1; from state 0 step, add initstate, step.
@@ -207,7 +190,7 @@ def _stream_states(keys: np.ndarray) -> Iterator[tuple[int, int]]:
     ``SEED_CHUNK`` at a time, so only compact arrays are held.
     """
     for lo in range(0, len(keys), SEED_CHUNK):
-        yield from _pcg64_seeding(_derive_seeds(keys[lo : lo + SEED_CHUNK]))
+        yield from _pcg64_seeding(_seed_sequence_state(keys[lo : lo + SEED_CHUNK], 1)[0])
 
 
 def stream_generators(keys: np.ndarray) -> Iterator[np.random.Generator]:
@@ -300,12 +283,11 @@ def fill_band(sampling, mean_squares, rngs: Iterable[np.random.Generator]) -> np
     ``mean_squares[r]``; a negative or NaN mean square is a
     ConfigurationError.
     """
-    n, k_max = sampling.samples_per_bit, sampling.band_bins
+    n, k_max, has_nyquist = sampling.samples_per_bit, sampling.band_bins, sampling.nyquist_in_band
     mean_squares = np.asarray(mean_squares, dtype=np.float64)
     refused = mean_squares[~(mean_squares >= 0)]
     if refused.size:
         raise ConfigurationError(f"mean_square must be >= 0, got {refused[0]}")
-    has_nyquist = (n % 2 == 0) and (k_max == n // 2)
     m = k_max - 1 if has_nyquist else k_max
     weight = 2 * m + (1 if has_nyquist else 0)
     # With X_k = s * z_k and E|z_k|^2 = 1, the expected sample mean-square

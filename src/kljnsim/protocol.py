@@ -69,6 +69,11 @@ class Sampling:
         edge = math.floor(self.samples_per_bit / (2.0 * self.oversample) * (1.0 + 1e-12))
         return min(edge, self.samples_per_bit // 2)
 
+    @property
+    def nyquist_in_band(self) -> bool:
+        """Whether the band holds bin samples_per_bit / 2, the real Nyquist bin of weight 1."""
+        return 2 * self.band_bins == self.samples_per_bit
+
 
 @dataclass(frozen=True)
 class SessionConfig:
@@ -277,8 +282,7 @@ def _simulate_bits(wire: np.ndarray, sampling: Sampling, case: np.ndarray,
     """:func:`simulate_bits` in this process, on its wire table and checked cases and keys."""
     n_bits = len(case)
     n = sampling.samples_per_bit
-    k_max = sampling.band_bins
-    has_nyquist = (n % 2 == 0) and (k_max == n // 2)
+    k_max, has_nyquist = sampling.band_bins, sampling.nyquist_in_band
     m2 = 2 * (k_max - 1 if has_nyquist else k_max)   # parts of the weight-2 bins
 
     # Per case: R_A, R_B, the A and B mean squares, and the A and B stream tags.

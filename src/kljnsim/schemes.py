@@ -22,7 +22,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .circuit import Branch, MomentSummary, analytic_moments
+from .circuit import Branch, MomentSummary, _power_scale, analytic_moments
 from .errors import ConfigurationError, UnphysicalSchemeError
 from .noise import noise_temperature
 
@@ -107,10 +107,8 @@ class SchemeConfig:
             )
         levels = level_table(self)
         lh, hl = levels["LH"], levels["HL"]
-        power_scale = math.sqrt(lh.u2 * lh.i2)
-        if self.kind in ("classic", "fck1") and not (
-            max(abs(lh.p_ab), abs(hl.p_ab)) <= ZERO_POWER_RTOL * power_scale
-        ):
+        zero_power = max(abs(lh.rho), abs(hl.rho)) <= ZERO_POWER_RTOL
+        if self.kind in ("classic", "fck1") and not zero_power:
             raise ConfigurationError(
                 f"kind {self.kind!r} requires zero net power, got p_ab {lh.p_ab:.3e} W "
                 f"(LH) and {hl.p_ab:.3e} W (HL)"
@@ -127,7 +125,7 @@ def security_check(config: SchemeConfig) -> float:
     """The worst relative mismatch of the LH and HL moments; p_ab's is relative to sqrt(u2 * i2)."""
     levels = level_table(config)
     lh, hl = levels["LH"], levels["HL"]
-    power_scale = math.sqrt(lh.u2 * lh.i2)
+    power_scale = _power_scale(lh.u2, lh.i2)
     return max(
         _relative(lh.u2, hl.u2),
         _relative(lh.i2, hl.i2),

@@ -136,11 +136,21 @@ class TestSolveCommand:
     @pytest.mark.parametrize("text", [
         CLASSIC_TEXT,
         "kind = fck1\nr_ha = 1e5\nr_la = 1e4\nr_hb = 1e4\n",
-    ], ids=["classic", "fck1"])
+        "kind = classic\nr_l = 1.2e3\nr_h = 3.3e4\nu_la_sq = 1e-160\n",   # u2 * i2 underflows
+    ], ids=["classic", "fck1", "classic-1e-160"])
     def test_equilibrium_kinds_print_zero_power(self, tmp_path, capsys, text):
         cfg_path = write_config(tmp_path, text + f"output_prefix = {tmp_path}/out\n")
         assert main(["solve", cfg_path]) == 0
         assert "equilibrium (zero net power): yes\n" in capsys.readouterr().out
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Editors on Windows start a UTF-8 file with U+FEFF.
+        text = f"kind = classic\nr_l = 1e3\nr_h = 1e4\noutput_prefix = {tmp_path}/out\n"
+        plain = write_config(tmp_path, text, "plain.cfg")
+        marked = write_config(tmp_path, "\ufeff" + text, "marked.cfg")
+        a, b = cli._load_config(plain), cli._load_config(marked)
+        assert a == b and config_hash(a) == config_hash(b)
+        assert main(["solve", marked]) == 0
 
     def test_unphysical_exit_3(self, tmp_path, capsys):
         cfg_path = write_config(

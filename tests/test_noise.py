@@ -264,16 +264,20 @@ def session_keys(seed, runs, bits, tag) -> tuple[np.ndarray, list]:
 
 class TestVectorizedSeeding:
     @settings(max_examples=300, deadline=None)
-    @given(key_calls(), st.sampled_from([1, 3, noise.SEED_CHUNK]))
-    def test_derive_seeds_is_seed_sequence(self, call, chunk):
+    @given(key_calls(), st.sampled_from([1, 3, noise.SEED_CHUNK]), st.integers(1, 8))
+    def test_derive_seeds_is_seed_sequence(self, call, chunk, width):
         # Every key_words row hashes as SeedSequence hashes its key (0 to 24
-        # words per row, 0 to 12 rows), and each stream matches default_rng
-        # of that seed, also where the rows cross SEED_CHUNK.
+        # words per row, 0 to 12 rows) at every state width from 1 to 8, and
+        # each stream matches default_rng of its seed, also where the rows
+        # cross SEED_CHUNK.
         fields, rows = call
         keys = key_words(*fields)
         assert keys.dtype == np.uint32 and keys.ndim == 2 and len(keys) == len(rows)
+        states = noise._seed_sequence_state(keys, width)
+        assert states.dtype == np.uint64 and states.shape == (width, len(rows))
+        for row, state in zip(rows, states.T.tolist()):
+            assert state == np.random.SeedSequence(row).generate_state(width, np.uint64).tolist()
         seeds = [seed_sequence_seed(row) for row in rows]
-        assert noise._derive_seeds(keys).tolist() == seeds
         with mock.patch.object(noise, "SEED_CHUNK", chunk):
             draws = [rng.standard_normal(3) for rng in stream_generators(keys)]
             bits = fair_bits(keys)

@@ -744,6 +744,11 @@ class TestSessionConfig:
         assert Sampling(256, 1).band_bins == 128   # Nyquist in band
         assert Sampling(257, 1.5).band_bins == 85
         assert Sampling(2, 1).band_bins == 1
+        # The Nyquist bin is in band only when the band reaches half of an even length.
+        assert Sampling(256, 1).nyquist_in_band and Sampling(2, 1).nyquist_in_band
+        assert not Sampling(16384, 16).nyquist_in_band
+        assert not Sampling(257, 1.5).nyquist_in_band
+        assert not Sampling(257, 1).nyquist_in_band
 
 
 class TestCaseWire:

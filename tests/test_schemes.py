@@ -296,6 +296,13 @@ class TestLevelTable:
         u2s = {round(lt[c].u2, 12) for c in ("LL", "LH", "HH")}
         assert len(u2s) == 3
 
+    @pytest.mark.parametrize("exponent", [-530, 660])
+    def test_rho_is_level_free(self, exponent):
+        # rho is scale free, so it keeps its bits where u2 * i2 under- or overflows.
+        def rho(u2_la):
+            return level_table(solve_vmg(46416.0, 278.0, 278.0, 100.0, u2_la, 500.0))["LH"].rho
+        assert rho(2.0**exponent) == rho(1.0) == 0.3544866326474187
+
 
 class TestSchemeConfigValidation:
     def test_hand_built_violation_rejected(self):
@@ -318,6 +325,16 @@ class TestSchemeConfigValidation:
         branches = dict(solve_vmg(46416.0, 278.0, 278.0, 100.0, 1.0, 500.0).branches)
         with pytest.raises(ConfigurationError, match="kind 'classic' requires zero net power"):
             SchemeConfig(branches=branches, bandwidth=500.0, kind="classic")
+
+    def test_small_level_classic_pairs_are_accepted(self):
+        # u2 * i2 of the secure level underflows to 0 at these levels.
+        assert classic_kljn(1.2e3, 3.3e4, 1e-160, 500.0).kind == "classic"
+        rng = np.random.default_rng(0)
+        for exponent in range(-200, -104, 5):
+            for _ in range(40):
+                r_l = 10 ** rng.uniform(0, 4)
+                r_h = r_l * 10 ** rng.uniform(0.1, 2)
+                classic_kljn(r_l, r_h, 10.0**exponent, 500.0)
 
     def test_branches_are_read_only(self):
         branches = {"HA": Branch(1e4, 10.0), "LA": Branch(1e3, 1.0),
