@@ -394,7 +394,7 @@ def cmd_table2(config: ExperimentConfig) -> int:
 def _load_config(path: str) -> ExperimentConfig:
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
     return parse_config(text)
 

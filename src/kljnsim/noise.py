@@ -76,7 +76,7 @@ PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 MASK128 = (1 << 128) - 1
 MASK64 = (1 << 64) - 1
 
-#: Key rows hashed per vectorized pass by :func:`_stream_states`.
+#: Key rows hashed per vectorized pass by :func:`_stream_words`.
 SEED_CHUNK = 1024
 
 
@@ -165,50 +165,47 @@ def derive_seed(*entropy: int) -> int:
     return int(_seed_sequence_state(key_words(*entropy), 1)[0, 0])
 
 
-def _pcg64_seeding(seeds) -> Iterator[tuple[int, int]]:
-    """Yield, for each 64-bit seed, PCG64's 128-bit ``(state, inc)`` as ``default_rng(seed)`` sets it.
+def _pcg64_words(seeds) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` of each 64-bit seed, as C-ordered rows.
 
-    All seeds are hashed in one vectorized pass, as their two 32-bit words,
-    to PCG64's four seeding words; the state and increment are then Python
-    ints, one seed at a time.
+    All seeds are hashed in one vectorized pass, as their two 32-bit words.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     halves = np.column_stack([seeds & MASK32, seeds >> 32]).astype(np.uint32)
-    pcg_words = _seed_sequence_state(halves, 4)
-    # One row of Python ints at a time: only the compact array is held.
-    for s_hi, s_lo, q_hi, q_lo in map(np.ndarray.tolist, pcg_words.T):
-        # PCG64 seeding: inc = 2 * initseq + 1; from state 0 step, add initstate, step.
-        inc = (q_hi << 65 | q_lo << 1 | 1) & MASK128
-        yield ((inc + (s_hi << 64 | s_lo)) * PCG64_MULT + inc) & MASK128, inc
+    return np.ascontiguousarray(_seed_sequence_state(halves, 4).T, dtype=np.uint64)
 
 
-def _stream_states(keys: np.ndarray) -> Iterator[tuple[int, int]]:
-    """Yield PCG64's ``(state, inc)`` for each row of ``keys``, as its key's default_rng sets it.
+def _stream_words(keys: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield PCG64's four seeding words for each row of ``keys``, as its key's default_rng has them.
 
     ``keys`` is a :func:`key_words` array; row r's generator is
     ``default_rng(derive_seed(*key))`` of its key.  Rows are hashed
     ``SEED_CHUNK`` at a time, so only compact arrays are held.
     """
     for lo in range(0, len(keys), SEED_CHUNK):
-        yield from _pcg64_seeding(_seed_sequence_state(keys[lo : lo + SEED_CHUNK], 1)[0])
+        yield from _pcg64_words(_seed_sequence_state(keys[lo : lo + SEED_CHUNK], 1)[0])
 
 
 def stream_generators(keys: np.ndarray) -> Iterator[np.random.Generator]:
-    """Yield, for each row of a :func:`key_words` array, a generator in its key's first state.
+    """Yield, for each row of a :func:`key_words` array, a new generator in its key's first state.
 
-    Each row's state (:func:`_stream_states`) is set on one reused
-    generator, which is yielded every time.  Draw from it before taking the
-    next one.
+    numpy's PCG64 seeds each one from the row's words (:func:`_stream_words`).
     """
-    rng = np.random.Generator(np.random.PCG64(0))
-    for state, inc in _stream_states(keys):
-        rng.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield rng
+    # Imported here, so that fair_bits' callers never load numpy.random.
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        """A seed sequence whose state is one row of seeding words, read by its data pointer."""
+
+        def __init__(self, row: np.ndarray):
+            self.row = row
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.row
+
+    for row in _stream_words(keys):
+        yield Generator(PCG64(Words(row)))
 
 
 def fair_bits(keys: np.ndarray) -> np.ndarray:
@@ -216,20 +213,26 @@ def fair_bits(keys: np.ndarray) -> np.ndarray:
 
     Returns a bool array of shape ``(rows, 2)``: row r holds
     ``integers(0, 2, size=2)`` of row r's generator, and its column 0 alone
-    is that generator's ``integers(0, 2)``.  No generator is built.
+    is that generator's ``integers(0, 2)``.  No generator is built, so the
+    calling process need not load numpy.random, which raises its peak memory.
 
     Both bits come from PCG64's first 64-bit output (M. E. O'Neill, "PCG: A
     Family of Simple Fast Space-Efficient Statistically Good Algorithms for
-    Random Number Generation", 2014): one step of the LCG from the seeded
-    state (:func:`_stream_states`), then XSL-RR, the state's high and low
-    64-bit halves xor-ed and rotated right by its top six bits.  The first
-    fair bit is bit 31 of that output and the second is bit 63: numpy's
-    bounded draw for a range of two (D. Lemire, ACM TOMACS 2019) keeps the
-    top bit of a 32-bit draw, and it takes a 64-bit output's low half first
-    and keeps the high half for the next 32-bit draw.
+    Random Number Generation", 2014), replayed in Python ints: PCG64's
+    seeding from the row's four words (:func:`_stream_words`), one step of
+    the LCG, then XSL-RR, the state's high and low 64-bit halves xor-ed and
+    rotated right by its top six bits.  The first fair bit is bit 31 of that
+    output and the second is bit 63: numpy's bounded draw for a range of two
+    (D. Lemire, ACM TOMACS 2019) keeps the top bit of a 32-bit draw, and it
+    takes a 64-bit output's low half first and keeps the high half for the
+    next 32-bit draw.
     """
     def first_outputs():
-        for state, inc in _stream_states(keys):
+        # One row of Python ints at a time: only the compact array is held.
+        for s_hi, s_lo, q_hi, q_lo in map(np.ndarray.tolist, _stream_words(keys)):
+            # PCG64 seeding: inc = 2 * initseq + 1; from state 0 step, add initstate, step.
+            inc = (q_hi << 65 | q_lo << 1 | 1) & MASK128
+            state = ((inc + (s_hi << 64 | s_lo)) * PCG64_MULT + inc) & MASK128
             state = (state * PCG64_MULT + inc) & MASK128
             word, rot = (state >> 64) ^ (state & MASK64), state >> 122
             yield (word >> rot | word << (64 - rot)) & MASK64
@@ -275,12 +278,10 @@ def fill_band(sampling, mean_squares, rngs: Iterable[np.random.Generator]) -> np
     spectra of shape ``(rows, n // 2 + 1)``, ``n`` being
     ``sampling.samples_per_bit``, zero outside bins 1 to
     ``sampling.band_bins``; a row's inverse real FFT is its trace.  Row r
-    draws from the r-th generator of ``rngs``, which is taken only after
-    row r - 1 has drawn, so one reused generator may be yielded throughout.
-    A row's draws are its real parts, then its imaginary parts, then its
-    real Nyquist coefficient when the Nyquist bin is in band.  The scale
-    makes the expected sample mean-square of row r's trace equal
-    ``mean_squares[r]``; a negative or NaN mean square is a
+    draws from the r-th generator of ``rngs``: its real parts, then its
+    imaginary parts, then its real Nyquist coefficient when the Nyquist bin
+    is in band.  The scale makes the expected sample mean-square of row r's
+    trace equal ``mean_squares[r]``; a negative or NaN mean square is a
     ConfigurationError.
     """
     n, k_max, has_nyquist = sampling.samples_per_bit, sampling.band_bins, sampling.nyquist_in_band

@@ -18,6 +18,7 @@ are the same in both.
 from __future__ import annotations
 
 import atexit
+import functools
 import itertools
 import math
 import os
@@ -161,14 +162,6 @@ try:
 except AttributeError:   # no affinity API (macOS, Windows)
     WORKERS = os.cpu_count() or 1
 
-#: The process's pool of WORKERS workers, opened by the first call that fans
-#: out and reused by every later one until exit.  A worker keeps the module
-#: state it started with: under fork, a constant patched after the pool
-#: opened (BLOCK_SAMPLES, noise.SEED_CHUNK) keeps its old value there.  No
-#: column depends on either, so the results do not change.  A worker also
-#: keeps its peak heap between bits and calls (_keep_heap).
-_pool = None
-
 
 def _keep_heap() -> None:
     """Pool initializer: let glibc's malloc keep freed buffers for reuse.
@@ -189,22 +182,26 @@ def _keep_heap() -> None:
     mallopt(-1, 128 * 2**20)   # M_TRIM_THRESHOLD
 
 
+@functools.cache
 def _worker_pool():
-    """The process's pool of ``WORKERS`` workers, opened on first use."""
-    global _pool
-    if _pool is None:
-        # Imported here: at module level it would add tens of ms to every start-up.
-        from concurrent.futures import ProcessPoolExecutor
+    """The process's pool of ``WORKERS`` workers, opened by the first call that fans out.
 
-        _pool = ProcessPoolExecutor(WORKERS, initializer=_keep_heap)
-    return _pool
+    Later calls reuse it until :func:`_close_pool`.  A worker keeps the module
+    state it started with: under fork, a constant patched after the pool opened
+    (BLOCK_SAMPLES, noise.SEED_CHUNK) keeps its old value there; no column
+    depends on either.  A worker also keeps its peak heap (:func:`_keep_heap`).
+    """
+    # Imported here: at module level it would add tens of ms to every start-up.
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(WORKERS, initializer=_keep_heap)
 
 
 def _close_pool() -> None:
     """Shut the worker pool down, if one is open, and wait for its workers to exit."""
-    global _pool
-    if _pool is not None:
-        pool, _pool = _pool, None
+    if _worker_pool.cache_info().currsize:
+        pool = _worker_pool()
+        _worker_pool.cache_clear()
         pool.shutdown(wait=True)
 
 
@@ -238,10 +235,9 @@ def simulate_bits(scheme: SchemeConfig, sampling: Sampling, cases, keys: np.ndar
     ``FAN_OUT_SAMPLES`` samples is split into ``min(WORKERS, n_bits)``
     contiguous chunks that run, with the wire table, in the process's pool of
     ``WORKERS`` workers; the columns are the same for any worker count and
-    any BLAS thread count.
-    The pool is opened by the first such call, kept for later ones and shut
-    down at exit.  A pool that breaks raises ``BrokenProcessPool``, a
-    ``RuntimeError``, and is replaced on the next call.
+    any BLAS thread count.  The pool is opened by the first such call, kept
+    for later ones and shut down at exit.  A pool that breaks raises
+    ``BrokenProcessPool``, a ``RuntimeError``, and is replaced on the next call.
     """
     if not (isinstance(keys, np.ndarray) and keys.ndim == 2 and keys.dtype == np.uint32):
         raise ValueError("keys must be a 2-D uint32 array of key_words")
@@ -255,19 +251,15 @@ def simulate_bits(scheme: SchemeConfig, sampling: Sampling, cases, keys: np.ndar
         raise ValueError("cases must hold one index into CASES per key row")
     pairs = [[scheme.branches[bid] for bid in case_branches(label)] for label in CASES]
     wire = np.array([[a.resistance, b.resistance, a.mean_square, b.mean_square] for a, b in pairs])
+    kernel = functools.partial(_simulate_bits, wire, sampling)
     chunks = min(WORKERS, n_bits)
     if chunks < 2 or n_bits * sampling.samples_per_bit < FAN_OUT_SAMPLES:
-        return _simulate_bits(wire, sampling, case, keys)
+        return kernel(case, keys)
     from concurrent.futures.process import BrokenProcessPool
 
-    bounds = [n_bits * j // chunks for j in range(chunks + 1)]
-    spans = list(zip(bounds[:-1], bounds[1:]))
-    pool = _worker_pool()
     try:
-        parts = list(pool.map(
-            _simulate_bits, [wire] * chunks, [sampling] * chunks,
-            [case[lo:hi] for lo, hi in spans], [keys[lo:hi] for lo, hi in spans],
-        ))
+        parts = list(_worker_pool().map(kernel, np.array_split(case, chunks),
+                                        np.array_split(keys, chunks)))
     except BrokenProcessPool:
         _close_pool()   # the next call opens a fresh pool
         raise
@@ -326,10 +318,10 @@ def _simulate_bits(wire: np.ndarray, sampling: Sampling, case: np.ndarray,
     n_zc = np.empty(n_bits, dtype=np.int64)
     u_zc2 = np.empty(n_bits)
 
-    def cross_block(block: slice, wire: np.ndarray) -> None:
+    def cross_block(block: slice, ui: np.ndarray) -> None:
         """Count each bit's current zero crossings; take the mean square of the voltage there."""
         width = block.stop - block.start
-        counts, values = block_zero_crossings(wire[width:], wire[:width], sampling.zc_mode)
+        counts, values = block_zero_crossings(ui[width:], ui[:width], sampling.zc_mode)
         n_zc[block] = counts
         squares = values * values
         ends = np.cumsum(counts).tolist()
@@ -341,9 +333,9 @@ def _simulate_bits(wire: np.ndarray, sampling: Sampling, case: np.ndarray,
     # draws, so that a long bit's spectra and crossing temporaries never coexist.
     traces = np.empty((2 * rows, n))
     for block in blocks:
-        wire = traces[: 2 * (block.stop - block.start)]
-        np.fft.irfft(solve_block(block), n=n, axis=-1, out=wire)
-        cross_block(block, wire)
+        ui = traces[: 2 * (block.stop - block.start)]   # the block's U rows, then its I rows
+        np.fft.irfft(solve_block(block), n=n, axis=-1, out=ui)
+        cross_block(block, ui)
     return BitColumns(case=case, u2=u2, i2=i2, p_ab=p_ab, n_zc=n_zc, u_zc2=u_zc2)
 
 

@@ -1,5 +1,6 @@
 import concurrent.futures
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,18 @@ from kljnsim.noise import fill_band
 settings.register_profile("ci", print_blob=True)
 if os.environ.get("CI"):
     settings.load_profile("ci")
+
+
+def src_env(**extra) -> dict:
+    """The environment of a test's Python subprocess: ``src/`` importable, a RuntimeWarning an error.
+
+    pyproject.toml's ``filterwarnings`` reaches only the pytest process, so a
+    0/0 in a subprocess, or in its pool's workers, would otherwise pass
+    silently.  ``extra`` sets further variables.
+    """
+    src = Path(__file__).resolve().parent.parent / "src"
+    return {**os.environ, **extra, "PYTHONWARNINGS": "error::RuntimeWarning",
+            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
 
 
 def band_trace(mean_square: float, oversample: float, n: int, seed: int) -> np.ndarray:

@@ -63,6 +63,11 @@ class TestDetectZeroCrossings:
         values, _ = crossings([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], "interpolated")
         assert values.size == 0
 
+    @pytest.mark.parametrize("shape", [(0, 4), (2, 0)], ids=["no_rows", "no_samples"])
+    def test_empty_block_is_refused(self, shape):
+        with pytest.raises(ValueError, match="wire trace is empty"):
+            block_zero_crossings(np.empty(shape), np.empty(shape), "interpolated")
+
     def test_exact_zero_counts_at_sample(self):
         values, times = crossings([1.0, 0.0, 2.0], [5.0, 7.0, 9.0], "sample_before")
         assert times.tolist() == [1.0]
@@ -605,6 +610,12 @@ def test_mean_se_does_not_depend_on_the_scale(k):
     mean, se = _mean_se(x)
     assert se > 0
     assert _mean_se(np.ldexp(x, k)) == (np.ldexp(mean, k), np.ldexp(se, k))
+
+
+def test_mean_se_of_too_few_values_is_nan():
+    assert all(map(math.isnan, _mean_se([])))
+    mean, se = _mean_se([2.5])
+    assert mean == 2.5 and math.isnan(se)
 
 
 def test_binomial_ci_halfwidth():

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import src_env
 from kljnsim import __version__, cli, protocol
 from kljnsim.cli import (
     ExperimentConfig,
@@ -35,6 +36,16 @@ oversample = 4
 bits_per_run = 30
 runs = 2
 seed = 7
+"""
+
+
+#: Sessions of one bit per run at seed 1: run 0's bit is LL, and runs 1 and 2 are secure.
+ONE_BIT = CLASSIC_TEXT + """
+samples_per_bit = 256
+oversample = 4
+calibration_bits = 100
+seed = 1
+bits_per_run = 1
 """
 
 
@@ -113,6 +124,24 @@ class TestParseConfig:
         b = parse_config(CLASSIC_TEXT + "seed = 2\n")
         assert config_hash(a) == config_hash(parse_config(CLASSIC_TEXT))
         assert config_hash(a) != config_hash(b)
+
+
+def test_config_that_is_not_utf8_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"# Widerst\xe4nde\n" + CLASSIC_TEXT.encode())
+    assert main(["solve", str(cfg), "--output-prefix", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"configuration error: cannot read config file {cfg}: ")
+    assert "can't decode byte 0xe4" in err[0]
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_config_line_without_equals_exit_2(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, "kind classic\n")
+    assert main(["solve", cfg_path, "--output-prefix", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: line 1: expected 'key = value', got 'kind classic'\n")
 
 
 class TestSolveCommand:
@@ -259,6 +288,15 @@ class TestSimulateCommand:
         assert first[4] in ("LL", "LH", "HL", "HH")
         assert first[10] in ("0", "1")
 
+    def test_one_bit_has_no_standard_errors(self, tmp_path, capsys):
+        # One LL bit: each standard error of the summary is _mean_se of one value.
+        cfg_path = write_config(tmp_path, ONE_BIT + "runs = 1\n")
+        assert main(["simulate", cfg_path, "--output-prefix", str(tmp_path / "s")]) == 0
+        summary = capsys.readouterr().out.splitlines()
+        assert summary[0] == "1 bits simulated (0 secure, 0 classification errors)"
+        assert summary[1].startswith("LL: n=1 ") and summary[1].count("+-nan") == 4
+        assert len(summary) == 2
+
 
 def reference_bits_csv(config: ExperimentConfig) -> bytes:
     """The ``simulate`` CSV written row by row, every field through ``_fmt``."""
@@ -342,14 +380,26 @@ class TestAttackCommand:
             CLASSIC_TEXT + "bits_per_run = 1\nruns = 1\nseed = 1\nsamples_per_bit = 1024\n"
             + f"oversample = 4\ncalibration_bits = 100\noutput_prefix = {tmp_path}/atk\n",
         )
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-m", "kljnsim", "attack", cfg_path], cwd=tmp_path,
-                              env=env, capture_output=True, text=True, timeout=300, check=False)
+                              env=src_env(), capture_output=True, text=True, timeout=300,
+                              check=False)
         assert proc.returncode == 4, proc.stderr
         assert "warning: run 0 has no secure bits" in proc.stderr
         assert "attack.py" not in proc.stderr
+
+    def test_run_without_secure_bit_is_excluded(self, tmp_path):
+        # Run 0's one bit is LL: its row has no p_run, and it warns once.
+        cfg_path = write_config(tmp_path, ONE_BIT + "runs = 3\n")
+        proc = subprocess.run([sys.executable, "-m", "kljnsim", "attack", cfg_path,
+                               "--output-prefix", str(tmp_path / "atk")], cwd=tmp_path,
+                              env=src_env(), capture_output=True, text=True, timeout=300,
+                              check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "warning: run 0 has no secure bits; excluded from attack statistics\n"
+        lines = (tmp_path / "atk_attack.csv").read_text().splitlines()
+        header = lines.index("run,n_secure,p_run")
+        assert lines[header + 1 : header + 4] == ["0,0,", "1,1,0.0", "2,1,0.0"]
+        assert "# n_excluded_runs=1" in lines
 
     def test_attack_does_not_depend_on_the_noise_scale(self, tmp_path, capsys):
         # Eve's standard errors are scale-free: at 1e-300 an SE no longer
@@ -391,6 +441,13 @@ class TestHistCommand:
         assert len(lines) == 3  # one interior row per case, sentinels suppressed
         cases = {l.split(",")[1] for l in lines[1:]}
         assert cases == {"LH", "HL"}
+
+    def test_session_without_secure_bit_exit_4(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, ONE_BIT + "runs = 1\n")
+        assert main(["hist", cfg_path, "--output-prefix", str(tmp_path / "h")]) == 4
+        assert capsys.readouterr().err == (
+            "runtime error: no per-bit values available for statistic 'u_zc2'\n")
+        assert not list(tmp_path.glob("h*"))
 
     def test_u_zc2_histogram(self, tmp_path):
         cfg_path = write_config(tmp_path, CLASSIC_TEXT + SMALL_COMMON)
@@ -620,12 +677,11 @@ def test_no_worker_outlives_the_command(tmp_path, mode, code):
     cfg_path = write_config(tmp_path, CLASSIC_TEXT + SMALL_COMMON)
     script = tmp_path / "pooled_simulate.py"
     script.write_text(POOLED_SIMULATE, encoding="utf-8")
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src),
-                                                                     os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, str(script), mode, cfg_path, str(tmp_path / "out")],
-                          env=env, capture_output=True, text=True, timeout=300, check=False)
+                          env=src_env(), capture_output=True, text=True, timeout=300, check=False)
     assert proc.returncode == code, proc.stderr
+    if mode == "run":   # the pool's exit prints nothing
+        assert proc.stderr == ""
     pids = [int(line.split()[1]) for line in proc.stdout.splitlines() if line.startswith("worker ")]
     assert len(pids) == 2
     for pid in pids:
@@ -655,19 +711,13 @@ def test_pooled_command_leaves_numpy_random_unloaded(tmp_path, command):
     cfg_path = write_config(tmp_path, CLASSIC_TEXT + SMALL_COMMON)
     script = tmp_path / "pooled_command.py"
     script.write_text(POOLED_COMMAND, encoding="utf-8")
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src),
-                                                                     os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, str(script), command, cfg_path, str(tmp_path / "out")],
-                          env=env, capture_output=True, text=True, timeout=300, check=False)
+                          env=src_env(), capture_output=True, text=True, timeout=300, check=False)
     assert proc.returncode == 0, proc.stderr
 
 
 def test_import_leaves_the_process_pool_unloaded():
     # concurrent.futures is imported only when a call fans out: at import time
     # it would add tens of milliseconds to every command's start-up.
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src),
-                                                                     os.environ.get("PYTHONPATH")]))}
     code = "import kljnsim.cli, sys; assert 'concurrent.futures' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+    subprocess.run([sys.executable, "-c", code], env=src_env(), check=True, timeout=120)

@@ -1,12 +1,12 @@
 """Every demo and every sample config runs to completion against the library in ``src/``."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import src_env
 from kljnsim.cli import main, parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -21,21 +21,9 @@ def test_sample_config_parses_and_solves(config, tmp_path):
     assert (tmp_path / "out_solution.csv").is_file()
 
 
-def demo_env() -> dict:
-    """The environment a demo runs in: the library in ``src/``, and a RuntimeWarning is an error.
-
-    pyproject.toml's ``filterwarnings`` reaches only the pytest process, so
-    a 0/0 in a demo would otherwise pass silently.
-    """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
-    return env
-
-
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.name for demo in DEMOS])
 def test_demo_exits_zero(demo, tmp_path):
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=demo_env(),
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=src_env(),
                           capture_output=True, text=True, timeout=600, check=False)
     assert proc.returncode == 0, proc.stderr
 
@@ -49,6 +37,6 @@ RUN_UNDER_SPAWN = ("import multiprocessing, runpy, sys; multiprocessing.set_star
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.name for demo in DEMOS])
 def test_demo_runs_under_spawn(demo, tmp_path):
     proc = subprocess.run([sys.executable, "-c", RUN_UNDER_SPAWN, str(demo)], cwd=tmp_path,
-                          env=demo_env(), capture_output=True, text=True, timeout=600,
+                          env=src_env(), capture_output=True, text=True, timeout=600,
                           check=False)
     assert proc.returncode == 0, proc.stderr

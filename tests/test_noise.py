@@ -304,9 +304,22 @@ class TestVectorizedSeeding:
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
     @example(SEED_EDGES)
     def test_seeding_of_each_seed(self, seeds):
-        for seed, (state, inc) in zip(seeds, noise._pcg64_seeding(seeds), strict=True):
-            reference = np.random.default_rng(seed).bit_generator.state["state"]
-            assert (state, inc) == (reference["state"], reference["inc"])
+        words = noise._pcg64_words(seeds)
+        assert words.dtype == np.uint64 and words.shape == (len(seeds), 4)
+        assert words.flags.c_contiguous
+        for seed, row in zip(seeds, words, strict=True):
+            assert np.array_equal(row, np.random.SeedSequence(seed).generate_state(4, np.uint64))
+
+    def test_each_row_has_its_own_generator(self, monkeypatch):
+        # All generators are taken before any draws: each is its key's own
+        # stream, also across SEED_CHUNK.
+        monkeypatch.setattr(noise, "SEED_CHUNK", 3)
+        keys, rows = session_keys(9, 2, 4, 2)
+        rngs = list(stream_generators(keys))
+        assert len({id(rng) for rng in rngs}) == len(rows)
+        for row, rng in zip(rows, rngs, strict=True):
+            assert np.array_equal(rng.standard_normal(5),
+                                  np.random.default_rng(derive_seed(*row)).standard_normal(5))
 
     def test_stream_generators_cross_chunks(self, monkeypatch):
         monkeypatch.setattr(noise, "SEED_CHUNK", 3)

@@ -1,17 +1,16 @@
 import concurrent.futures
 import math
 import multiprocessing
-import os
 import pickle
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from conftest import src_env
 from kljnsim import benchmarks, protocol
 from kljnsim.attack import attack_statistics, calibrate
 from kljnsim.circuit import ZC_MODES, MomentSummary
@@ -317,14 +316,11 @@ def test_columns_are_independent_of_the_blas_thread_count(tmp_path):
     # with one BLAS thread and with two.  Each child sets its own thread count.
     script = tmp_path / "blas_threads.py"
     script.write_text(BLAS_THREAD_RUN, encoding="utf-8")
-    src = Path(__file__).resolve().parent.parent / "src"
     outputs = {}
     for threads in ("1", "2"):
         for workers in ("1", "2"):
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-                   "PYTHONPATH": os.pathsep.join(filter(None, [str(src),
-                                                               os.environ.get("PYTHONPATH")]))}
-            proc = subprocess.run([sys.executable, str(script), workers], env=env,
+            proc = subprocess.run([sys.executable, str(script), workers],
+                                  env=src_env(OPENBLAS_NUM_THREADS=threads),
                                   capture_output=True, text=True, timeout=300, check=False)
             assert proc.returncode == 0, proc.stderr
             outputs[threads, workers] = proc.stdout
@@ -371,12 +367,9 @@ def test_pool_workers_reuse_their_heap(tmp_path):
     # so the workers' start-up and their heaps' growth cancel out.
     script = tmp_path / "heap.py"
     script.write_text(HEAP_RUN, encoding="utf-8")
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src),
-                                                                     os.environ.get("PYTHONPATH")]))}
     faults = {}
     for calls in ("2", "3"):
-        proc = subprocess.run([sys.executable, str(script), calls], env=env,
+        proc = subprocess.run([sys.executable, str(script), calls], env=src_env(),
                               capture_output=True, text=True, timeout=300, check=False)
         assert proc.returncode == 0, proc.stderr
         faults[calls] = int(proc.stdout)
