@@ -9,7 +9,7 @@ the level table.  LH/HL bits are kept for the key, LL/HH discarded.
 import numpy as np
 
 from kljnsim import Sampling, SessionConfig, classic_kljn, level_table, run_session
-from kljnsim.protocol import CASES, secure_bit_value
+from kljnsim.schemes import CASES, HL
 
 
 def main() -> None:
@@ -39,7 +39,7 @@ def main() -> None:
         print(f"  {case}: {np.mean(vals):.4f} V^2 over {len(vals):3d} bits "
               f"(level {lt[case].u2:.4f})")
 
-    key = [secure_bit_value(CASES[c]) for c in bits.case[secure][:32]]
+    key = (bits.case[secure][:32] == HL).astype(int).tolist()
     print(f"\nfirst {len(key)} key bits (HL=1 convention): {''.join(map(str, key))}")
     agreed = not session.misclassified[secure].any()
     print(f"every secure bit classified correctly by both parties: {agreed}")

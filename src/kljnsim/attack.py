@@ -22,7 +22,7 @@ import numpy as np
 from . import protocol
 from .errors import CalibrationError, _check_integer
 from .noise import STREAM_CALIBRATION, STREAM_EVE_TIE, fair_bits, key_words
-from .schemes import CASES, SchemeConfig
+from .schemes import HL, LH, SECURE_CASES, SchemeConfig
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def calibrate(
     _check_integer("seed", seed, 0)
     n = calibration_bits
     keys = key_words(seed, STREAM_CALIBRATION, *np.divmod(np.arange(2 * n), n))
-    cases = np.repeat([CASES.index("LH"), CASES.index("HL")], n)
+    cases = np.repeat([LH, HL], n)
     bits = protocol.simulate_bits(scheme, sampling, cases, keys)
     if int(bits.n_zc.sum()) / (2.0 * n) < MIN_CROSSINGS_PER_BIT:
         raise CalibrationError(
@@ -126,7 +126,7 @@ def attack_statistics(cases, u_zc2, cal: AttackCalibration, guess_seed: int = 0)
     u_zc2 = np.asarray(u_zc2, dtype=float)
     if cases.ndim != 2:
         raise ValueError("cases must be a (runs, bits_per_run) grid of indices into CASES")
-    secure_run, secure_bit = np.nonzero(protocol._is_secure(cases))
+    secure_run, secure_bit = np.nonzero(np.isin(cases, SECURE_CASES))
     if u_zc2.shape != secure_run.shape:
         raise ValueError("u_zc2 must hold one value per LH or HL bit of cases")
     if cal.polarity == "indistinct":
@@ -134,7 +134,7 @@ def attack_statistics(cases, u_zc2, cal: AttackCalibration, guess_seed: int = 0)
     else:
         above = u_zc2 > cal.threshold
         guess_hl = above if cal.polarity == "hl_above" else ~above
-    is_hl = cases[secure_run, secure_bit] == CASES.index("HL")
+    is_hl = cases[secure_run, secure_bit] == HL
     n_secure = np.bincount(secure_run, minlength=len(cases))
     correct = np.bincount(secure_run[guess_hl == is_hl], minlength=len(cases))
     scored = n_secure > 0

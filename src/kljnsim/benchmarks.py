@@ -19,7 +19,7 @@ from .attack import AttackCalibration, AttackOutcome, _mean_se, attack_statistic
 from .errors import ConfigurationError, _check_integer
 from .noise import STREAM_CALIBRATION, STREAM_EVE_TIE, derive_seed, key_words
 from .protocol import BitColumns, Sampling, SessionConfig, simulate_bits, simulate_secure_bits
-from .schemes import CASES, SchemeConfig, scheme_for_kind
+from .schemes import BRANCH_IDS, CASES, SchemeConfig, scheme_for_kind
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def benchmark_scheme(name: str, bandwidth: float = 500.0, u2_la: float = 1.0) ->
 
 def match_benchmark(scheme: SchemeConfig) -> BenchmarkRow | None:
     """The benchmark row whose resistor quadruple matches ``scheme``, if any."""
-    quad = tuple(scheme.branches[bid].resistance for bid in ("HA", "LA", "HB", "LB"))
+    quad = tuple(scheme.branches[bid].resistance for bid in BRANCH_IDS)
     for row in BENCHMARKS.values():
         ref = (row.r_ha, row.r_la, row.r_hb, row.r_lb)
         if all(math.isclose(a, b, rel_tol=1e-9) for a, b in zip(quad, ref)):

@@ -12,7 +12,7 @@ resistance, zero delay, lumped.  The law is linear, so :func:`solve_wire`
 applies it to DFT coefficients as well as to samples; the simulation
 solves it bin by bin.  :func:`block_zero_crossings` then counts the
 current's zero crossings and samples the voltage there, the statistic whose
-closed-form limit is :func:`conditional_zc_variance`; it returns no times.
+closed-form limit is :func:`conditional_zc_variance`.
 """
 
 from __future__ import annotations

@@ -39,7 +39,11 @@ from .errors import CalibrationError, ConfigurationError, UnphysicalSchemeError,
 from .noise import GENERATOR_ID, STREAM_TABLE, derive_seed
 from .protocol import Sampling, SessionConfig, run_session, simulate_secure_bits
 from .schemes import (
+    BRANCH_IDS,
     CASES,
+    HL,
+    LH,
+    SECURE_CASES,
     SchemeConfig,
     branch_temperatures,
     case_branches,
@@ -186,7 +190,7 @@ def cmd_solve(config: ExperimentConfig) -> int:
     print(f"scheme kind: {scheme.kind}   bandwidth: {scheme.bandwidth:g} Hz")
     print(f"{'branch':<8}{'resistance [ohm]':>18}{'mean square [V^2]':>20}{'temperature [K]':>18}")
     rows = []
-    for bid in ("HA", "LA", "HB", "LB"):
+    for bid in BRANCH_IDS:
         b = scheme.branches[bid]
         print(f"{bid:<8}{b.resistance:>18.6g}{b.mean_square:>20.6g}{temps[bid]:>18.6g}")
         rows.append((bid, b.resistance, b.mean_square, temps[bid]))
@@ -221,6 +225,7 @@ def cmd_simulate(config: ExperimentConfig) -> int:
     scheme = build_scheme(config)
     session = run_session(_session(config, scheme))
     bits = session.bits
+    secure = bits.secure
 
     def rows():
         """The rows' formatted fields, _SIMULATE_SLICE bits at a time, as _fmt would format them."""
@@ -234,14 +239,14 @@ def cmd_simulate(config: ExperimentConfig) -> int:
                 [label[0] for label in labels], [label[1] for label in labels], labels,
                 *(map(repr, column[part].tolist()) for column in (bits.u2, bits.i2, bits.p_ab)),
                 map(str, bits.n_zc[part].tolist()), map(repr, bits.u_zc2[part].tolist()),
-                np.where(bits.secure[part], "1", "0").tolist(),
+                np.where(secure[part], "1", "0").tolist(),
             )
 
     _write_csv(config, "simulate", "bits", ["run", "bit", "alice", "bob", "case",
                                             "u2", "i2", "p_ab", "n_zc", "u_zc2", "secure"],
                rows(), meta=_sampling_keys(config))
     print(f"{bits.case.size} bits simulated "
-          f"({int(bits.secure.sum())} secure, "
+          f"({int(secure.sum())} secure, "
           f"{int(session.misclassified.sum())} classification errors)")
     for tag in np.flatnonzero(np.bincount(bits.case)).tolist():
         m = case_moments(bits, CASES[tag])
@@ -262,8 +267,8 @@ def cmd_attack(config: ExperimentConfig) -> int:
     rows = [(run_idx, n_secure, next(run_ps) if n_secure > 0 else None)
             for run_idx, n_secure in enumerate(outcome.per_run_secure)]
     hw = binomial_ci_halfwidth(outcome.p, outcome.n_secure_bits)
-    zc_lh, zc_lh_se = _mean_se(bits.n_zc[bits.case == CASES.index("LH")])
-    zc_hl, zc_hl_se = _mean_se(bits.n_zc[bits.case == CASES.index("HL")])
+    zc_lh, zc_lh_se = _mean_se(bits.n_zc[bits.case == LH])
+    zc_hl, zc_hl_se = _mean_se(bits.n_zc[bits.case == HL])
     footer = {
         "p": outcome.p,
         "sigma_p": outcome.sigma_p,
@@ -315,9 +320,9 @@ def cmd_hist(config: ExperimentConfig, statistic: str, bins: int) -> int:
         # Too few floats for `bins` distinct edges (from 2**53, lo - 0.5 == lo).
         half = 2 * bins * np.spacing(max(abs(lo), abs(hi)))
         lo, hi = lo - half, hi + half
-    values = {case: column[bits.case == CASES.index(case)] for case in ("LH", "HL")}
+    values = {CASES[c]: column[bits.case == c] for c in SECURE_CASES}
     rows = []
-    for case in ("LH", "HL"):
+    for case in values:
         counts, edges = np.histogram(values[case], bins=bins, range=(lo, hi))
         rows.extend((statistic, case, edges[j].item(), edges[j + 1].item(), counts[j].item())
                     for j in range(bins))

@@ -31,7 +31,7 @@ from .circuit import ZC_MODES, block_zero_crossings, solve_wire
 from .errors import ConfigurationError, _check_integer
 from .noise import (BRANCH_STREAMS, STREAM_CHOICES, fair_bits, fill_band, key_words,
                     stream_generators)
-from .schemes import CASES, SchemeConfig, case_branches, level_table
+from .schemes import CASES, SECURE_CASES, SchemeConfig, case_branches, level_table
 
 
 @dataclass(frozen=True)
@@ -106,12 +106,7 @@ class BitColumns:
     @property
     def secure(self) -> np.ndarray:
         """Mask of the LH and HL bits."""
-        return _is_secure(self.case)
-
-
-def _is_secure(case: np.ndarray) -> np.ndarray:
-    """Mask of the LH and HL entries of an array of indices into ``CASES``."""
-    return (case == 1) | (case == 2)
+        return np.isin(self.case, SECURE_CASES)
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,15 +392,6 @@ def simulate_secure_bits(config: SessionConfig) -> tuple[np.ndarray, BitColumns]
     ``run_session(config).bits``.
     """
     cases, keys = _draw_cases(config)
-    secure = _is_secure(cases)
+    secure = np.isin(cases, SECURE_CASES)
     bits = simulate_bits(config.scheme, config.sampling, cases[secure], keys[secure])
     return cases.reshape(config.runs, config.bits_per_run), bits
-
-
-def secure_bit_value(case_label: str) -> int:
-    """Bit value of a secure case under the public convention: HL is 1, LH is 0."""
-    if case_label == "HL":
-        return 1
-    if case_label == "LH":
-        return 0
-    raise ValueError(f"case {case_label!r} is not a secure case")

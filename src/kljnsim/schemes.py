@@ -40,6 +40,10 @@ SCHEME_KINDS = tuple(_KIND_RESISTORS)
 #: index here, 2 * alice + bob with L = 0 and H = 1.
 CASES = ("LL", "LH", "HL", "HH")
 
+#: The secure cases, whose bits form the key: an HL bit is key bit 1, an LH bit key bit 0.
+LH, HL = CASES.index("LH"), CASES.index("HL")
+SECURE_CASES = (LH, HL)
+
 #: Relative tolerance for the secure-case equality of u2, i2 and p_ab.
 #: The closed forms are exact, so only rounding noise is tolerated.
 SECURITY_RTOL = 1e-9

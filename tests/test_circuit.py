@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import band_trace
 from kljnsim.circuit import (
@@ -166,3 +168,22 @@ class TestConditionalZcVariance:
         lh = analytic_moments(278.0, 1.0, 278.0, 8311532.0 / 17440164.0)
         hl = analytic_moments(46416.0, 2172018104.0 / 210168.0, 100.0, 8279848.0 / 25652728.0)
         assert conditional_zc_variance(lh) == pytest.approx(conditional_zc_variance(hl), rel=1e-9)
+
+    # A few ulps of slack for the rounding in analytic_moments' u2, i2, p_ab and rho.
+    ULPS = 4 * np.finfo(float).eps
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.tuples(st.floats(-4.0, 7.0), st.floats(-4.0, 7.0)),
+           st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)), st.booleans())
+    @example((-4.0, 7.0), (6.0, -6.0), False)   # |rho| within 1e-12 of 1
+    @example((7.0, -4.0), (-6.0, 6.0), False)
+    def test_gaussian_resistive_bound(self, log_r, log_u2, balanced):
+        # Cauchy-Schwarz: |rho| <= 1, so 0 <= u2 (1 - rho^2) <= u2 for any resistive
+        # pair, balanced (equal temperatures, p_ab = 0) or not.
+        r_a, r_b = (10.0 ** x for x in log_r)
+        u2_a, u2_b = (10.0 ** x for x in log_u2)
+        if balanced:
+            u2_b = u2_a * r_b / r_a
+        m = analytic_moments(r_a, u2_a, r_b, u2_b)
+        assert abs(m.rho) <= 1 + self.ULPS
+        assert -self.ULPS * m.u2 <= conditional_zc_variance(m) <= m.u2

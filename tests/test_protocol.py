@@ -23,12 +23,11 @@ from kljnsim.protocol import (
     SessionConfig,
     _infer_partner,
     run_session,
-    secure_bit_value,
     simulate_bits,
     simulate_secure_bits,
 )
-from kljnsim.schemes import (SchemeConfig, case_branches, classic_kljn, fck1_kljn, level_table,
-                             solve_vmg)
+from kljnsim.schemes import (HL, LH, SECURE_CASES, SchemeConfig, case_branches, classic_kljn,
+                             fck1_kljn, level_table, solve_vmg)
 
 
 def samples_per_second(scheme, sampling) -> float:
@@ -857,7 +856,5 @@ class TestSecureBitHandling:
         assert secure.tolist() == [c for c in bits.case.tolist() if c in (1, 2)]
 
     def test_bit_value_convention(self):
-        assert secure_bit_value("HL") == 1
-        assert secure_bit_value("LH") == 0
-        with pytest.raises(ValueError):
-            secure_bit_value("HH")
+        assert CASES[LH] == "LH" and CASES[HL] == "HL"
+        assert SECURE_CASES == (LH, HL)

@@ -361,6 +361,17 @@ class TestSchemeConfigValidation:
         with pytest.raises(ConfigurationError):
             SchemeConfig(branches=branches, bandwidth=500.0, kind="classic")
 
+    @pytest.mark.parametrize("edit", ["drop_lb", "extra_id"])
+    def test_wrong_branch_ids_rejected(self, edit):
+        branches = dict(classic_kljn(1e3, 1e4, 1.0, 500.0).branches)
+        if edit == "drop_lb":
+            del branches["LB"]
+        else:
+            branches["XA"] = branches["LA"]
+        message = r"branches must be exactly \('HA', 'LA', 'HB', 'LB'\)"
+        with pytest.raises(ConfigurationError, match=message):
+            SchemeConfig(branches=branches, bandwidth=500.0, kind="classic")
+
     def test_bad_kind(self):
         sch = classic_kljn(1e3, 1e4, 1.0, 500.0)
         with pytest.raises(ConfigurationError):
