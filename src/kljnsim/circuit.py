@@ -29,14 +29,14 @@ from .errors import ConfigurationError
 class Branch:
     """One resistor branch: resistance and generator mean-square."""
 
-    resistance: float          # ohm, > 0
-    mean_square: float         # V^2, >= 0
+    resistance: float          # ohm, > 0, finite
+    mean_square: float         # V^2, >= 0, finite
 
     def __post_init__(self):
-        if not self.resistance > 0:
-            raise ValueError(f"branch resistance must be > 0, got {self.resistance}")
-        if not self.mean_square >= 0:
-            raise ValueError(f"branch mean_square must be >= 0, got {self.mean_square}")
+        if not 0 < self.resistance < math.inf:
+            raise ValueError(f"branch resistance must be > 0 and finite, got {self.resistance}")
+        if not 0 <= self.mean_square < math.inf:
+            raise ValueError(f"branch mean_square must be >= 0 and finite, got {self.mean_square}")
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from .benchmarks import (
     measure_case_moments,
     run_attack_experiment,
 )
-from .errors import CalibrationError, ConfigurationError, UnphysicalSchemeError, _check_integer
+from .errors import ConfigurationError, UnphysicalSchemeError, _check_integer
 from .noise import GENERATOR_ID, STREAM_TABLE, derive_seed
 from .protocol import Sampling, SessionConfig, run_session, simulate_secure_bits
 from .schemes import (
@@ -180,7 +180,7 @@ def _write_csv(config: ExperimentConfig, command: str, name: str, header: list[s
         fh.writelines(f"# {key}={_fmt(value)}\n" for key, value in (footer or {}).items())
 
 
-def cmd_solve(config: ExperimentConfig) -> int:
+def cmd_solve(config: ExperimentConfig) -> None:
     """Solve and print the scheme's branch levels, temperatures, and secure-case moments."""
     scheme = build_scheme(config)
     temps = branch_temperatures(scheme)
@@ -206,7 +206,6 @@ def cmd_solve(config: ExperimentConfig) -> int:
                ["branch", "resistance_ohm", "mean_square_v2", "temperature_k"],
                (map(_fmt, row) for row in rows),
                meta={"max_relative_mismatch": mismatch})
-    return 0
 
 
 def _sampling_keys(config: ExperimentConfig) -> dict:
@@ -220,7 +219,7 @@ def _session(config: ExperimentConfig, scheme: SchemeConfig | None) -> SessionCo
                          config.bits_per_run, config.runs, config.seed)
 
 
-def cmd_simulate(config: ExperimentConfig) -> int:
+def cmd_simulate(config: ExperimentConfig) -> None:
     """Run the session and write one CSV row per exchanged bit."""
     scheme = build_scheme(config)
     session = run_session(_session(config, scheme))
@@ -255,10 +254,9 @@ def cmd_simulate(config: ExperimentConfig) -> int:
             f"i2={m.i2:.4g}+-{m.i2_se:.2g} A^2  p={m.p_ab:.4g}+-{m.p_ab_se:.2g} W  "
             f"u_zc2={m.u_zc2:.4g}+-{m.u_zc2_se:.2g} V^2"
         )
-    return 0
 
 
-def cmd_attack(config: ExperimentConfig) -> int:
+def cmd_attack(config: ExperimentConfig) -> None:
     """Calibrate Eve, attack a session, and report p with its dispersion."""
     scheme = build_scheme(config)
     outcome, cal, bits = run_attack_experiment(_session(config, scheme),
@@ -301,10 +299,9 @@ def cmd_attack(config: ExperimentConfig) -> int:
     if row is not None:
         print(f"reference for this configuration (not asserted): "
               f"p = {row.p_eve_ref} +- {row.sigma_p_ref}")
-    return 0
 
 
-def cmd_hist(config: ExperimentConfig, statistic: str, bins: int) -> int:
+def cmd_hist(config: ExperimentConfig, statistic: str, bins: int) -> None:
     """Write per-case histograms of a per-bit statistic for the LH/HL populations."""
     if bins < 1:
         raise ConfigurationError(f"bins must be >= 1, got {bins}")
@@ -330,7 +327,6 @@ def cmd_hist(config: ExperimentConfig, statistic: str, bins: int) -> int:
                (map(_fmt, row) for row in rows), meta={"statistic": statistic, "bins": bins})
     print(f"{statistic}: {len(values['LH'])} LH and {len(values['HL'])} HL values "
           f"binned into {bins} bins over [{lo:.4g}, {hi:.4g}]")
-    return 0
 
 
 def _benchmark_rows(config: ExperimentConfig):
@@ -341,7 +337,7 @@ def _benchmark_rows(config: ExperimentConfig):
                derive_seed(config.seed, STREAM_TABLE, row_idx))
 
 
-def cmd_table1(config: ExperimentConfig) -> int:
+def cmd_table1(config: ExperimentConfig) -> None:
     """Simulated wire moments for all benchmark rows, beside the reference values."""
     rows = []
     print(f"{'scheme':<7}{'case':<6}{'u2 sim':>12}{'u2 ref':>9}{'i2 sim':>13}{'i2 ref':>11}"
@@ -369,10 +365,9 @@ def cmd_table1(config: ExperimentConfig) -> int:
                 "p_sim", "p_se", "p_ref", "u_zc2_sim", "u_zc2_se", "u_zc2_ref"],
                (map(_fmt, row) for row in rows),
                meta={**_sampling_keys(config), "n_bits_per_case": config.bits_per_run})
-    return 0
 
 
-def cmd_table2(config: ExperimentConfig) -> int:
+def cmd_table2(config: ExperimentConfig) -> None:
     """Attack outcome for all benchmark rows, beside the reference values."""
     rows = []
     print(f"{'scheme':<7}{'p sim':>9}{'sigma':>9}{'ci95':>9}{'p ref':>9}{'sigma ref':>11}"
@@ -393,7 +388,6 @@ def cmd_table2(config: ExperimentConfig) -> int:
                (map(_fmt, row) for row in rows),
                meta={**_sampling_keys(config), "bits_per_run": config.bits_per_run,
                      "runs": config.runs})
-    return 0
 
 
 def _load_config(path: str) -> ExperimentConfig:
@@ -435,28 +429,20 @@ def main(argv=None) -> int:
         config = _load_config(args.config)
         if args.output_prefix is not None:
             config = replace(config, output_prefix=args.output_prefix)
-        if args.command == "solve":
-            return cmd_solve(config)
-        if args.command == "simulate":
-            return cmd_simulate(config)
-        if args.command == "attack":
-            return cmd_attack(config)
-        if args.command == "hist":
-            return cmd_hist(config, args.statistic, args.bins)
-        if args.command == "table1":
-            return cmd_table1(config)
-        return cmd_table2(config)
+        extra = (args.statistic, args.bins) if args.command == "hist" else ()
+        globals()[f"cmd_{args.command}"](config, *extra)   # read per call: it may be wrapped
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except UnphysicalSchemeError as exc:
         print(f"unphysical scheme: {exc}", file=sys.stderr)
         return 3
-    except (CalibrationError, RuntimeError, OSError) as exc:
+    except (RuntimeError, OSError) as exc:   # CalibrationError is a RuntimeError
         print(f"runtime error: {exc}", file=sys.stderr)
         return 4
     finally:
         warnings.formatwarning = formatwarning
+    return 0
 
 
 if __name__ == "__main__":

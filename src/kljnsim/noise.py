@@ -281,14 +281,14 @@ def fill_band(sampling, mean_squares, rngs: Iterable[np.random.Generator]) -> np
     draws from the r-th generator of ``rngs``: its real parts, then its
     imaginary parts, then its real Nyquist coefficient when the Nyquist bin
     is in band.  The scale makes the expected sample mean-square of row r's
-    trace equal ``mean_squares[r]``; a negative or NaN mean square is a
-    ConfigurationError.
+    trace equal ``mean_squares[r]``; a negative, infinite or NaN mean square
+    is a ConfigurationError.
     """
     n, k_max, has_nyquist = sampling.samples_per_bit, sampling.band_bins, sampling.nyquist_in_band
     mean_squares = np.asarray(mean_squares, dtype=np.float64)
-    refused = mean_squares[~(mean_squares >= 0)]
+    refused = mean_squares[~((mean_squares >= 0) & (mean_squares < math.inf))]
     if refused.size:
-        raise ConfigurationError(f"mean_square must be >= 0, got {refused[0]}")
+        raise ConfigurationError(f"mean_square must be >= 0 and finite, got {refused[0]}")
     m = k_max - 1 if has_nyquist else k_max
     weight = 2 * m + (1 if has_nyquist else 0)
     # With X_k = s * z_k and E|z_k|^2 = 1, the expected sample mean-square

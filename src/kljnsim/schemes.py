@@ -142,12 +142,15 @@ def classic_kljn(r_l: float, r_h: float, u2_ref: float, bandwidth: float) -> Sch
 
     ``u2_ref`` is the mean-square voltage of the low resistor's generator;
     the high resistor's level scales with r_h / r_l so all four branches
-    share the same noise temperature.
+    share the same noise temperature; ConfigurationError if it overflows.
     """
     _require_positive(r_l=r_l, r_h=r_h, u2_ref=u2_ref)
     if r_l >= r_h:
         raise ConfigurationError(f"level ordering requires r_l < r_h, got {r_l} >= {r_h}")
     u2_h = u2_ref * r_h / r_l
+    if not math.isfinite(u2_h):
+        raise ConfigurationError(f"resistors {r_l!r} and {r_h!r} ohm at {u2_ref!r} V^2 "
+                                 "leave no finite high noise level in floating point")
     branches = {
         "LA": Branch(r_l, u2_ref),
         "LB": Branch(r_l, u2_ref),

@@ -120,7 +120,8 @@ class TestAnalyticMoments:
 
 
 @pytest.mark.parametrize("resistance, mean_square", [(math.nan, 1.0), (1.0, math.nan),
-                                                     (0.0, 1.0), (1.0, -1.0)])
+                                                     (0.0, 1.0), (1.0, -1.0),
+                                                     (math.inf, 1.0), (1.0, math.inf)])
 def test_branch_refuses_values_out_of_range(resistance, mean_square):
     with pytest.raises(ValueError, match="branch"):
         Branch(resistance, mean_square)

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -212,7 +213,8 @@ class TestSolveCommand:
         "kind = vmg\nr_ha = 1e160\nr_la = 1e159\nr_hb = 3e159\nr_lb = 2e159\n",   # NaN levels
         "kind = classic\nr_l = 1\nr_h = 1e300\n",        # (r_a + r_b) ** 2 overflows
         "kind = classic\nr_l = 1e-170\nr_h = 2e-170\n",  # (r_a + r_b) ** 2 underflows to 0
-    ], ids=["vmg-nan-levels", "classic-overflow", "classic-underflow"])
+        "kind = classic\nr_l = 1\nr_h = 1e300\nu_la_sq = 1e10\n",   # u2_ref * r_h / r_l overflows
+    ], ids=["vmg-nan-levels", "classic-overflow", "classic-underflow", "classic-level-overflow"])
     def test_moments_outside_float_range_exit_2(self, tmp_path, capsys, text, command):
         cfg_path = write_config(tmp_path, text + f"output_prefix = {tmp_path}/out\n")
         assert main([command, cfg_path]) == 2
@@ -586,6 +588,54 @@ def test_every_command_writes_its_file_under_the_provenance_lines(tmp_path, comm
     assert lines[:5] == [f"# artifact=kljnsim/{__version__}", f"# command={command}",
                          f"# config_hash={config_hash(parse_config(text))}", "# seed=3",
                          f"# generator={GENERATOR_ID}"]
+
+
+#: Each command's line in ``kljnsim --help``.
+COMMAND_HELP = {
+    "solve": "solve branch noise levels and temperatures, check security equalities",
+    "simulate": "simulate key-exchange bits and write per-bit CSV",
+    "attack": "run the zero-crossing attack and report Eve's success probability",
+    "hist": "histogram a per-bit statistic for the LH/HL populations",
+    "table1": "simulated wire moments for all benchmark schemes vs reference values",
+    "table2": "attack outcome for all benchmark schemes vs reference values",
+}
+
+
+def help_text(monkeypatch, capsys, argv) -> str:
+    """What ``main(argv)`` prints for ``--help`` at 200 columns, after checking it exits 0."""
+    monkeypatch.setenv("COLUMNS", "200")   # one line per command
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_lists_every_command_with_its_help_line(monkeypatch, capsys):
+    out = help_text(monkeypatch, capsys, ["--help"])
+    assert "{" + ",".join(COMMAND_HELP) + "}" in out
+    for command, line in COMMAND_HELP.items():
+        assert re.search(rf"^ +{command} +{re.escape(line)}$", out, re.MULTILINE), out
+
+
+@pytest.mark.parametrize("command", COMMAND_HELP)
+def test_only_hist_offers_statistic_and_bins(monkeypatch, capsys, command):
+    out = help_text(monkeypatch, capsys, [command, "--help"])
+    assert f"usage: kljnsim {command} " in out and "--output-prefix" in out
+    assert ("--statistic" in out, "--bins" in out) == (command == "hist",) * 2
+
+
+def test_main_runs_the_module_attribute_of_each_command(tmp_path, monkeypatch):
+    # Replacing cli.cmd_<name> after import must change what main runs.
+    cfg_path = write_config(tmp_path, CLASSIC_TEXT)
+    calls = []
+    for command in COMMAND_HELP:
+        monkeypatch.setattr(cli, f"cmd_{command}",
+                            lambda config, *extra, command=command: calls.append((command, extra)))
+    for command in COMMAND_HELP:
+        assert main([command, cfg_path]) == 0
+    assert main(["hist", cfg_path, "--statistic", "u2", "--bins", "5"]) == 0
+    assert calls == [(command, ("u_zc2", 30) if command == "hist" else ())
+                     for command in COMMAND_HELP] + [("hist", ("u2", 5))]
 
 
 @pytest.mark.parametrize("command", sorted(set(COMMAND_OUTPUT) - {"solve"}))

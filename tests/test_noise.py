@@ -104,7 +104,7 @@ class TestFillBand:
             if n % 2 == 0:
                 assert row[-1].imag == 0.0
 
-    @pytest.mark.parametrize("level", [-1.0, math.nan])
+    @pytest.mark.parametrize("level", [-1.0, math.nan, math.inf])
     def test_negative_or_nan_level_refused(self, level):
         with pytest.raises(ConfigurationError, match="mean_square must be >= 0"):
             fill_band(Sampling(1024, 4), [1.0, level], [np.random.default_rng(0)] * 2)

@@ -175,6 +175,30 @@ def reference_simulate_bits(scheme, sampling, cases, entropy_prefixes) -> dict:
     return {name: np.array(column) for name, column in columns.items()}
 
 
+def chi2_error_rates(levels: dict, dof: int) -> dict:
+    """Each case's chance that either party misreads the partner, when u2 is exactly
+    its case level times chi2(dof) / dof (the in-band bins without a Nyquist bin).
+
+    A party reads "partner = own choice" iff u2 lies on its same-choice level's
+    side of the midpoint between that level and the secure level.  Each party
+    is right on a half-line, so both are right on an interval.
+    """
+    secure = levels["LH"].u2
+    rates = {}
+    for case in CASES:
+        lo, hi = 0.0, math.inf   # the u2 range where both parties read the partner right
+        for own, partner in (case, case[::-1]):
+            same = levels[own * 2].u2
+            midpoint = (same + secure) / 2
+            if (own == partner) == (same < secure):
+                hi = min(hi, midpoint)
+            else:
+                lo = max(lo, midpoint)
+        scale = levels[case].u2 / dof
+        rates[case] = 1.0 - max(0.0, chi2.cdf(hi / scale, dof) - chi2.cdf(lo / scale, dof))
+    return rates
+
+
 @pytest.fixture(scope="module")
 def classic_scheme():
     return classic_kljn(1e3, 1e4, 1.0, 500.0)
@@ -789,6 +813,30 @@ class TestRunSession:
         bits = results.bits.case.size
         errors = results.misclassified.sum()
         assert errors / bits <= 1e-3
+
+    @pytest.mark.parametrize("scheme, samples_per_bit, master_seed, expected_rates", [
+        (fck1_kljn(1e5, 1e4, 1e4, 1.0, 500.0), 1024, 3201,
+         {"LL": 0.161, "LH": 0.202, "HL": 0.202, "HH": 0.0001}),
+        (solve_vmg(46416.0, 278.0, 278.0, 100.0, 1.0, 500.0), 256, 3202,
+         {"LL": 0.082, "LH": 0.171, "HL": 0.171, "HH": 0.045}),
+    ], ids=["fck1", "vmg2"])
+    def test_error_count_follows_the_chi2_law(self, scheme, samples_per_bit, master_seed,
+                                              expected_rates):
+        # Given the session's case counts n_c, the honest parties' error count
+        # has mean sum(n_c * p_c) and variance sum(n_c * p_c * (1 - p_c)).
+        # False alarm at |z| > 4: 2 * Phi(-4), about 6.3e-5 (tests/README.md).
+        sampling = Sampling(samples_per_bit, 4.0)
+        assert not sampling.nyquist_in_band
+        rates = chi2_error_rates(level_table(scheme), 2 * sampling.band_bins)
+        for case, rate in expected_rates.items():
+            assert rates[case] == pytest.approx(rate, abs=5e-4)
+        result = run_session(SessionConfig(scheme, sampling, bits_per_run=1000, runs=40,
+                                           master_seed=master_seed))
+        counts = np.bincount(result.bits.case, minlength=len(CASES))
+        p = np.array([rates[case] for case in CASES])
+        mean, variance = counts @ p, counts @ (p * (1 - p))
+        z = (result.misclassified.sum() - mean) / math.sqrt(variance)
+        assert abs(z) <= 4, (z, result.misclassified.sum(), mean)
 
     def test_record_invariants(self, classic_scheme):
         cfg = SessionConfig(scheme=classic_scheme, sampling=Sampling(2048),
